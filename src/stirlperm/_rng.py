@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.Generator | np.random.SeedSequence | None"
-
-
 def as_generator(seed=None) -> np.random.Generator:
     """Coerce ``seed`` into a numpy Generator."""
     if isinstance(seed, np.random.Generator):

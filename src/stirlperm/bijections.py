@@ -28,6 +28,7 @@ left-right nodes, bundle statistics vs totals).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ from .trees import (
     AryIncreasingTree,
     BundledIncreasingTree,
     InvalidTreeError,
+    _enumerate_slot_trees,
     ary_stats,
     bundled_stats,
     enumerate_ary_trees,
@@ -350,11 +352,17 @@ def seq_to_ary_tree(seq: Sequence[BundledNode]) -> AryIncreasingTree:
     """Map a sequence of k-bundled increasing trees (labels partitioning 1..n)
     to a (k+2)-ary increasing tree of order n."""
     seq, m, n = _check_sequence(seq)
-    node = _seq_to_node(seq)
-    arity = m + 2
     parent = [0] * n
     slot = [0] * n
-    stack: list[tuple[AryNode, int, int]] = [(node, 0, 0)]
+    _place_ary_node(_seq_to_node(seq), 0, 0, parent, slot)
+    return AryIncreasingTree(m + 2, tuple(parent), tuple(slot))
+
+
+def _place_ary_node(node: AryNode, par: int, s: int, parent: list[int], slot: list[int]) -> None:
+    """Write the attachment of every node of ``node``'s subtree into the
+    ``parent``/``slot`` arrays, ``node`` itself going to slot ``s`` of ``par``."""
+    arity = len(node.slots)
+    stack: list[tuple[AryNode, int, int]] = [(node, par, s)]
     while stack:
         cur, par, s = stack.pop()
         parent[cur.label - 1] = par
@@ -364,24 +372,25 @@ def seq_to_ary_tree(seq: Sequence[BundledNode]) -> AryIncreasingTree:
         for i, child in enumerate(cur.slots, start=1):
             if child is not None:
                 stack.append((child, cur.label, i))
-    return AryIncreasingTree(arity, tuple(parent), tuple(slot))
+
+
+def _ary_node(tree: AryIncreasingTree, v: int) -> AryNode:
+    """The subtree of ``tree`` at ``v`` as an :class:`AryNode` over ``arity``
+    slots: any node of an ary tree, a non-root node of an F-tree."""
+    return AryNode(
+        v,
+        tuple(
+            _ary_node(tree, c) if (c := tree.child(v, s)) else None
+            for s in range(1, tree.arity + 1)
+        ),
+    )
 
 
 def ary_tree_to_seq(tree: AryIncreasingTree) -> tuple[BundledNode, ...]:
     """Inverse of :func:`seq_to_ary_tree`; needs ``arity >= 3``."""
     if tree.arity < 3:
         raise InvalidTreeError("sequence decoding needs arity >= 3")
-
-    def build(v: int) -> AryNode:
-        return AryNode(
-            v,
-            tuple(
-                build(c) if (c := tree.child(v, s)) else None
-                for s in range(1, tree.arity + 1)
-            ),
-        )
-
-    return _node_to_seq(build(1))
+    return _node_to_seq(_ary_node(tree, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -389,47 +398,27 @@ def ary_tree_to_seq(tree: AryIncreasingTree) -> tuple[BundledNode, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FIncreasingTree:
+class FIncreasingTree(AryIncreasingTree):
     """Increasing tree on 1..n where the root exposes ``root_slot_count``
-    slots and every other node ``root_slot_count + 2``."""
+    slots and every other node ``root_slot_count + 2``: an ary tree of arity
+    ``root_slot_count + 2`` whose root has two slots fewer."""
 
-    root_slot_count: int
-    parent: tuple[int, ...]
-    slot: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parent", tuple(int(x) for x in self.parent))
-        object.__setattr__(self, "slot", tuple(int(x) for x in self.slot))
-        k = self.root_slot_count
-        n = len(self.parent)
-        if k < 1:
+    def __init__(self, root_slot_count: int, parent: Sequence[int], slot: Sequence[int]) -> None:
+        if root_slot_count < 1:
             raise InvalidTreeError("root_slot_count must be >= 1")
-        if n < 1 or len(self.slot) != n:
-            raise InvalidTreeError("parent and slot arrays must be non-empty and aligned")
-        if self.parent[0] != 0 or self.slot[0] != 0:
-            raise InvalidTreeError("node 1 must be the root")
-        used = set()
-        for v in range(2, n + 1):
-            p, s = self.parent[v - 1], self.slot[v - 1]
-            cap = k if p == 1 else k + 2
-            if not 1 <= p < v:
-                raise InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
-            if not 1 <= s <= cap:
-                raise InvalidTreeError(f"slot of node {v} out of range: {s}")
-            if (p, s) in used:
-                raise InvalidTreeError(f"slot {s} of node {p} used twice")
-            used.add((p, s))
+        super().__init__(root_slot_count + 2, parent, slot)
 
     @property
-    def order(self) -> int:
-        return len(self.parent)
+    def root_slot_count(self) -> int:
+        return self.arity - 2
 
-    def child(self, v: int, s: int) -> int:
-        for u in range(2, self.order + 1):
-            if self.parent[u - 1] == v and self.slot[u - 1] == s:
-                return u
-        return 0
+    _root_slots = root_slot_count
+
+    def __repr__(self) -> str:
+        return (
+            f"FIncreasingTree(root_slot_count={self.root_slot_count!r}, "
+            f"parent={self.parent!r}, slot={self.slot!r})"
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -451,18 +440,9 @@ def f_tree_from_bundled(tree: BundledIncreasingTree) -> FIncreasingTree:
     parent = [0] * n
     slot = [0] * n
     for b_idx, b in enumerate(tree.bundles_of(1), start=1):
-        seq = tuple(bundled_subtree_node(tree, u) for u in b)
-        node = _seq_to_node(seq)
-        if node is None:
-            continue
-        stack: list[tuple[AryNode, int, int]] = [(node, 1, b_idx)]
-        while stack:
-            cur, par, s = stack.pop()
-            parent[cur.label - 1] = par
-            slot[cur.label - 1] = s
-            for i, child in enumerate(cur.slots, start=1):
-                if child is not None:
-                    stack.append((child, cur.label, i))
+        if b:
+            seq = tuple(bundled_subtree_node(tree, u) for u in b)
+            _place_ary_node(_seq_to_node(seq), 1, b_idx, parent, slot)
     return FIncreasingTree(k, tuple(parent), tuple(slot))
 
 
@@ -470,24 +450,12 @@ def bundled_from_f_tree(ftree: FIncreasingTree) -> BundledIncreasingTree:
     """Inverse of :func:`f_tree_from_bundled`."""
     k = ftree.root_slot_count
     n = ftree.order
-    children: dict[tuple[int, int], int] = {}
-    for v in range(2, n + 1):
-        children[(ftree.parent[v - 1], ftree.slot[v - 1])] = v
-
-    def build(v: int) -> AryNode:
-        return AryNode(
-            v, tuple(  # non-root nodes expose k+2 slots
-                build(c) if (c := children.get((v, s), 0)) else None
-                for s in range(1, k + 3)
-            )
-        )
-
     parent = [0] * n
     bundle = [0] * n
     pos = [0] * n
     for b_idx in range(1, k + 1):
-        c = children.get((1, b_idx), 0)
-        seq = _node_to_seq(build(c)) if c else ()
+        c = ftree.child(1, b_idx)
+        seq = _node_to_seq(_ary_node(ftree, c)) if c else ()
         for p_idx, sub in enumerate(seq, start=1):
             stack: list[tuple[BundledNode, int, int, int]] = [(sub, 1, b_idx, p_idx)]
             while stack:
@@ -550,24 +518,11 @@ def enumerate_bundled_sequences(n: int, bundle_count: int) -> Iterator[tuple[Bun
 
 def enumerate_f_trees(n: int, root_slot_count: int) -> Iterator[FIncreasingTree]:
     """All F-trees of order n: root with ``root_slot_count`` slots, other
-    nodes with ``root_slot_count + 2``."""
+    nodes with ``root_slot_count + 2``, ordered by their arrays."""
     if n < 1 or root_slot_count < 1:
         raise ValueError("need n >= 1 and root_slot_count >= 1")
     k = root_slot_count
-    items: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), (0,))]
-    for v in range(2, n + 1):
-        nxt = []
-        for parent, slot in items:
-            used = set(zip(parent[1:], slot[1:]))
-            for p in range(1, v):
-                cap = k if p == 1 else k + 2
-                for s in range(1, cap + 1):
-                    if (p, s) not in used:
-                        nxt.append((parent + (p,), slot + (s,)))
-        items = nxt
-    items.sort()
-    for parent, slot in items:
-        yield FIncreasingTree(k, parent, slot)
+    yield from _enumerate_slot_trees(n, k + 2, k, partial(FIncreasingTree, k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Exact and asymptotic distributions for block counts and block sizes.
 
 ``S_n`` denotes the number of blocks of a uniformly random k-Stirling
-permutation of order n.  All finite-n quantities are exact rationals built
-from generalized binomial coefficients; the limit quantities (moments and
-density of the scaled block count, stick-breaking law of the scaled block
-sizes) are floating point.
+permutation of order n.  All finite-n quantities are exact rationals computed
+in integer arithmetic from the gap-insertion growth: label i+1 goes into one
+of the ``k*i + 1`` gaps of an order-i word, and only the ``m + 1`` gaps
+outside its m blocks open a new block.  The PMF is a dynamic program over
+those gaps; the binomial moments and the martingale prefactor are ratios of
+products over the gap counts.  The limit quantities (moments and density of
+the scaled block count, stick-breaking law of the scaled block sizes) are
+floating point.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import as_generator
-
-ExactRational = Fraction
 
 
 class ConvergenceError(ArithmeticError):
@@ -75,49 +77,38 @@ class PmfTable:
 
 
 def block_count_pmf(n: int, k: int) -> PmfTable:
-    """Exact PMF of the number of blocks of a random k-Stirling permutation:
+    """Exact PMF of the number of blocks of a random k-Stirling permutation.
 
-    ``P{S_n = m} = sum_{l=0}^{m} binom(m, l) (-1)^l binom(n - l/k - 1, n)
-    / binom(n + 1/k - 1, n)``.
+    ``C_i(m)``, the number of order-i words with m blocks, follows the gap
+    recurrence ``C_1(1) = 1``, ``C_{i+1}(m) = (k*i - m) C_i(m) + m C_i(m-1)``:
+    of the ``k*i + 1`` gaps, ``m + 1`` lie outside the blocks and open a new
+    one.  Then ``P{S_n = m} = C_n(m) / count_k_stirling(n, k)``.
 
     >>> block_count_pmf(2, 2).prob(1)
     Fraction(1, 3)
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    denom = rational_binomial(n + Fraction(1, k) - 1, n)
-    probs = []
-    for m in range(1, n + 1):
-        p = Fraction(0)
-        for l in range(m + 1):
-            p += (
-                math.comb(m, l)
-                * (-1) ** l
-                * rational_binomial(n - Fraction(l, k) - 1, n)
-            )
-        probs.append(p / denom)
-    return PmfTable(n, k, tuple(probs))
+    counts = [0, 1]  # counts[m] = C_i(m), starting at i = 1
+    for i in range(1, n):
+        counts.append(0)
+        counts = [0] + [(k * i - m) * counts[m] + m * counts[m - 1] for m in range(1, i + 2)]
+    total = sum(counts)
+    return PmfTable(n, k, tuple(Fraction(c, total) for c in counts[1:]))
 
 
 def block_binomial_moment(n: int, k: int, r: int) -> Fraction:
-    """Exact binomial moment ``E binom(S_n + r, r)``.
-
-    Two equivalent closed forms are evaluated and must agree:
-    ``binom(n-1+(r+1)/k, n) / binom(n-1+1/k, n)`` and
-    ``(r+1) binom(n-1+(r+1)/k, n-1) / binom(n-1+1/k, n-1)``.
+    """Exact binomial moment ``E binom(S_n + r, r)
+    = prod_{j<n} (k*j + r + 1) / prod_{j<n} (k*j + 1)``.
 
     >>> block_binomial_moment(2, 2, 1)
     Fraction(8, 3)
     """
     if n < 1 or k < 1 or r < 0:
         raise ValueError("need n >= 1, k >= 1, r >= 0")
-    top = n - 1 + Fraction(r + 1, k)
-    bottom = n - 1 + Fraction(1, k)
-    first = rational_binomial(top, n) / rational_binomial(bottom, n)
-    second = (r + 1) * rational_binomial(top, n - 1) / rational_binomial(bottom, n - 1)
-    if first != second:
-        raise AssertionError("the two closed forms for the binomial moment disagree")
-    return first
+    return Fraction(
+        math.prod(k * j + r + 1 for j in range(n)), math.prod(k * j + 1 for j in range(n))
+    )
 
 
 def block_binomial_moment_float(n: int, k: int, r: int) -> float:
@@ -139,12 +130,12 @@ def block_count_mean(n: int, k: int) -> Fraction:
 
 
 def martingale_scaling(n: int, k: int) -> Fraction:
-    """Prefactor ``binom(n-1+1/k, n-1) / binom(n-1+2/k, n-1)`` that turns
+    """Prefactor ``prod_{1<=j<n} (k*j + 1) / (k*j + 2)`` that turns
     ``S_n + 1`` into a martingale."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return rational_binomial(n - 1 + Fraction(1, k), n - 1) / rational_binomial(
-        n - 1 + Fraction(2, k), n - 1
+    return Fraction(
+        math.prod(k * j + 1 for j in range(1, n)), math.prod(k * j + 2 for j in range(1, n))
     )
 
 

@@ -20,7 +20,8 @@ from scipy import stats as _scipy_stats
 from . import distributions as _dist
 from . import perms as _perms
 from . import trees as _trees
-from ._rng import as_generator, chunk_stream, replicate_stream
+from ._rng import as_generator  # noqa: F401  (bench/run.py records its bit generator)
+from ._rng import chunk_stream, replicate_stream
 from .urns import sample_block_size_stats, urn_a_covariance
 
 REPLICATE_CHUNK = 1024
@@ -334,12 +335,10 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     def fill(index: int) -> None:
         lo, hi = bounds[index]
         if gen.mode == "chunk":
-            rng = as_generator(chunk_stream(spec.seed, index))
-            out[lo:hi] = gen.chunk_kernel(spec.n, spec.k, hi - lo, rng)
+            out[lo:hi] = gen.chunk_kernel(spec.n, spec.k, hi - lo, chunk_stream(spec.seed, index))
         else:
             for row in range(lo, hi):
-                rng = as_generator(replicate_stream(spec.seed, row))
-                out[row] = gen.row_kernel(spec.n, spec.k, rng)
+                out[row] = gen.row_kernel(spec.n, spec.k, replicate_stream(spec.seed, row))
 
     if threads == 1 or len(bounds) == 1:
         for index in range(len(bounds)):

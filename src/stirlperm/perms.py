@@ -279,7 +279,9 @@ def enumerate_generalized(
 
     Enumeration inserts the runs ``i^{k_i}`` into every gap, label by label,
     which generates each permutation exactly once.  Raises
-    :class:`EnumerationCapError` up front when the exact count exceeds ``cap``.
+    :class:`EnumerationCapError` up front when the exact count exceeds ``cap``;
+    otherwise the whole list is built and sorted before the first word is
+    yielded.
     """
     mult = check_multiplicities(mult)
     total = count_generalized(mult)

@@ -12,7 +12,7 @@ Three concrete shapes appear throughout:
 * Degree-weight families ``(phi_0, c_1, c_2)`` with weight generating
   function ``phi(t) = phi_0 (1 + c_2 t / phi_0)^{c_1/c_2 + 1}`` (or the
   ``c_2 = 0`` exponential limit).  The total weight of order-n trees is
-  ``phi_0 c_1^{n-1} (n-1)! binom(n-1+c_2/c_1, n-1)``.
+  ``phi_0 prod_{1<=j<n} (c_1 j + c_2)``.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterator, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterator
 
 from ._rng import as_generator
+from .distributions import rational_binomial
 
 GENERALIZED_PLANE = "generalizedPlane"
 D_ARY = "dAry"
@@ -37,13 +38,6 @@ class InvalidTreeError(ValueError):
 # ---------------------------------------------------------------------------
 # degree-weight families
 # ---------------------------------------------------------------------------
-
-
-def _rational_binomial(a: Fraction, n: int) -> Fraction:
-    prod = Fraction(1)
-    for i in range(n):
-        prod *= a - i
-    return prod / math.factorial(n)
 
 
 @dataclass(frozen=True)
@@ -101,22 +95,18 @@ class DegreeWeightFamily:
         if self.kind == RECURSIVE:
             return self.phi0 * (self.c1 / self.phi0) ** d / math.factorial(d)
         exponent = self.c1 / self.c2 + 1
-        return self.phi0 * _rational_binomial(exponent, d) * (self.c2 / self.phi0) ** d
+        return self.phi0 * rational_binomial(exponent, d) * (self.c2 / self.phi0) ** d
 
     def total_weight(self, n: int) -> Fraction:
-        """Total weight of order-n trees of the family.
+        """Total weight ``phi0 prod_{1<=j<n} (c1*j + c2)`` of order-n trees of
+        the family.
 
         >>> k_plane_family(2).total_weight(4)
         Fraction(15, 1)
         """
         if n < 1:
             raise ValueError("order must be >= 1")
-        return (
-            self.phi0
-            * self.c1 ** (n - 1)
-            * math.factorial(n - 1)
-            * _rational_binomial(n - 1 + self.c2 / self.c1, n - 1)
-        )
+        return self.phi0 * math.prod(self.c1 * j + self.c2 for j in range(1, n))
 
     def attach_probability(self, degree: int, order: int) -> Fraction:
         """Probability that the next node attaches to a fixed node of the given
@@ -190,12 +180,29 @@ def tree_weight(tree, family: DegreeWeightFamily) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+class _ParentArrayTree:
+    """Members shared by the tree shapes stored as a ``parent`` array."""
+
+    parent: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.parent)
+
+    def degrees(self) -> list[int]:
+        deg = [0] * self.order
+        for v in range(2, self.order + 1):
+            deg[self.parent[v - 1] - 1] += 1
+        return deg
+
+
 @dataclass(frozen=True)
-class AryIncreasingTree:
+class AryIncreasingTree(_ParentArrayTree):
     """Increasing tree on labels ``1..n`` whose nodes expose ``arity`` slots.
 
     ``parent[v-1]`` and ``slot[v-1]`` give the attachment of node ``v``
-    (zeros for the root).
+    (zeros for the root).  Subclasses may give the root fewer slots by
+    overriding ``_root_slots``.
     """
 
     arity: int
@@ -212,20 +219,21 @@ class AryIncreasingTree:
             raise InvalidTreeError("parent and slot arrays must be non-empty and aligned")
         if self.parent[0] != 0 or self.slot[0] != 0:
             raise InvalidTreeError("node 1 must be the root")
+        arity, root_slots = self.arity, self._root_slots
         used = set()
         for v in range(2, n + 1):
             p, s = self.parent[v - 1], self.slot[v - 1]
             if not 1 <= p < v:
                 raise InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
-            if not 1 <= s <= self.arity:
+            if not 1 <= s <= (root_slots if p == 1 else arity):
                 raise InvalidTreeError(f"slot of node {v} out of range: {s}")
             if (p, s) in used:
                 raise InvalidTreeError(f"slot {s} of node {p} used twice")
             used.add((p, s))
 
     @property
-    def order(self) -> int:
-        return len(self.parent)
+    def _root_slots(self) -> int:
+        return self.arity
 
     @cached_property
     def _children(self) -> tuple[tuple[int, ...], ...]:
@@ -239,17 +247,11 @@ class AryIncreasingTree:
         """Child of node v in slot s (0 if the slot is free)."""
         return self._children[v][s]
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.order
-        for v in range(2, self.order + 1):
-            deg[self.parent[v - 1] - 1] += 1
-        return deg
-
     def free_slots(self) -> list[tuple[int, int]]:
         return [
             (v, s)
             for v in range(1, self.order + 1)
-            for s in range(1, self.arity + 1)
+            for s in range(1, (self._root_slots if v == 1 else self.arity) + 1)
             if self._children[v][s] == 0
         ]
 
@@ -318,7 +320,7 @@ def ary_stats(tree: AryIncreasingTree) -> TreeStatProfile:
 
 
 @dataclass(frozen=True)
-class BundledIncreasingTree:
+class BundledIncreasingTree(_ParentArrayTree):
     """Increasing tree whose nodes carry ``bundle_count`` ordered bundles.
 
     Node ``v >= 2`` sits at position ``pos_in_bundle[v-1]`` (1-based) of
@@ -356,10 +358,6 @@ class BundledIncreasingTree:
                     f"positions in bundle {b} of node {p} are not contiguous: {positions}"
                 )
 
-    @property
-    def order(self) -> int:
-        return len(self.parent)
-
     @cached_property
     def _bundles(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """``_bundles[v][b-1]`` = children of v in bundle b, in order (index 0 unused)."""
@@ -376,12 +374,6 @@ class BundledIncreasingTree:
 
     def bundles_of(self, v: int) -> tuple[tuple[int, ...], ...]:
         return self._bundles[v]
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.order
-        for v in range(2, self.order + 1):
-            deg[self.parent[v - 1] - 1] += 1
-        return deg
 
     def leaves(self) -> int:
         return sum(1 for d in self.degrees() if d == 0)
@@ -581,19 +573,27 @@ def enumerate_ary_trees(n: int, arity: int) -> Iterator[AryIncreasingTree]:
     their (parent, slot) arrays."""
     if arity < 2 or n < 1:
         raise ValueError("need arity >= 2 and n >= 1")
+    yield from _enumerate_slot_trees(n, arity, arity, partial(AryIncreasingTree, arity))
+
+
+def _enumerate_slot_trees(
+    n: int, arity: int, root_slots: int, make: Callable[[tuple, tuple], AryIncreasingTree]
+) -> Iterator[AryIncreasingTree]:
+    """``make(parent, slot)`` for every order-n slot tree whose root has
+    ``root_slots`` slots and other nodes ``arity``, by sorted arrays."""
     items: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), (0,))]
     for v in range(2, n + 1):
         nxt = []
         for parent, slot in items:
             used = set(zip(parent[1:], slot[1:]))
             for p in range(1, v):
-                for s in range(1, arity + 1):
+                for s in range(1, (root_slots if p == 1 else arity) + 1):
                     if (p, s) not in used:
                         nxt.append((parent + (p,), slot + (s,)))
         items = nxt
     items.sort()
     for parent, slot in items:
-        yield AryIncreasingTree(arity, parent, slot)
+        yield make(parent, slot)
 
 
 def enumerate_bundled_trees(n: int, bundle_count: int) -> Iterator[BundledIncreasingTree]:

@@ -1,12 +1,14 @@
 """Independent reference routes used only by the tests.
 
-Everything here recomputes a quantity straight from its definition, with no
-reuse of the package's algorithms, so a disagreement points at a real defect
-rather than a shared bug.
+Everything here recomputes a quantity straight from its definition, or by a
+slower closed form the package has replaced, with no reuse of the package's
+algorithms, so a disagreement points at a real defect rather than a shared
+bug.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -177,3 +179,57 @@ def jackknife_covariance_slow(matrix):
     )
     centered = thetas - thetas.mean(axis=0)
     return np.sqrt((rows - 1) / rows * (centered**2).sum(axis=0))
+
+
+def generalized_binomial(a, n: int) -> Fraction:
+    """``binom(a, n) = a (a-1) ... (a-n+1) / n!`` for rational ``a``."""
+    prod = Fraction(1)
+    for i in range(n):
+        prod *= Fraction(a) - i
+    return prod / math.factorial(n)
+
+
+def block_count_pmf_alternating(n: int, k: int) -> list[Fraction]:
+    """``P{S_n = m}`` for m = 1..n by the alternating closed form
+    ``sum_l binom(m, l) (-1)^l binom(n - l/k - 1, n) / binom(n + 1/k - 1, n)``."""
+    denom = generalized_binomial(n + Fraction(1, k) - 1, n)
+    return [
+        sum(
+            (
+                math.comb(m, l) * (-1) ** l * generalized_binomial(n - Fraction(l, k) - 1, n)
+                for l in range(m + 1)
+            ),
+            Fraction(0),
+        )
+        / denom
+        for m in range(1, n + 1)
+    ]
+
+
+def block_binomial_moment_forms(n: int, k: int, r: int) -> tuple[Fraction, Fraction]:
+    """The two rational-binomial forms of ``E binom(S_n + r, r)``:
+    ``binom(n-1+(r+1)/k, n) / binom(n-1+1/k, n)`` and
+    ``(r+1) binom(n-1+(r+1)/k, n-1) / binom(n-1+1/k, n-1)``."""
+    top = n - 1 + Fraction(r + 1, k)
+    bottom = n - 1 + Fraction(1, k)
+    return (
+        generalized_binomial(top, n) / generalized_binomial(bottom, n),
+        (r + 1) * generalized_binomial(top, n - 1) / generalized_binomial(bottom, n - 1),
+    )
+
+
+def martingale_scaling_binomial(n: int, k: int) -> Fraction:
+    """``binom(n-1+1/k, n-1) / binom(n-1+2/k, n-1)``."""
+    return generalized_binomial(n - 1 + Fraction(1, k), n - 1) / generalized_binomial(
+        n - 1 + Fraction(2, k), n - 1
+    )
+
+
+def total_weight_binomial(family, n: int) -> Fraction:
+    """``phi_0 c_1^{n-1} (n-1)! binom(n-1+c_2/c_1, n-1)``."""
+    return (
+        family.phi0
+        * family.c1 ** (n - 1)
+        * math.factorial(n - 1)
+        * generalized_binomial(n - 1 + family.c2 / family.c1, n - 1)
+    )

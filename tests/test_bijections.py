@@ -196,15 +196,29 @@ def test_f_tree_json_roundtrip_and_validation():
         assert bj.FIncreasingTree.from_json_dict(ft.to_json_dict()) == ft
     with pytest.raises(trees.InvalidTreeError):
         bj.FIncreasingTree(2, (0, 1), (0, 3))  # root slot out of range
-    ok = bj.FIncreasingTree(2, (0, 1, 2), (0, 2, 4))
+    ok = bj.FIncreasingTree(2, (0, 1, 2), (0, 2, 4))  # non-root slots run to k+2
     assert ok.order == 3
+    assert ok.root_slot_count == 2
+    with pytest.raises(trees.InvalidTreeError):
+        bj.FIncreasingTree(2, (0, 1, 2), (0, 2, 5))  # non-root slot k+3
+    with pytest.raises(trees.InvalidTreeError, match="root_slot_count"):
+        bj.FIncreasingTree(0, (0,), (0,))
+    single = bj.FIncreasingTree(3, (0,), (0,))
+    assert single.free_slots() == [(1, 1), (1, 2), (1, 3)]
+    assert bj.bundled_from_f_tree(single) == trees.BundledIncreasingTree(3, (0,), (0,), (0,))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 25))
 @settings(max_examples=40, deadline=None)
 def test_f_tree_roundtrip_on_grown_trees(seed, n):
     bt = trees.grow_bundled_tree(2, n, seed)
-    assert bj.bundled_from_f_tree(bj.f_tree_from_bundled(bt)) == bt
+    ft = bj.f_tree_from_bundled(bt)
+    assert bj.bundled_from_f_tree(ft) == bt
+    attached = {(ft.parent[u - 1], ft.slot[u - 1]): u for u in range(2, n + 1)}
+    for v in range(1, n + 1):
+        for s in range(1, (2 if v == 1 else 4) + 1):
+            assert ft.child(v, s) == attached.get((v, s), 0)
+    assert len(ft.free_slots()) == 2 + 4 * (n - 1) - (n - 1)
 
 
 # ---------------------------------------------------------------------------

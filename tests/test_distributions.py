@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import oracles
 from stirlperm import distributions as dist
 from stirlperm import perms, trees, urns
 
@@ -115,6 +116,35 @@ def test_martingale_scaling_exact_expectation():
             for m in table.support()
         )
         assert scaled == 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 26))
+def test_block_count_pmf_matches_alternating_closed_form(n, k):
+    assert list(dist.block_count_pmf(n, k).probabilities) == (
+        oracles.block_count_pmf_alternating(n, k)
+    )
+
+
+@pytest.mark.parametrize("r", range(5))
+@pytest.mark.parametrize("n", range(1, 31))
+def test_binomial_moment_product_matches_both_binomial_forms(n, r):
+    for k in range(1, 5):
+        first, second = oracles.block_binomial_moment_forms(n, k, r)
+        assert dist.block_binomial_moment(n, k, r) == first == second, (n, k, r)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
+def test_martingale_scaling_product_matches_binomial_form(n):
+    for k in range(1, 5):
+        assert dist.martingale_scaling(n, k) == oracles.martingale_scaling_binomial(n, k)
+
+
+def test_block_count_pmf_at_large_order():
+    table = dist.block_count_pmf(300, 2)
+    assert sum(table.probabilities) == 1
+    mean = sum(m * table.prob(m) for m in table.support())
+    assert mean == dist.block_count_mean(300, 2)
 
 
 # ---------------------------------------------------------------------------

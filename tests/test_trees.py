@@ -78,6 +78,20 @@ def test_total_weight_closed_form_matches_enumeration_sum(n):
         assert total == fam.total_weight(n), fam
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
+def test_total_weight_product_matches_binomial_form(n):
+    families = [
+        trees.ary_family(2),
+        trees.ary_family(5),
+        trees.k_plane_family(3),
+        trees.bundled_family(2),
+        trees.recursive_family(),
+        trees.DegreeWeightFamily(trees.GENERALIZED_PLANE, Fraction(3, 2), Fraction(5, 3), -1),
+    ]
+    for fam in families:
+        assert fam.total_weight(n) == oracles.total_weight_binomial(fam, n), fam
+
+
 @pytest.mark.parametrize("n,k", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
 def test_plane_family_total_counts_k_stirling(n, k):
     fam = trees.k_plane_family(k)
