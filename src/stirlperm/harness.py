@@ -5,6 +5,11 @@ Determinism contract: an experiment is a preallocated replicate-by-statistic
 matrix filled in fixed chunks of :data:`REPLICATE_CHUNK` rows.  Vectorized
 generators draw from one stream per chunk, loop generators from one stream
 per replicate, so the matrix is byte-identical for any thread count.
+
+The block-law generators ``urn_b``, ``urn_c_block`` and ``block_sizes`` all
+read the nested Polya urn levels of :mod:`stirlperm.urns` rather than
+stepping their urns draw by draw, so with one seed their rows agree: urn B's
+white minus one is the block count, urn C's white plus one the first block.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from . import perms as _perms
 from . import trees as _trees
 from ._rng import as_generator  # noqa: F401  (bench/run.py records its bit generator)
 from ._rng import chunk_stream, replicate_stream
-from .urns import sample_block_size_stats, urn_a_covariance
+from .urns import _block_levels, sample_block_size_stats, urn_a_covariance
 
 REPLICATE_CHUNK = 1024
-# uniform draws for urn step loops are batched this many steps at a time
+# uniform draws for the urn_a step loop are batched this many steps at a time
 STEP_CHUNK = 8192
 STICK_DEPTH = 3
 MAX_REPLICATES = 10_000_000
@@ -63,48 +68,28 @@ def _urn_a_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
 
 
 def _urn_b_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
-    """Triangular two-color urn after n-1 draws; white minus one has the law
-    of the block count of a random k-Stirling permutation of order n."""
-    black = np.full(count, k - 1, dtype=np.int64)
-    white = np.full(count, 2, dtype=np.int64)
-    total = k + 1
-    done = 0
-    steps = n - 1
-    while done < steps:
-        block = min(STEP_CHUNK, steps - done)
-        u = rng.random((block, count))
-        for t in range(block):
-            is_white = u[t] * total < white
-            white += is_white
-            black += k - is_white
-            total += k
-        done += block
-    return np.stack([black, white], axis=1).astype(np.float64)
+    """Triangular two-color urn after n-1 draws.  White minus one has the law
+    of the block count of a random k-Stirling permutation of order n, so it
+    is read off as the number of nested urn levels; black fills the total
+    kn+1."""
+    blocks = np.zeros(count, dtype=np.int64)
+    for rows, _ in _block_levels(k, n, count, rng):
+        blocks[rows] += 1
+    white = blocks + 1
+    return np.stack([k * n + 1 - white, white], axis=1).astype(np.float64)
 
 
 def _urn_c_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
     """Two-color Polya urn (k balls of the drawn color) after n-1 draws.
 
     White counts the gaps strictly inside the first block, so white plus one
-    is the size of the first block of a random k-Stirling permutation of
-    order n; firstFraction is that size over the word length kn.
+    is the first block of a random k-Stirling permutation of order n, read
+    off the first nested urn level; black fills the total kn+1, and
+    firstFraction is the first block over the word length kn.
     """
-    white = np.full(count, k - 1, dtype=np.int64)
-    black = np.full(count, 2, dtype=np.int64)
-    total = k + 1
-    done = 0
-    steps = n - 1
-    while done < steps:
-        block = min(STEP_CHUNK, steps - done)
-        u = rng.random((block, count))
-        for t in range(block):
-            is_white = u[t] * total < white
-            white += k * is_white
-            black += k * (1 - is_white)
-            total += k
-        done += block
-    fraction = (white + 1) / float(k * n)
-    return np.stack([white.astype(np.float64), black.astype(np.float64), fraction], axis=1)
+    _, first = next(_block_levels(k, n, count, rng))
+    white = first - 1
+    return np.stack([white, k * n + 1 - white, first / (k * n)], axis=1)
 
 
 def _block_sizes_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
@@ -258,8 +243,9 @@ class ExperimentSpec:
             raise ValueError(f"n must be in [1, {MAX_ORDER}]")
         if self.k < gen.min_k:
             raise ValueError(f"generator {self.generator!r} needs k >= {gen.min_k}")
-        if not 1 <= self.replicates <= MAX_REPLICATES:
-            raise ValueError(f"replicates must be in [1, {MAX_REPLICATES}]")
+        # the covariance of the result needs two rows (ddof=1)
+        if not 2 <= self.replicates <= MAX_REPLICATES:
+            raise ValueError(f"replicates must be in [2, {MAX_REPLICATES}]")
         if self.statistics is not None:
             object.__setattr__(self, "statistics", tuple(self.statistics))
             available = set(self.all_columns)
@@ -459,12 +445,18 @@ def compare(
     Mean entries use the sample standard error; covariance entries use the
     delete-one jackknife standard error.
     """
+    missing = [name for name in theory.columns if name not in result.columns]
+    if missing:
+        raise ValueError(
+            f"theory {theory.name!r} needs columns {missing} that the result "
+            f"lacks (it has {list(result.columns)})"
+        )
     idx = [result.columns.index(name) for name in theory.columns]
     x = (result.matrix[:, idx] - np.asarray(theory.center)) / theory.scale
     rows = x.shape[0]
     entries: list[ComparisonEntry] = []
     if theory.means is not None:
-        sds = x.std(axis=0, ddof=1) if rows > 1 else np.zeros(len(idx))
+        sds = x.std(axis=0, ddof=1)
         for pos, name in enumerate(theory.columns):
             entries.append(
                 _z_entry(

@@ -13,6 +13,11 @@ Three concrete shapes appear throughout:
   function ``phi(t) = phi_0 (1 + c_2 t / phi_0)^{c_1/c_2 + 1}`` (or the
   ``c_2 = 0`` exponential limit).  The total weight of order-n trees is
   ``phi_0 prod_{1<=j<n} (c_1 j + c_2)``.
+
+Weighted plane trees and uniform bundled trees grow through one grower: a
+node of out-degree d is picked with weight ``a + b*d``, then one of its
+``m + d`` bundle gaps uniformly (``m = 1``, ``a/b = alpha`` for plane trees;
+``a = m``, ``b = 1`` for m-bundled trees).
 """
 
 from __future__ import annotations
@@ -467,24 +472,46 @@ def grow_ary_tree(arity: int, n: int, seed=None) -> AryIncreasingTree:
     return AryIncreasingTree(arity, tuple(parent), tuple(slot))
 
 
-def _grow_sequential(node_weight_a: int, node_weight_b: int, n: int, rng) -> list[list[int]]:
-    """Shared growth core: node v is chosen with weight ``a + b*deg(v)``, then
-    a uniform child gap of v.  Returns ordered children lists per node."""
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    deg = [0] * (n + 1)
+def _grow_bundles(m: int, a: int, b: int, n: int, rng) -> list[list[list[int]]]:
+    """Grow an increasing tree of order n whose nodes carry ``m`` ordered
+    bundles: each new node picks a node v with weight ``a + b*deg(v)``, then
+    one of the ``m + deg(v)`` gaps of v's bundles uniformly.  Returns
+    ``bundles[v-1][j]``, the children of v in bundle j+1."""
+    bundles: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(n)]
+    weight = [a] * n
     for v in range(2, n + 1):
         order = v - 1
-        total = node_weight_a * order + node_weight_b * (order - 1)
-        u = int(rng.integers(0, total))
-        node = 1
-        acc = node_weight_a + node_weight_b * deg[1]
+        u = int(rng.integers(0, a * order + b * (order - 1)))
+        node = 0
+        acc = weight[0]
         while u >= acc:
             node += 1
-            acc += node_weight_a + node_weight_b * deg[node]
-        gap = int(rng.integers(0, deg[node] + 1))
-        children[node].insert(gap, v)
-        deg[node] += 1
-    return children
+            acc += weight[node]
+        row = bundles[node]
+        gap = int(rng.integers(0, m + sum(map(len, row))))
+        for seq in row:
+            if gap <= len(seq):
+                seq.insert(gap, v)
+                break
+            gap -= len(seq) + 1
+        weight[node] += b
+    return bundles
+
+
+def _bundled_arrays(bundles) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``(parent, bundle, pos_in_bundle)`` arrays of the tree whose node v
+    has the children ``bundles[v-1][j]`` in bundle j+1."""
+    n = len(bundles)
+    parent = [0] * n
+    bundle = [0] * n
+    pos = [0] * n
+    for p, row in enumerate(bundles, start=1):
+        for b, seq in enumerate(row, start=1):
+            for j, c in enumerate(seq, start=1):
+                parent[c - 1] = p
+                bundle[c - 1] = b
+                pos[c - 1] = j
+    return tuple(parent), tuple(bundle), tuple(pos)
 
 
 def grow_plane_tree(family: DegreeWeightFamily, n: int, seed=None) -> BundledIncreasingTree:
@@ -505,54 +532,18 @@ def grow_plane_tree(family: DegreeWeightFamily, n: int, seed=None) -> BundledInc
     else:
         alpha = family.alpha
         a, b = alpha.numerator, alpha.denominator
-    children = _grow_sequential(a, b, n, rng)
-    parent = [0] * n
-    bundle = [0] * n
-    pos = [0] * n
-    for p in range(1, n + 1):
-        for j, c in enumerate(children[p]):
-            parent[c - 1] = p
-            bundle[c - 1] = 1
-            pos[c - 1] = j + 1
-    return BundledIncreasingTree(1, tuple(parent), tuple(bundle), tuple(pos))
+    return BundledIncreasingTree(1, *_bundled_arrays(_grow_bundles(1, a, b, n, rng)))
 
 
 def grow_bundled_tree(bundle_count: int, n: int, seed=None) -> BundledIncreasingTree:
     """Grow a uniformly random bundled increasing tree: each step picks one of
-    the ``(m+1)*order - 1`` insertion positions uniformly (bundle gaps)."""
+    the ``(m+1)*order - 1`` insertion positions uniformly, that is a node v
+    with weight ``m + deg(v)`` and then one of its bundle gaps."""
     if bundle_count < 1 or n < 1:
         raise ValueError("need bundle_count >= 1 and n >= 1")
     m = bundle_count
-    rng = as_generator(seed)
-    bundles: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(n + 1)]
-    deg = [0] * (n + 1)
-    for v in range(2, n + 1):
-        order = v - 1
-        total = (m + 1) * order - 1  # sum over nodes of (m + deg)
-        u = int(rng.integers(0, total))
-        node = 1
-        acc = m + deg[1]
-        while u >= acc:
-            node += 1
-            acc += m + deg[node]
-        offset = u - (acc - (m + deg[node]))
-        for b in range(m):
-            gaps = len(bundles[node][b]) + 1
-            if offset < gaps:
-                bundles[node][b].insert(offset, v)
-                break
-            offset -= gaps
-        deg[node] += 1
-    parent = [0] * n
-    bundle = [0] * n
-    pos = [0] * n
-    for p in range(1, n + 1):
-        for b in range(m):
-            for j, c in enumerate(bundles[p][b]):
-                parent[c - 1] = p
-                bundle[c - 1] = b + 1
-                pos[c - 1] = j + 1
-    return BundledIncreasingTree(m, tuple(parent), tuple(bundle), tuple(pos))
+    bundles = _grow_bundles(m, m, 1, n, as_generator(seed))
+    return BundledIncreasingTree(m, *_bundled_arrays(bundles))
 
 
 def grow_random(family: DegreeWeightFamily, n: int, seed=None):
@@ -621,18 +612,7 @@ def enumerate_bundled_trees(n: int, bundle_count: int) -> Iterator[BundledIncrea
                         nxt.append(state[: node - 1] + (new_row,) + state[node:]
                                    + (tuple(() for _ in range(m)),))
         states = nxt
-    results = []
-    for state in states:
-        parent = [0] * n
-        bundle = [0] * n
-        pos = [0] * n
-        for p in range(1, n + 1):
-            for b in range(m):
-                for j, c in enumerate(state[p - 1][b]):
-                    parent[c - 1] = p
-                    bundle[c - 1] = b + 1
-                    pos[c - 1] = j + 1
-        results.append((tuple(parent), tuple(bundle), tuple(pos)))
+    results = [_bundled_arrays(state) for state in states]
     results.sort()
     for parent, bundle, pos in results:
         yield BundledIncreasingTree(m, parent, bundle, pos)

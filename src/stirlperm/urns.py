@@ -15,6 +15,12 @@ Four replacement schemes, all driven by a single simulator:
 * ``polya_urn(k, w, b)``: classical two-colour urn, k extra balls of the
   drawn colour.  Nested copies of it drive the label-ordered block sizes.
 
+``nested_block_urns`` grows the block sizes of one permutation gap by gap.
+The vectorised block-law samplers instead draw each nested urn level from
+its beta-binomial marginal; ``sample_block_size_stats`` folds those levels,
+and the harness reads urn B (the level count) and urn C (the first level)
+off the same levels.
+
 ``urn_a_covariance`` / ``fixed_addition_covariance`` return the exact
 covariance matrices of the Gaussian limits together with the per-step
 centering rates, as rationals.
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -279,41 +285,44 @@ def nested_block_urns(k: int, n: int, seed=None) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def _block_levels(k: int, n: int, replicates: int, rng) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Label-ordered block sizes of ``replicates`` random k-Stirling
+    permutations of order n, one nested Polya urn level at a time.
+
+    With ``N_1 = n`` labels at level 1, level ``m`` draws ``p_m ~
+    Beta((k-1)/k, (m+1)/k)`` (``p_m = 0`` for k = 1) and ``J_m ~
+    Binomial(N_m - 1, p_m)`` for the replicates that still hold labels, and
+    yields their row indices with the size ``k (J_m + 1)`` of block ``m``;
+    then ``N_{m+1} = N_m - 1 - J_m``.  Every sampler of a block law reads
+    these levels, so one stream gives the same blocks to all of them.
+    """
+    rows = np.arange(replicates)
+    remaining = np.full(replicates, n, dtype=np.int64)
+    level = 1
+    while rows.size:
+        p = 0.0 if k == 1 else rng.beta((k - 1) / k, (level + 1) / k, size=rows.size)
+        j = rng.binomial(remaining - 1, p)
+        yield rows, k * (j + 1)
+        remaining -= 1 + j
+        keep = remaining > 0
+        rows, remaining = rows[keep], remaining[keep]
+        level += 1
+
+
 def sample_block_size_stats(k: int, n: int, replicates: int, rng=None) -> np.ndarray:
     """Vectorised sampler of (first block size, largest block size, block
-    count) over many replicates, exact in law.
-
-    Uses the beta-binomial marginal of each nested Polya urn: with ``N_1 =
-    n`` and level ``m`` holding ``N_m`` labels, draw ``p_m ~ Beta((k-1)/k,
-    (m+1)/k)`` and ``J_m ~ Binomial(N_m - 1, p_m)``; then block ``m`` has
-    size ``k (J_m + 1)`` and ``N_{m+1} = N_m - 1 - J_m``.
-    """
+    count) over many replicates, exact in law: it folds the beta-binomial
+    marginals of the nested Polya urns, level by level."""
     if k < 2:
         raise ValueError("the beta-binomial chain needs k >= 2")
     if n < 1 or replicates < 1:
         raise ValueError("need n >= 1 and replicates >= 1")
-    rng = as_generator(rng)
     res = np.zeros((replicates, 3), dtype=np.float64)
-    remaining = np.full(replicates, n, dtype=np.int64)
-    first = np.zeros(replicates, dtype=np.int64)
-    largest = np.zeros(replicates, dtype=np.int64)
-    count = np.zeros(replicates, dtype=np.int64)
-    level = 1
-    while True:
-        active = remaining >= 1
-        if not active.any():
-            break
-        p = rng.beta((k - 1) / k, (level + 1) / k, size=replicates)
-        trials = np.maximum(remaining - 1, 0)
-        j = rng.binomial(trials, p)
-        size = np.where(active, k * (j + 1), 0)
-        if level == 1:
-            first = size.copy()
-        largest = np.maximum(largest, size)
-        count += active
-        remaining = np.where(active, remaining - 1 - j, 0)
-        level += 1
-    res[:, 0] = first
-    res[:, 1] = largest
-    res[:, 2] = count
+    levels = _block_levels(k, n, replicates, as_generator(rng))
+    _, first = next(levels)
+    res[:, 0] = res[:, 1] = first
+    res[:, 2] = 1
+    for rows, size in levels:
+        res[rows, 1] = np.maximum(res[rows, 1], size)
+        res[rows, 2] += 1
     return res

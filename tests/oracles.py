@@ -233,3 +233,34 @@ def total_weight_binomial(family, n: int) -> Fraction:
         * math.factorial(n - 1)
         * generalized_binomial(n - 1 + family.c2 / family.c1, n - 1)
     )
+
+
+def urn_b_steps(n: int, k: int, count: int, rng) -> np.ndarray:
+    """``count`` rows (black, white) of the triangular block urn after n-1
+    draws, drawing step by step: white is drawn with probability
+    white/total and adds one white and k-1 black, black adds k black."""
+    black = np.full(count, k - 1, dtype=np.int64)
+    white = np.full(count, 2, dtype=np.int64)
+    total = k + 1
+    for _ in range(n - 1):
+        is_white = rng.random(count) * total < white
+        white += is_white
+        black += k - is_white
+        total += k
+    return np.stack([black, white], axis=1).astype(np.float64)
+
+
+def urn_c_steps(n: int, k: int, count: int, rng) -> np.ndarray:
+    """``count`` rows (white, black, firstFraction) of the classical Polya
+    urn (k balls of the drawn colour) from (k-1, 2) after n-1 draws, drawing
+    step by step; firstFraction is (white + 1)/(kn)."""
+    white = np.full(count, k - 1, dtype=np.int64)
+    black = np.full(count, 2, dtype=np.int64)
+    total = k + 1
+    for _ in range(n - 1):
+        is_white = rng.random(count) * total < white
+        white += k * is_white
+        black += k * (1 - is_white)
+        total += k
+    fraction = (white + 1) / float(k * n)
+    return np.stack([white.astype(np.float64), black.astype(np.float64), fraction], axis=1)

@@ -259,6 +259,23 @@ def test_experiment_comparison_failure_exit_code(capsys):
     assert payload["comparison"]["ok"] is False
 
 
+@pytest.mark.parametrize(
+    "extra,theory,missing",
+    [
+        (("--compare", "first_block_mean"), "first_block_mean", "firstFraction"),
+        (("--statistics", "white", "--compare", "urn_b_blocks"), "urn_b_blocks", "black"),
+    ],
+)
+def test_experiment_compare_with_missing_columns(capsys, extra, theory, missing):
+    code, out, err = run_cli(
+        capsys, "experiment", "--generator", "urn_b", "--n", "5", "--k", "2",
+        "--replicates", "16", "--seed", "1", *extra,
+    )
+    assert code == 1
+    assert out == ""
+    assert theory in err and missing in err
+
+
 def test_experiment_output_deterministic(capsys):
     args = (
         "experiment", "--generator", "stick_breaking", "--n", "1", "--k", "2",

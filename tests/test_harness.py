@@ -44,6 +44,7 @@ def test_spec_rejects_unknown_generator():
         dict(replicates=0),
         dict(replicates=harness.MAX_REPLICATES + 1),
         dict(statistics=("no_such_column",)),
+        dict(replicates=1),
     ],
 )
 def test_spec_rejects_out_of_range(kwargs):
@@ -287,8 +288,9 @@ def test_ascents_match_tree_slot_distribution():
 
 
 def test_urn_b_white_matches_block_count_sampler():
+    """The step-by-step triangular urn against the beta-binomial chain."""
     n, k, reps = 12, 2, 1500
-    white = run("urn_b", n, k, reps, seed=24).column("white") - 1
+    white = oracles.urn_b_steps(n, k, reps, np.random.default_rng(24))[:, 1] - 1
     counts = run("block_sizes", n, k, reps, seed=25).column("count")
     wa = Counter(int(v) for v in white)
     bl = Counter(int(v) for v in counts)
@@ -297,6 +299,48 @@ def test_urn_b_white_matches_block_count_sampler():
         [wa.get(s, 0) for s in support], [bl.get(s, 0) for s in support]
     )
     assert pvalue > 1e-3
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "generator,steps,white_col",
+    [("urn_b", oracles.urn_b_steps, 1), ("urn_c_block", oracles.urn_c_steps, 0)],
+)
+def test_urn_white_matches_step_loop(generator, steps, white_col, k):
+    """The level-chain kernels against the step-by-step urns, over more than
+    one replicate chunk."""
+    n, reps = 10, 2 * harness.REPLICATE_CHUNK + 300
+    fast = run(generator, n, k, reps, seed=27).column("white")
+    slow = steps(n, k, reps, np.random.default_rng(28))[:, white_col]
+    fc = Counter(int(v) for v in fast)
+    sc = Counter(int(v) for v in slow)
+    support = sorted(set(fc) | set(sc))
+    _, pvalue = harness.chi_square_two_sample(
+        [fc.get(s, 0) for s in support], [sc.get(s, 0) for s in support]
+    )
+    assert pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_urns_at_k_one_are_deterministic(n):
+    reps = harness.REPLICATE_CHUNK + 5
+    b = run("urn_b", n, 1, reps, seed=29)
+    assert (b.column("white") == n + 1).all() and (b.column("black") == 0).all()
+    c = run("urn_c_block", n, 1, reps, seed=29)
+    assert (c.column("white") == 0).all() and (c.column("black") == n + 1).all()
+    assert (c.column("firstFraction") == 1 / n).all()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_law_generators_read_the_same_levels(k):
+    """urn_b, urn_c_block and block_sizes draw the same nested urn levels
+    from each chunk stream, so one seed ties their rows together."""
+    n, reps, seed = 30, 2 * harness.REPLICATE_CHUNK + 17, 31
+    blocks = run("block_sizes", n, k, reps, seed=seed)
+    white_b = run("urn_b", n, k, reps, seed=seed).column("white")
+    white_c = run("urn_c_block", n, k, reps, seed=seed).column("white")
+    assert np.array_equal(white_b - 1, blocks.column("count"))
+    assert np.array_equal(white_c + 1, blocks.column("first"))
 
 
 def test_urn_b_white_matches_exact_pmf():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -249,15 +250,32 @@ def test_enumerate_bundled_trees_counts(n, m):
     expected = 1
     for level in range(1, n):
         expected *= level * (m + 1) - 1
-    assert len(set(trees.enumerate_bundled_trees(n, m))) == expected
+    listed = list(trees.enumerate_bundled_trees(n, m))
+    assert len(set(listed)) == expected
+    keys = [(t.parent, t.bundle, t.pos_in_bundle) for t in listed]
+    assert keys == sorted(keys)
 
 
-def test_grow_bundled_tree_uniform_chi_square():
-    support = {t: 0 for t in trees.enumerate_bundled_trees(3, 2)}
-    assert len(support) == 10
+@pytest.mark.parametrize(
+    "grow,support,size",
+    [
+        (partial(trees.grow_bundled_tree, 1, 3), partial(trees.enumerate_bundled_trees, 3, 1), 3),
+        (partial(trees.grow_bundled_tree, 2, 3), partial(trees.enumerate_bundled_trees, 3, 2), 10),
+        (partial(trees.grow_bundled_tree, 3, 3), partial(trees.enumerate_bundled_trees, 3, 3), 21),
+        (
+            partial(trees.grow_plane_tree, trees.plane_recursive_family(), 4),
+            partial(trees.enumerate_plane_trees, 4),
+            15,
+        ),
+    ],
+    ids=["bundled-1", "bundled-2", "bundled-3", "plane-recursive"],
+)
+def test_grow_bundled_tree_uniform_chi_square(grow, support, size):
+    support = {t: 0 for t in support()}
+    assert len(support) == size
     for seed in range(5000):
-        support[trees.grow_bundled_tree(2, 3, seed)] += 1
-    _, pvalue = chi_square_gof(list(support.values()), [1 / 10] * 10)
+        support[grow(seed)] += 1
+    _, pvalue = chi_square_gof(list(support.values()), [1 / size] * size)
     assert pvalue > 1e-3
 
 
