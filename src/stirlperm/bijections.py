@@ -13,12 +13,16 @@ Four codecs, all exact inverses of each other on their domains:
   child's labels.
 * ``seq_to_ary_tree`` / ``ary_tree_to_seq``: sequences of k-bundled
   increasing trees with labels partitioning 1..n <-> (k+2)-ary increasing
-  trees.  The tree containing the smallest label becomes the root; the part
-  of the sequence to its left goes to the first slot, its bundles to the
-  middle slots, the rest of the sequence to the last slot.
+  trees, by the Cartesian tree on labels.  The smallest label becomes the
+  root; the part of the sequence to its left goes to the first slot, its
+  bundles to the middle slots, the rest of the sequence to the last slot.
 * ``f_tree_from_bundled`` / ``bundled_from_f_tree``: k-bundled increasing
-  trees <-> modified (k+2)-ary trees whose root has only k slots, by
-  applying the sequence bijection to each root bundle.
+  trees <-> modified (k+2)-ary trees whose root has only k slots: the same
+  bijection applied to each root bundle, whose tree goes to root slot b.
+
+Both pairs run on one iterative array bijection over a children table
+(``_bundles_to_slots`` and its inverse ``_slots_to_bundles``), so deep and
+degenerate trees convert in linear time without recursion.
 
 ``verify_stat_transfer`` exhaustively checks the statistic correspondences
 (slot occupancies vs refined ascent/descent/plateau counts, block count vs
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +49,9 @@ from .trees import (
     AryIncreasingTree,
     BundledIncreasingTree,
     InvalidTreeError,
+    _bundled_arrays,
     _enumerate_slot_trees,
+    _json_fields,
     ary_stats,
     bundled_stats,
     enumerate_ary_trees,
@@ -221,7 +227,7 @@ def decode_bundled_tree(perm: GenStirlingPerm) -> BundledIncreasingTree:
 
 
 # ---------------------------------------------------------------------------
-# label-carrying node forms (for the sequence and F-tree bijections)
+# label-carrying node form and the sequence bijection
 # ---------------------------------------------------------------------------
 
 
@@ -238,11 +244,7 @@ class BundledNode:
         return len(self.bundles)
 
     def labels(self) -> set[int]:
-        out = {self.label}
-        for b in self.bundles:
-            for child in b:
-                out |= child.labels()
-        return out
+        return {node.label for node in _walk((self,))}
 
     def min_label(self) -> int:
         # increasing trees: the root carries the smallest label of the subtree
@@ -256,141 +258,137 @@ class BundledNode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BundledNode":
-        return cls(
-            int(data["label"]),
-            tuple(tuple(cls.from_json_dict(c) for c in b) for b in data["bundles"]),
-        )
+        label, bundles = _json_fields(data, "label", "bundles")
+        return cls(int(label), tuple(tuple(cls.from_json_dict(c) for c in b) for b in bundles))
 
 
-@dataclass(frozen=True)
-class AryNode:
-    """An ary increasing tree over an arbitrary label set; ``slots[i]`` is the
-    subtree in slot i+1 or ``None``."""
+def _walk(roots: Iterable[BundledNode]) -> Iterator[BundledNode]:
+    """Every node of the node forms ``roots``, depth first with a stack."""
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(c for b in node.bundles for c in b)
 
-    label: int
-    slots: tuple["AryNode | None", ...]
+
+def _node_rows(roots: tuple[BundledNode, ...]) -> tuple[list, int]:
+    """Children table of node forms whose labels partition 1..n, and their
+    common bundle count: ``rows[v][b-1]`` lists the children of v in bundle
+    b, and ``rows[0]`` has one bundle, the labels of ``roots``."""
+    if not roots:
+        raise InvalidTreeError("sequence must be non-empty")
+    m = roots[0].bundle_count
+    table: dict[int, list[list[int]]] = {}
+    for node in _walk(roots):
+        if node.bundle_count != m:
+            raise InvalidTreeError(f"mixed bundle counts: {m} and {node.bundle_count}")
+        if node.label in table:
+            raise InvalidTreeError(f"label {node.label} appears twice")
+        table[node.label] = [[c.label for c in b] for b in node.bundles]
+    n = len(table)
+    if table.keys() != set(range(1, n + 1)):
+        raise InvalidTreeError("labels must partition 1..n")
+    return [[[t.label for t in roots]]] + [table[v] for v in range(1, n + 1)], m
+
+
+def _build_nodes(rows, labels: Iterable[int]) -> dict[int, BundledNode]:
+    """Node forms of ``labels`` over the children table ``rows``.  The labels
+    come in decreasing order, so every child is built before its owner."""
+    nodes: dict[int, BundledNode] = {}
+    for v in labels:
+        nodes[v] = BundledNode(v, tuple(tuple(nodes[u] for u in b) for b in rows[v]))
+    return nodes
 
 
 def bundled_subtree_node(tree: BundledIncreasingTree, root: int = 1) -> BundledNode:
     """View the subtree of ``tree`` rooted at ``root`` as a :class:`BundledNode`."""
-
-    def build(v: int) -> BundledNode:
-        return BundledNode(v, tuple(tuple(build(u) for u in b) for b in tree.bundles_of(v)))
-
-    return build(root)
+    rows = {}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        rows[v] = tree.bundles_of(v)
+        stack.extend(u for b in rows[v] for u in b)
+    return _build_nodes(rows, sorted(rows, reverse=True))[root]
 
 
 def bundled_node_to_tree(node: BundledNode) -> BundledIncreasingTree:
     """Convert a node form whose labels are exactly 1..n back to array form."""
-    labels = sorted(node.labels())
-    n = len(labels)
-    if labels != list(range(1, n + 1)) or node.label != 1:
-        raise InvalidTreeError("node labels must be exactly 1..n with root 1")
-    m = node.bundle_count
-    parent = [0] * n
-    bundle = [0] * n
-    pos = [0] * n
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur.bundle_count != m:
-            raise InvalidTreeError("inconsistent bundle counts")
-        for b_idx, b in enumerate(cur.bundles, start=1):
-            for p_idx, child in enumerate(b, start=1):
-                if child.label <= cur.label:
-                    raise InvalidTreeError("labels must increase away from the root")
-                parent[child.label - 1] = cur.label
-                bundle[child.label - 1] = b_idx
-                pos[child.label - 1] = p_idx
-                stack.append(child)
-    return BundledIncreasingTree(m, tuple(parent), tuple(bundle), tuple(pos))
+    rows, m = _node_rows((node,))
+    return BundledIncreasingTree(m, *_bundled_arrays(rows[1:]))
 
 
-def _seq_to_node(seq: tuple[BundledNode, ...]) -> AryNode | None:
-    if not seq:
-        return None
-    idx = min(range(len(seq)), key=lambda i: seq[i].min_label())
-    t = seq[idx]
-    slots = (
-        _seq_to_node(seq[:idx]),
-        *(_seq_to_node(b) for b in t.bundles),
-        _seq_to_node(seq[idx + 1 :]),
-    )
-    return AryNode(t.label, slots)
+def _bundle_slot(v: int, b: int, f_root: bool) -> int:
+    """Slot of v that holds the Cartesian tree of v's bundle b: slot 0 of a
+    sequence's virtual owner 0, slot b of an F-tree root, else slot b+1."""
+    return 0 if v == 0 else b if v == 1 and f_root else b + 1
 
 
-def _node_to_seq(node: AryNode | None) -> tuple[BundledNode, ...]:
-    if node is None:
-        return ()
-    left = _node_to_seq(node.slots[0])
-    right = _node_to_seq(node.slots[-1])
-    bundles = tuple(_node_to_seq(s) for s in node.slots[1:-1])
-    return left + (BundledNode(node.label, bundles),) + right
+def _bundles_to_slots(rows, m: int, f_root: bool) -> tuple[list[int], list[int]]:
+    """``(parent, slot)`` of the (m+2)-ary tree that the sequence bijection
+    makes of the children table ``rows`` (``rows[v][b-1]``: the children of v
+    in bundle b, in order; ``rows[0]``: the bundles of the virtual owner 0).
+
+    Each bundle becomes its Cartesian tree by label, built with one stack:
+    the labels larger than u are popped, the last one popped becomes u's
+    slot-1 child, and u becomes the slot-(m+2) child of the new top.
+    """
+    parent = [0] * len(rows)
+    slot = [0] * len(rows)
+    for v, row in enumerate(rows):
+        for b, children in enumerate(row, start=1):
+            stack: list[int] = []
+            for u in children:
+                popped = 0
+                while stack and stack[-1] > u:
+                    popped = stack.pop()
+                if popped:
+                    parent[popped], slot[popped] = u, 1
+                if stack:
+                    parent[u], slot[u] = stack[-1], m + 2
+                stack.append(u)
+            if stack:
+                parent[stack[0]], slot[stack[0]] = v, _bundle_slot(v, b, f_root)
+    return parent[1:], slot[1:]
 
 
-def _check_sequence(seq: Sequence[BundledNode]) -> tuple[tuple[BundledNode, ...], int, int]:
-    seq = tuple(seq)
-    if not seq:
-        raise InvalidTreeError("sequence must be non-empty")
-    counts = {t.bundle_count for t in seq}
-    if len(counts) != 1:
-        raise InvalidTreeError(f"mixed bundle counts in sequence: {sorted(counts)}")
-    m = counts.pop()
-    seen: set[int] = set()
-    for t in seq:
-        labels = t.labels()
-        if seen & labels:
-            raise InvalidTreeError("label sets of the sequence must be disjoint")
-        seen |= labels
-    n = len(seen)
-    if seen != set(range(1, n + 1)):
-        raise InvalidTreeError("labels must partition 1..n")
-    return seq, m, n
+def _slots_to_bundles(tree: AryIncreasingTree, f_root: bool) -> list[list[list[int]]]:
+    """Inverse of :func:`_bundles_to_slots`: the children table of ``tree``.
+
+    A node in a middle slot, or in any slot of an F-tree root, starts a
+    bundle; the root of a sequence's tree starts the one bundle of the
+    virtual owner 0.  The nodes below it through slots 1 and m+2 join that
+    bundle in their in-order, found with an explicit stack.
+    """
+    m = tree.arity - 2
+    rows = [[] if f_root else [[]]] + [[[] for _ in range(m)] for _ in range(tree.order)]
+    for v, row in enumerate(rows):
+        for b, bundle in enumerate(row, start=1):
+            u = tree.child(v, _bundle_slot(v, b, f_root)) if v else 1
+            stack: list[int] = []
+            while stack or u:
+                while u:
+                    stack.append(u)
+                    u = tree.child(u, 1)
+                u = stack.pop()
+                bundle.append(u)
+                u = tree.child(u, m + 2)
+    return rows
 
 
 def seq_to_ary_tree(seq: Sequence[BundledNode]) -> AryIncreasingTree:
     """Map a sequence of k-bundled increasing trees (labels partitioning 1..n)
     to a (k+2)-ary increasing tree of order n."""
-    seq, m, n = _check_sequence(seq)
-    parent = [0] * n
-    slot = [0] * n
-    _place_ary_node(_seq_to_node(seq), 0, 0, parent, slot)
-    return AryIncreasingTree(m + 2, tuple(parent), tuple(slot))
-
-
-def _place_ary_node(node: AryNode, par: int, s: int, parent: list[int], slot: list[int]) -> None:
-    """Write the attachment of every node of ``node``'s subtree into the
-    ``parent``/``slot`` arrays, ``node`` itself going to slot ``s`` of ``par``."""
-    arity = len(node.slots)
-    stack: list[tuple[AryNode, int, int]] = [(node, par, s)]
-    while stack:
-        cur, par, s = stack.pop()
-        parent[cur.label - 1] = par
-        slot[cur.label - 1] = s
-        if len(cur.slots) != arity:
-            raise InvalidTreeError("inconsistent bundle counts inside the sequence")
-        for i, child in enumerate(cur.slots, start=1):
-            if child is not None:
-                stack.append((child, cur.label, i))
-
-
-def _ary_node(tree: AryIncreasingTree, v: int) -> AryNode:
-    """The subtree of ``tree`` at ``v`` as an :class:`AryNode` over ``arity``
-    slots: any node of an ary tree, a non-root node of an F-tree."""
-    return AryNode(
-        v,
-        tuple(
-            _ary_node(tree, c) if (c := tree.child(v, s)) else None
-            for s in range(1, tree.arity + 1)
-        ),
-    )
+    rows, m = _node_rows(tuple(seq))
+    return AryIncreasingTree(m + 2, *_bundles_to_slots(rows, m, f_root=False))
 
 
 def ary_tree_to_seq(tree: AryIncreasingTree) -> tuple[BundledNode, ...]:
     """Inverse of :func:`seq_to_ary_tree`; needs ``arity >= 3``."""
     if tree.arity < 3:
         raise InvalidTreeError("sequence decoding needs arity >= 3")
-    return _node_to_seq(_ary_node(tree, 1))
+    rows = _slots_to_bundles(tree, f_root=False)
+    nodes = _build_nodes(rows, range(tree.order, 0, -1))
+    return tuple(nodes[u] for u in rows[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -429,44 +427,22 @@ class FIncreasingTree(AryIncreasingTree):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FIncreasingTree":
-        return cls(int(data["rootSlotCount"]), tuple(data["parent"]), tuple(data["slot"]))
+        k, parent, slot = _json_fields(data, "rootSlotCount", "parent", "slot")
+        return cls(int(k), tuple(parent), tuple(slot))
 
 
 def f_tree_from_bundled(tree: BundledIncreasingTree) -> FIncreasingTree:
     """Apply the sequence bijection to each root bundle of a k-bundled tree,
     producing the modified (k+2)-ary tree whose root has k slots."""
     k = tree.bundle_count
-    n = tree.order
-    parent = [0] * n
-    slot = [0] * n
-    for b_idx, b in enumerate(tree.bundles_of(1), start=1):
-        if b:
-            seq = tuple(bundled_subtree_node(tree, u) for u in b)
-            _place_ary_node(_seq_to_node(seq), 1, b_idx, parent, slot)
-    return FIncreasingTree(k, tuple(parent), tuple(slot))
+    rows = [()] + [tree.bundles_of(v) for v in range(1, tree.order + 1)]
+    return FIncreasingTree(k, *_bundles_to_slots(rows, k, f_root=True))
 
 
 def bundled_from_f_tree(ftree: FIncreasingTree) -> BundledIncreasingTree:
     """Inverse of :func:`f_tree_from_bundled`."""
-    k = ftree.root_slot_count
-    n = ftree.order
-    parent = [0] * n
-    bundle = [0] * n
-    pos = [0] * n
-    for b_idx in range(1, k + 1):
-        c = ftree.child(1, b_idx)
-        seq = _node_to_seq(_ary_node(ftree, c)) if c else ()
-        for p_idx, sub in enumerate(seq, start=1):
-            stack: list[tuple[BundledNode, int, int, int]] = [(sub, 1, b_idx, p_idx)]
-            while stack:
-                cur, par, b, p = stack.pop()
-                parent[cur.label - 1] = par
-                bundle[cur.label - 1] = b
-                pos[cur.label - 1] = p
-                for bb, bseq in enumerate(cur.bundles, start=1):
-                    for pp, child in enumerate(bseq, start=1):
-                        stack.append((child, cur.label, bb, pp))
-    return BundledIncreasingTree(k, tuple(parent), tuple(bundle), tuple(pos))
+    rows = _slots_to_bundles(ftree, f_root=True)
+    return BundledIncreasingTree(ftree.root_slot_count, *_bundled_arrays(rows[1:]))
 
 
 # ---------------------------------------------------------------------------

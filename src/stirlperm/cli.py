@@ -59,10 +59,15 @@ def _multiplicities_for(args) -> tuple[int, ...]:
 
 
 def _load_json_input(path: str) -> dict | list:
-    if path == "-":
-        return json.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read --input {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ValueError(f"--input {path} is not JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +163,8 @@ def _cmd_encode(args):
         ftree = _bij.f_tree_from_bundled(tree)
         payload = {"bijection": "ftree", "ftree": ftree.to_json_dict()}
     else:  # seq
-        items = data["sequence"] if isinstance(data, dict) else data
+        items = data.get("sequence") if isinstance(data, dict) else data
+        _require(isinstance(items, list), "expected a JSON list of trees, or one under 'sequence'")
         seq = [_bij.BundledNode.from_json_dict(item) for item in items]
         tree = _bij.seq_to_ary_tree(seq)
         payload = {"bijection": "seq", "tree": tree.to_json_dict()}

@@ -451,9 +451,12 @@ def compare(
             f"theory {theory.name!r} needs columns {missing} that the result "
             f"lacks (it has {list(result.columns)})"
         )
+    rows = result.matrix.shape[0]
+    if theory.covariance is not None and rows < 3:
+        msg = f"theory {theory.name!r} compares covariances, which needs 3 replicates, got {rows}"
+        raise ValueError(msg)
     idx = [result.columns.index(name) for name in theory.columns]
     x = (result.matrix[:, idx] - np.asarray(theory.center)) / theory.scale
-    rows = x.shape[0]
     entries: list[ComparisonEntry] = []
     if theory.means is not None:
         sds = x.std(axis=0, ddof=1)

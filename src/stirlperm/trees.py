@@ -185,6 +185,14 @@ def tree_weight(tree, family: DegreeWeightFamily) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _json_fields(data, *names: str) -> list:
+    """The values of the fields ``names`` of the JSON object ``data``."""
+    missing = [name for name in names if not isinstance(data, dict) or name not in data]
+    if missing:
+        raise InvalidTreeError(f"expected a JSON object with {', '.join(map(repr, missing))}")
+    return [data[name] for name in names]
+
+
 class _ParentArrayTree:
     """Members shared by the tree shapes stored as a ``parent`` array."""
 
@@ -265,7 +273,8 @@ class AryIncreasingTree(_ParentArrayTree):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AryIncreasingTree":
-        return cls(int(data["arity"]), tuple(data["parent"]), tuple(data["slot"]))
+        arity, parent, slot = _json_fields(data, "arity", "parent", "slot")
+        return cls(int(arity), tuple(parent), tuple(slot))
 
 
 @dataclass(frozen=True)
@@ -393,12 +402,9 @@ class BundledIncreasingTree(_ParentArrayTree):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BundledIncreasingTree":
-        return cls(
-            int(data["bundleCount"]),
-            tuple(data["parent"]),
-            tuple(data["bundle"]),
-            tuple(data["posInBundle"]),
-        )
+        fields = _json_fields(data, "bundleCount", "parent", "bundle", "posInBundle")
+        m, parent, bundle, pos = fields
+        return cls(int(m), tuple(parent), tuple(bundle), tuple(pos))
 
 
 @dataclass(frozen=True)

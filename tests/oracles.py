@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from stirlperm.bijections import BundledNode
+
 
 def multiset_words(multiplicities):
     """All distinct words over the multiset {1^m1, ..., n^mn}, by backtracking."""
@@ -130,6 +132,105 @@ def bundled_code(tree, v: int = 1):
             parts.extend(bundled_code(tree, u))
             parts.append(u)
     return parts
+
+
+def cartesian_node(seq):
+    """Recursive form of the sequence bijection, with ``(label, slots)``
+    tuples as ary nodes (``None`` for a free slot): the tree of smallest label
+    is the root, the part of the sequence left of it goes to slot 1, its
+    bundles to the middle slots, the part right of it to the last slot."""
+    if not seq:
+        return None
+    i = min(range(len(seq)), key=lambda j: seq[j].label)
+    t = seq[i]
+    slots = (cartesian_node(seq[:i]),)
+    slots += tuple(cartesian_node(b) for b in t.bundles)
+    return (t.label, slots + (cartesian_node(seq[i + 1 :]),))
+
+
+def cartesian_sequence(node):
+    """Inverse of :func:`cartesian_node`, by concatenation."""
+    if node is None:
+        return ()
+    label, slots = node
+    middle = BundledNode(label, tuple(cartesian_sequence(s) for s in slots[1:-1]))
+    return cartesian_sequence(slots[0]) + (middle,) + cartesian_sequence(slots[-1])
+
+
+def slot_node(tree, v: int):
+    """The subtree of an ary tree at v as ``(label, slots)``, read off the
+    parent and slot arrays."""
+    below = {(p, s): u for u, (p, s) in enumerate(zip(tree.parent, tree.slot), start=1)}
+
+    def build(u):
+        if u is None:
+            return None
+        return (u, tuple(build(below.get((u, s))) for s in range(1, tree.arity + 1)))
+
+    return build(v)
+
+
+def _place(node, par: int, s: int, parent: dict, slot: dict) -> None:
+    if node is None:
+        return
+    label, slots = node
+    parent[label], slot[label] = par, s
+    for i, child in enumerate(slots, start=1):
+        _place(child, label, i, parent, slot)
+
+
+def _arrays(*tables: dict) -> tuple:
+    return tuple(tuple(table[v] for v in range(1, len(table) + 1)) for table in tables)
+
+
+def seq_to_ary_arrays(seq) -> tuple:
+    """``(arity, parent, slot)`` of the ary tree of a sequence of node forms."""
+    root = cartesian_node(tuple(seq))
+    parent: dict = {}
+    slot: dict = {}
+    _place(root, 0, 0, parent, slot)
+    return (len(root[1]), *_arrays(parent, slot))
+
+
+def ary_to_seq(tree):
+    """The sequence of node forms of an ary tree."""
+    return cartesian_sequence(slot_node(tree, 1))
+
+
+def bundled_node(tree, v: int = 1):
+    """The subtree of a bundled tree at v as a :class:`BundledNode`."""
+    bundles = tree.bundles_of(v)
+    return BundledNode(v, tuple(tuple(bundled_node(tree, u) for u in b) for b in bundles))
+
+
+def f_tree_arrays(tree) -> tuple:
+    """``(parent, slot)`` of the F-tree of a bundled tree: the recursive
+    sequence bijection of root bundle b, placed in root slot b."""
+    parent = {1: 0}
+    slot = {1: 0}
+    for b, bundle in enumerate(tree.bundles_of(1), start=1):
+        _place(cartesian_node(tuple(bundled_node(tree, u) for u in bundle)), 1, b, parent, slot)
+    return _arrays(parent, slot)
+
+
+def bundled_arrays_from_f_tree(ftree) -> tuple:
+    """``(parent, bundle, pos_in_bundle)`` of the bundled tree of an F-tree:
+    root slot b decoded as the sequence of root bundle b."""
+    parent = {1: 0}
+    bundle = {1: 0}
+    pos = {1: 0}
+
+    def place(node, p: int, b: int, q: int) -> None:
+        parent[node.label], bundle[node.label], pos[node.label] = p, b, q
+        for bb, seq in enumerate(node.bundles, start=1):
+            for qq, child in enumerate(seq, start=1):
+                place(child, node.label, bb, qq)
+
+    root_slots = slot_node(ftree, 1)[1]
+    for b in range(1, ftree.root_slot_count + 1):
+        for q, t in enumerate(cartesian_sequence(root_slots[b - 1]), start=1):
+            place(t, 1, b, q)
+    return _arrays(parent, bundle, pos)
 
 
 def left_right_count(tree) -> int:

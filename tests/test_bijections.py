@@ -4,6 +4,8 @@ transfer."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +177,75 @@ def test_seq_to_ary_rejects_bad_sequences():
         bj.seq_to_ary_tree((lone,))
 
 
+def test_seq_to_ary_rejects_repeated_labels_and_mixed_bundle_counts():
+    leaf = bj.BundledNode(2, ((), ()))
+    with pytest.raises(trees.InvalidTreeError, match="twice"):
+        bj.seq_to_ary_tree((bj.BundledNode(1, ((leaf,), (leaf,))),))
+    with pytest.raises(trees.InvalidTreeError, match="bundle counts"):
+        bj.seq_to_ary_tree((bj.BundledNode(1, ((bj.BundledNode(2, ((),)),), ())),))
+    with pytest.raises(trees.InvalidTreeError, match="bundle counts"):
+        bj.bundled_node_to_tree(bj.BundledNode(1, ((bj.BundledNode(2, ((),)),), ())))
+
+
+def shape(seq):
+    """Top-level labels of a sequence of node forms and the child labels of
+    each node by bundle, read with a stack: dataclass ``==`` would recurse
+    once per level of a deep tree."""
+    rows = {}
+    stack = list(seq)
+    while stack:
+        node = stack.pop()
+        rows[node.label] = tuple(tuple(c.label for c in b) for b in node.bundles)
+        for b in node.bundles:
+            stack.extend(b)
+    return tuple(t.label for t in seq), rows
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_seq_codec_matches_cartesian_oracle(n, m):
+    for seq in bj.enumerate_bundled_sequences(n, m):
+        t = bj.seq_to_ary_tree(seq)
+        assert (t.arity, t.parent, t.slot) == oracles.seq_to_ary_arrays(seq)
+    for t in trees.enumerate_ary_trees(n, m + 2):
+        assert shape(bj.ary_tree_to_seq(t)) == shape(oracles.ary_to_seq(t))
+
+
+DEEP = 10_000
+
+
+def _deep_ary_tree(name: str) -> trees.AryIncreasingTree:
+    n = DEEP
+    if name == "middle-chain":
+        return trees.AryIncreasingTree(4, range(n), [0] + [2] * (n - 1))
+    if name == "flat":
+        return trees.AryIncreasingTree(4, range(n), [0] + [4] * (n - 1))
+    # caterpillar: spine 1, 3, 5, ... through slot 2, leaf v+1 in slot 1 of spine node v
+    parent = [0] + [v - 1 if v % 2 == 0 else v - 2 for v in range(2, n + 1)]
+    slot = [0] + [1 if v % 2 == 0 else 2 for v in range(2, n + 1)]
+    return trees.AryIncreasingTree(3, parent, slot)
+
+
+def _deep_sequence_shape(name: str):
+    n = DEEP
+    if name == "middle-chain":  # one bundled chain
+        return (1,), {v: ((v + 1,) if v < n else (), ()) for v in range(1, n + 1)}
+    if name == "flat":  # n single nodes
+        return tuple(range(1, n + 1)), {v: ((), ()) for v in range(1, n + 1)}
+    rows = {v: ((),) for v in range(2, n + 1, 2)}
+    rows.update({v: ((v + 3, v + 2) if v + 2 < n else (),) for v in range(1, n, 2)})
+    return (2, 1), rows
+
+
+@pytest.mark.parametrize("name", ["middle-chain", "flat", "caterpillar"])
+def test_seq_codec_round_trips_deep_shapes(name):
+    assert sys.getrecursionlimit() < DEEP
+    t = _deep_ary_tree(name)
+    seq = bj.ary_tree_to_seq(t)
+    assert shape(seq) == _deep_sequence_shape(name)
+    assert bj.seq_to_ary_tree(seq) == t
+
+
 # ---------------------------------------------------------------------------
 # forest-of-trees form
 # ---------------------------------------------------------------------------
@@ -219,6 +290,53 @@ def test_f_tree_roundtrip_on_grown_trees(seed, n):
         for s in range(1, (2 if v == 1 else 4) + 1):
             assert ft.child(v, s) == attached.get((v, s), 0)
     assert len(ft.free_slots()) == 2 + 4 * (n - 1) - (n - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_f_tree_codec_matches_cartesian_oracle(n, k):
+    for bt in trees.enumerate_bundled_trees(n, k):
+        ft = bj.f_tree_from_bundled(bt)
+        assert (ft.parent, ft.slot) == oracles.f_tree_arrays(bt)
+    for ft in bj.enumerate_f_trees(n, k):
+        bt = bj.bundled_from_f_tree(ft)
+        assert (bt.parent, bt.bundle, bt.pos_in_bundle) == oracles.bundled_arrays_from_f_tree(ft)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 200), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_codecs_match_cartesian_oracle_on_grown_trees(seed, n, m):
+    at = trees.grow_ary_tree(m + 2, n, seed)
+    seq = bj.ary_tree_to_seq(at)
+    assert shape(seq) == shape(oracles.ary_to_seq(at))
+    assert bj.seq_to_ary_tree(seq) == at
+    bt = trees.grow_bundled_tree(m, n, seed)
+    whole = (bj.bundled_subtree_node(bt),)
+    assert shape(whole) == shape((oracles.bundled_node(bt),))
+    t = bj.seq_to_ary_tree(whole)
+    assert (t.arity, t.parent, t.slot) == oracles.seq_to_ary_arrays(whole)
+    ft = bj.f_tree_from_bundled(bt)
+    assert (ft.parent, ft.slot) == oracles.f_tree_arrays(bt)
+    assert (bt.parent, bt.bundle, bt.pos_in_bundle) == oracles.bundled_arrays_from_f_tree(ft)
+    assert bj.bundled_from_f_tree(ft) == bt
+
+
+@pytest.mark.parametrize("name", ["chain", "star"])
+def test_f_tree_codec_round_trips_deep_shapes(name):
+    assert sys.getrecursionlimit() < DEEP
+    n = DEEP
+    if name == "chain":
+        bt = trees.BundledIncreasingTree(2, range(n), [0] + [1] * (n - 1), [0] + [1] * (n - 1))
+        slots = (0, 1) + (2,) * (n - 2)  # bundle 1 of a non-root node is slot 2
+    else:
+        bt = trees.BundledIncreasingTree(2, [0] + [1] * (n - 1), [0] + [1] * (n - 1), range(n))
+        slots = (0, 1) + (4,) * (n - 2)  # each later sibling in the last slot
+    ft = bj.f_tree_from_bundled(bt)
+    assert (ft.parent, ft.slot) == (tuple(range(n)), slots)
+    assert bj.bundled_from_f_tree(ft) == bt
+    node = bj.bundled_subtree_node(bt)
+    assert node.labels() == set(range(1, n + 1))
+    assert bj.bundled_node_to_tree(node) == bt
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,29 @@ def test_encode_requires_input(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "argv,text,named",
+    [
+        (("encode", "--bijection", "ary"), '{"parent": [0], "slot": [0]}', "'arity'"),
+        (("encode", "--bijection", "seq"), '{"foo": 1}', "'sequence'"),
+        (("encode", "--bijection", "seq"), '[{"label": 1}]', "'bundles'"),
+        (("decode", "--bijection", "seq"), "[1, 2]", "'arity', 'parent', 'slot'"),
+        (("decode", "--bijection", "ftree"), "{", "is not JSON"),
+        (("encode", "--bijection", "bundled"), None, "input.json"),  # no such file
+    ],
+    ids=["ary-no-arity", "seq-no-sequence", "seq-no-bundles", "seq-of-ints", "not-json",
+         "missing-file"],
+)
+def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, text, named):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 # ---------------------------------------------------------------------------
 # urns
 # ---------------------------------------------------------------------------
@@ -260,20 +283,22 @@ def test_experiment_comparison_failure_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "extra,theory,missing",
+    "extra,theory,needed",
     [
         (("--compare", "first_block_mean"), "first_block_mean", "firstFraction"),
         (("--statistics", "white", "--compare", "urn_b_blocks"), "urn_b_blocks", "black"),
+        # a covariance comparison needs three replicates
+        (("--replicates", "2", "--compare", "urn_b_blocks"), "urn_b_blocks", "3 replicates"),
     ],
 )
-def test_experiment_compare_with_missing_columns(capsys, extra, theory, missing):
+def test_experiment_compare_with_missing_columns(capsys, extra, theory, needed):
     code, out, err = run_cli(
         capsys, "experiment", "--generator", "urn_b", "--n", "5", "--k", "2",
         "--replicates", "16", "--seed", "1", *extra,
     )
     assert code == 1
     assert out == ""
-    assert theory in err and missing in err
+    assert theory in err and needed in err
 
 
 def test_experiment_output_deterministic(capsys):
