@@ -4,12 +4,12 @@ All randomness flows through numpy ``Generator`` objects.  Functions that
 accept a ``seed`` take either an integer (wrapped in a fresh PCG64 stream),
 an existing ``Generator`` (used as-is), or ``None`` (OS entropy).
 
-The harness derives independent substreams deterministically:
+Independent substreams are derived deterministically from a seed ``s``:
 
-* replicate ``r`` of an experiment seeded with ``s`` uses
+* word ``r`` of the CLI command ``sample`` comes from
   ``SeedSequence(s, spawn_key=(1, r))``;
-* vectorised generators that cannot afford one stream per replicate use one
-  stream per fixed-size chunk, ``SeedSequence(s, spawn_key=(2, c))``.
+* every experiment generator of the harness draws its fixed-size chunk ``c``
+  from ``SeedSequence(s, spawn_key=(2, c))``.
 
 The two spawn-key prefixes keep the key spaces disjoint.
 """
@@ -34,6 +34,6 @@ def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
 
 
 def chunk_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Stream for replicate-chunk ``index`` (vectorised generators only)."""
+    """Stream for replicate-chunk ``index`` of an experiment seeded with ``master_seed``."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(2, index))
     return np.random.Generator(np.random.PCG64(ss))

@@ -258,8 +258,8 @@ class BundledNode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BundledNode":
-        label, bundles = _json_fields(data, "label", "bundles")
-        return cls(int(label), tuple(tuple(cls.from_json_dict(c) for c in b) for b in bundles))
+        label, bundles = _json_fields(data, label="an int", bundles="a list of lists")
+        return cls(label, tuple(tuple(cls.from_json_dict(c) for c in b) for b in bundles))
 
 
 def _walk(roots: Iterable[BundledNode]) -> Iterator[BundledNode]:
@@ -427,8 +427,10 @@ class FIncreasingTree(AryIncreasingTree):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FIncreasingTree":
-        k, parent, slot = _json_fields(data, "rootSlotCount", "parent", "slot")
-        return cls(int(k), tuple(parent), tuple(slot))
+        k, parent, slot = _json_fields(
+            data, rootSlotCount="an int", parent="a list of ints", slot="a list of ints"
+        )
+        return cls(k, tuple(parent), tuple(slot))
 
 
 def f_tree_from_bundled(tree: BundledIncreasingTree) -> FIncreasingTree:

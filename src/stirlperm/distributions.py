@@ -308,12 +308,18 @@ def stick_breaking_sample(k: int, depth: int, seed=None) -> StickBreakingSample:
         raise ValueError("k must be >= 2")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    rng = as_generator(seed)
+    row = _stick_breaking_rows(k, depth, 1, as_generator(seed))[0]
+    return StickBreakingSample(tuple(float(c) for c in row[:-1]), float(row[-1]))
+
+
+def _stick_breaking_rows(k: int, depth: int, count: int, rng) -> np.ndarray:
+    """``count`` independent stick-breaking draws, one per row: the first
+    ``depth`` components, then the remainder."""
     levels = np.arange(1, depth + 1)
-    betas = rng.beta((k - 1) / k, (levels + 1) / k)
-    stick = np.cumprod(1.0 - betas)
-    components = betas * np.concatenate(([1.0], stick[:-1]))
-    return StickBreakingSample(tuple(float(c) for c in components), float(stick[-1]))
+    betas = rng.beta((k - 1) / k, (levels + 1) / k, size=(count, depth))
+    stick = np.cumprod(1.0 - betas, axis=1)
+    before = np.hstack([np.ones((count, 1)), stick[:, :-1]])
+    return np.hstack([betas * before, stick[:, -1:]])
 
 
 def tnormal_covariance(k: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,9 +2,11 @@
 runs, and comparison of empirical summaries against exact or limit values.
 
 Determinism contract: an experiment is a preallocated replicate-by-statistic
-matrix filled in fixed chunks of :data:`REPLICATE_CHUNK` rows.  Vectorized
-generators draw from one stream per chunk, loop generators from one stream
-per replicate, so the matrix is byte-identical for any thread count.
+matrix filled in fixed chunks of :data:`REPLICATE_CHUNK` rows.  Every
+generator is a chunk kernel that draws from one stream per chunk (the
+per-row generators ``stirling_perm``, ``ary_tree`` and ``plane_tree`` grow
+their rows one after another from it), so the matrix is byte-identical for
+any thread count.
 
 The block-law generators ``urn_b``, ``urn_c_block`` and ``block_sizes`` all
 read the nested Polya urn levels of :mod:`stirlperm.urns` rather than
@@ -26,7 +28,7 @@ from . import distributions as _dist
 from . import perms as _perms
 from . import trees as _trees
 from ._rng import as_generator  # noqa: F401  (bench/run.py records its bit generator)
-from ._rng import chunk_stream, replicate_stream
+from ._rng import chunk_stream
 from .urns import _block_levels, sample_block_size_stats, urn_a_covariance
 
 REPLICATE_CHUNK = 1024
@@ -97,16 +99,7 @@ def _block_sizes_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
 
 
 def _stick_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
-    del n
-    levels = np.arange(1, STICK_DEPTH + 1)
-    betas = rng.beta((k - 1) / k, (levels + 1) / k, size=(count, STICK_DEPTH))
-    out = np.empty((count, STICK_DEPTH + 1))
-    stick = np.ones(count)
-    for m in range(STICK_DEPTH):
-        out[:, m] = betas[:, m] * stick
-        stick = stick * (1.0 - betas[:, m])
-    out[:, STICK_DEPTH] = stick
-    return out
+    return _dist._stick_breaking_rows(k, STICK_DEPTH, count, rng)
 
 
 def _stirling_row(n: int, k: int, rng) -> tuple[float, ...]:
@@ -140,52 +133,36 @@ def _plane_row(n: int, k: int, rng) -> tuple[float, ...]:
     return (float(tree.leaves()), float(root_degree))
 
 
+def _rows(row_kernel: Callable) -> Callable:
+    """Chunk kernel that grows its rows one after another from the chunk's stream."""
+    return lambda n, k, count, rng: np.array([row_kernel(n, k, rng) for _ in range(count)])
+
+
 @dataclass(frozen=True)
 class GeneratorDef:
-    name: str
-    mode: str  # "chunk" (one stream per row chunk) or "replicate"
     min_k: int
     columns: Callable[[int, int], tuple[str, ...]]
-    chunk_kernel: Optional[Callable] = None
-    row_kernel: Optional[Callable] = None
+    kernel: Callable  # (n, k, count, rng) -> count-by-columns array
 
 
 GENERATORS: dict[str, GeneratorDef] = {
     "urn_a": GeneratorDef(
-        "urn_a",
-        "chunk",
-        1,
-        lambda n, k: tuple(f"color{j}" for j in range(1, k + 2)),
-        chunk_kernel=_urn_a_chunk,
+        1, lambda n, k: tuple(f"color{j}" for j in range(1, k + 2)), _urn_a_chunk
     ),
-    "urn_b": GeneratorDef(
-        "urn_b", "chunk", 1, lambda n, k: ("black", "white"), chunk_kernel=_urn_b_chunk
-    ),
+    "urn_b": GeneratorDef(1, lambda n, k: ("black", "white"), _urn_b_chunk),
     "urn_c_block": GeneratorDef(
-        "urn_c_block",
-        "chunk",
-        1,
-        lambda n, k: ("white", "black", "firstFraction"),
-        chunk_kernel=_urn_c_chunk,
+        1, lambda n, k: ("white", "black", "firstFraction"), _urn_c_chunk
     ),
     "block_sizes": GeneratorDef(
-        "block_sizes",
-        "chunk",
-        2,
-        lambda n, k: ("first", "largest", "count"),
-        chunk_kernel=_block_sizes_chunk,
+        2, lambda n, k: ("first", "largest", "count"), _block_sizes_chunk
     ),
     "stick_breaking": GeneratorDef(
-        "stick_breaking",
-        "chunk",
         2,
         lambda n, k: tuple(f"component{m}" for m in range(1, STICK_DEPTH + 1))
         + ("remainder",),
-        chunk_kernel=_stick_chunk,
+        _stick_chunk,
     ),
     "stirling_perm": GeneratorDef(
-        "stirling_perm",
-        "replicate",
         1,
         lambda n, k: (
             "ascents",
@@ -195,23 +172,15 @@ GENERATORS: dict[str, GeneratorDef] = {
             "firstBlock",
             "largestBlock",
         ),
-        row_kernel=_stirling_row,
+        _rows(_stirling_row),
     ),
     "ary_tree": GeneratorDef(
-        "ary_tree",
-        "replicate",
         1,
         lambda n, k: tuple(f"exterior{j}" for j in range(1, k + 2))
         + ("leftRight", "leaves"),
-        row_kernel=_ary_row,
+        _rows(_ary_row),
     ),
-    "plane_tree": GeneratorDef(
-        "plane_tree",
-        "replicate",
-        2,
-        lambda n, k: ("leaves", "rootDegree"),
-        row_kernel=_plane_row,
-    ),
+    "plane_tree": GeneratorDef(2, lambda n, k: ("leaves", "rootDegree"), _rows(_plane_row)),
 }
 
 
@@ -320,11 +289,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
 
     def fill(index: int) -> None:
         lo, hi = bounds[index]
-        if gen.mode == "chunk":
-            out[lo:hi] = gen.chunk_kernel(spec.n, spec.k, hi - lo, chunk_stream(spec.seed, index))
-        else:
-            for row in range(lo, hi):
-                out[row] = gen.row_kernel(spec.n, spec.k, replicate_stream(spec.seed, row))
+        out[lo:hi] = gen.kernel(spec.n, spec.k, hi - lo, chunk_stream(spec.seed, index))
 
     if threads == 1 or len(bounds) == 1:
         for index in range(len(bounds)):
@@ -445,6 +410,10 @@ def compare(
     Mean entries use the sample standard error; covariance entries use the
     delete-one jackknife standard error.
     """
+    if not 0 < se_multiplier < math.inf:
+        raise ValueError(
+            f"theory {theory.name!r} needs a positive finite se multiplier, got {se_multiplier}"
+        )
     missing = [name for name in theory.columns if name not in result.columns]
     if missing:
         raise ValueError(

@@ -185,12 +185,33 @@ def tree_weight(tree, family: DegreeWeightFamily) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _json_fields(data, *names: str) -> list:
-    """The values of the fields ``names`` of the JSON object ``data``."""
-    missing = [name for name in names if not isinstance(data, dict) or name not in data]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(check: Callable) -> Callable:
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+# what a JSON field must hold, keyed by its wording in the error message
+_JSON_KINDS = {
+    "an int": _is_int,
+    "a list of ints": _is_list_of(_is_int),
+    "a list of lists": _is_list_of(lambda item: isinstance(item, list)),
+}
+
+
+def _json_fields(data, **kinds: str) -> list:
+    """The values of the fields of the JSON object ``data`` named by
+    ``kinds``; each must hold the kind of value ``kinds`` gives it, a key
+    of ``_JSON_KINDS``."""
+    missing = [name for name in kinds if not isinstance(data, dict) or name not in data]
     if missing:
         raise InvalidTreeError(f"expected a JSON object with {', '.join(map(repr, missing))}")
-    return [data[name] for name in names]
+    for name, kind in kinds.items():
+        if not _JSON_KINDS[kind](data[name]):
+            raise InvalidTreeError(f"field {name!r} must be {kind}")
+    return [data[name] for name in kinds]
 
 
 class _ParentArrayTree:
@@ -273,8 +294,10 @@ class AryIncreasingTree(_ParentArrayTree):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AryIncreasingTree":
-        arity, parent, slot = _json_fields(data, "arity", "parent", "slot")
-        return cls(int(arity), tuple(parent), tuple(slot))
+        arity, parent, slot = _json_fields(
+            data, arity="an int", parent="a list of ints", slot="a list of ints"
+        )
+        return cls(arity, tuple(parent), tuple(slot))
 
 
 @dataclass(frozen=True)
@@ -402,9 +425,14 @@ class BundledIncreasingTree(_ParentArrayTree):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BundledIncreasingTree":
-        fields = _json_fields(data, "bundleCount", "parent", "bundle", "posInBundle")
-        m, parent, bundle, pos = fields
-        return cls(int(m), tuple(parent), tuple(bundle), tuple(pos))
+        m, parent, bundle, pos = _json_fields(
+            data,
+            bundleCount="an int",
+            parent="a list of ints",
+            bundle="a list of ints",
+            posInBundle="a list of ints",
+        )
+        return cls(m, tuple(parent), tuple(bundle), tuple(pos))
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,10 @@ Four replacement schemes, all driven by a single simulator:
 * ``polya_urn(k, w, b)``: classical two-colour urn, k extra balls of the
   drawn colour.  Nested copies of it drive the label-ordered block sizes.
 
-``nested_block_urns`` grows the block sizes of one permutation gap by gap.
-The vectorised block-law samplers instead draw each nested urn level from
-its beta-binomial marginal; ``sample_block_size_stats`` folds those levels,
-and the harness reads urn B (the level count) and urn C (the first level)
-off the same levels.
+Every block-law sampler draws each nested urn level from its beta-binomial
+marginal: ``nested_block_urns`` lists the levels of one permutation,
+``sample_block_size_stats`` folds those of many, and the harness reads urn
+B (the level count) and urn C (the first level) off the same levels.
 
 ``urn_a_covariance`` / ``fixed_addition_covariance`` return the exact
 covariance matrices of the Gaussian limits together with the per-step
@@ -260,29 +259,10 @@ def fixed_addition_covariance(s: Sequence[int]) -> UrnGaussianLimit:
 
 def nested_block_urns(k: int, n: int, seed=None) -> tuple[int, ...]:
     """Label-ordered block sizes of a random k-Stirling permutation of order
-    n, grown through the nested Polya urn dynamics.
-
-    Step ``i -> i+1`` picks one of the ``k*i + 1`` gaps uniformly: a gap
-    strictly inside block ``m`` grows that block by k, any of the ``s+1``
-    outside gaps starts a new block of size k.
-    """
+    n, read off the nested Polya urn levels of one replicate."""
     if k < 1 or n < 1:
         raise ValueError("need k >= 1 and n >= 1")
-    rng = as_generator(seed)
-    sizes = [k]
-    for order in range(1, n):
-        u = int(rng.integers(0, k * order + 1))
-        acc = 0
-        grown = False
-        for i, size in enumerate(sizes):
-            acc += size - 1  # interior gaps of block i
-            if u < acc:
-                sizes[i] += k
-                grown = True
-                break
-        if not grown:
-            sizes.append(k)
-    return tuple(sizes)
+    return tuple(int(size[0]) for _, size in _block_levels(k, n, 1, as_generator(seed)))
 
 
 def _block_levels(k: int, n: int, replicates: int, rng) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -365,3 +365,36 @@ def urn_c_steps(n: int, k: int, count: int, rng) -> np.ndarray:
         total += k
     fraction = (white + 1) / float(k * n)
     return np.stack([white.astype(np.float64), black.astype(np.float64), fraction], axis=1)
+
+
+def nested_block_steps(k: int, n: int, rng) -> tuple[int, ...]:
+    """Label-ordered block sizes of one random k-Stirling permutation of
+    order n, grown gap by gap: step ``i -> i+1`` picks one of the
+    ``k*i + 1`` gaps uniformly; a gap strictly inside block ``m`` grows that
+    block by k, any of the gaps outside the blocks starts a new block of k."""
+    sizes = [k]
+    for order in range(1, n):
+        u = int(rng.integers(0, k * order + 1))
+        acc = 0
+        for i, size in enumerate(sizes):
+            acc += size - 1  # interior gaps of block i
+            if u < acc:
+                sizes[i] += k
+                break
+        else:
+            sizes.append(k)
+    return tuple(sizes)
+
+
+def stick_breaking_steps(k: int, depth: int, count: int, rng) -> np.ndarray:
+    """``count`` rows of the first ``depth`` stick-breaking components and
+    the remainder, breaking the stick one level at a time."""
+    levels = np.arange(1, depth + 1)
+    betas = rng.beta((k - 1) / k, (levels + 1) / k, size=(count, depth))
+    out = np.empty((count, depth + 1))
+    stick = np.ones(count)
+    for m in range(depth):
+        out[:, m] = betas[:, m] * stick
+        stick = stick * (1.0 - betas[:, m])
+    out[:, depth] = stick
+    return out

@@ -1,4 +1,5 @@
-"""The benchmark's trace points name functions that exist.
+"""The benchmark's trace points name functions that exist, and the harness
+attributes of its provenance line resolve.
 
 ``bench/tracer.py`` wraps every entry of its ``TRACE_POINTS`` table when it
 is installed, so a traced name that is renamed or deleted in the package
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import stirlperm
 import stirlperm.cli  # noqa: F401  (the tracer also wraps names bound in cli)
@@ -32,3 +35,10 @@ def test_tracer_installs_and_uninstalls_every_trace_point():
     for name in MODULES:
         after = vars(getattr(stirlperm, name))
         assert all(after[key] is value for key, value in before[name].items())
+
+
+def test_harness_attributes_read_by_the_benchmark_resolve():
+    """``bench/run.py`` reads these for its provenance line."""
+    harness = stirlperm.harness
+    assert isinstance(harness.as_generator(0), np.random.Generator)
+    assert isinstance(harness.REPLICATE_CHUNK, int) and isinstance(harness.STEP_CHUNK, int)

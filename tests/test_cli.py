@@ -161,9 +161,22 @@ def test_encode_requires_input(capsys):
         (("decode", "--bijection", "seq"), "[1, 2]", "'arity', 'parent', 'slot'"),
         (("decode", "--bijection", "ftree"), "{", "is not JSON"),
         (("encode", "--bijection", "bundled"), None, "input.json"),  # no such file
+        (("encode", "--bijection", "ary"), '{"arity": 3, "parent": 5, "slot": [0]}', "'parent'"),
+        (("encode", "--bijection", "ary"), '{"arity": 3, "parent": [0, 1.7], "slot": [0, 1]}',
+         "'parent'"),
+        (("encode", "--bijection", "ary"), '{"arity": true, "parent": [0], "slot": [0]}',
+         "'arity'"),
+        (("encode", "--bijection", "seq"), '[{"label": 1, "bundles": 5}]', "'bundles'"),
+        (("encode", "--bijection", "seq"), '[{"label": 1, "bundles": [5]}]', "'bundles'"),
+        (("encode", "--bijection", "bundled"),
+         '{"bundleCount": 2, "parent": [0], "bundle": [0], "posInBundle": [false]}',
+         "'posInBundle'"),
+        (("decode", "--bijection", "ftree"), '{"rootSlotCount": "2", "parent": [0], "slot": [0]}',
+         "'rootSlotCount'"),
     ],
     ids=["ary-no-arity", "seq-no-sequence", "seq-no-bundles", "seq-of-ints", "not-json",
-         "missing-file"],
+         "missing-file", "ary-int-parent", "ary-float-parent", "ary-bool-arity",
+         "seq-int-bundles", "seq-bundle-of-int", "bundled-bool-pos", "ftree-str-root-slots"],
 )
 def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, text, named):
     path = tmp_path / "input.json"
@@ -289,6 +302,8 @@ def test_experiment_comparison_failure_exit_code(capsys):
         (("--statistics", "white", "--compare", "urn_b_blocks"), "urn_b_blocks", "black"),
         # a covariance comparison needs three replicates
         (("--replicates", "2", "--compare", "urn_b_blocks"), "urn_b_blocks", "3 replicates"),
+        (("--compare", "urn_b_blocks", "--se-multiplier", "-1"), "urn_b_blocks", "positive"),
+        (("--compare", "urn_b_blocks", "--se-multiplier", "nan"), "urn_b_blocks", "positive"),
     ],
 )
 def test_experiment_compare_with_missing_columns(capsys, extra, theory, needed):

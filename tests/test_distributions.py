@@ -274,6 +274,18 @@ def test_stick_breaking_structure():
     assert again.components == s.components
 
 
+@pytest.mark.parametrize("k,depth", [(2, 1), (2, 3), (5, 4)])
+def test_stick_breaking_rows_match_step_loop(k, depth):
+    """The vectorised stick breaking gives the level-by-level loop's values
+    exactly, and a single draw is row 0 of a one-row call."""
+    rows = dist._stick_breaking_rows(k, depth, 300, np.random.default_rng(4))
+    loop = oracles.stick_breaking_steps(k, depth, 300, np.random.default_rng(4))
+    assert rows.tobytes() == loop.tobytes()
+    one = dist.stick_breaking_sample(k, depth, seed=9)
+    (row,) = oracles.stick_breaking_steps(k, depth, 1, np.random.default_rng(9))
+    assert one == (tuple(row[:-1]), row[-1])
+
+
 def test_stick_breaking_first_component_mean():
     k = 2
     vals = [dist.stick_breaking_sample(k, 1, seed=s).components[0] for s in range(4000)]

@@ -87,7 +87,7 @@ def test_bytewise_repeatability(generator, n):
 @pytest.mark.parametrize(
     "generator,n",
     [("urn_a", 40), ("urn_c_block", 40), ("block_sizes", 40), ("stick_breaking", 1),
-     ("ary_tree", 10), ("plane_tree", 10)],
+     ("stirling_perm", 10), ("ary_tree", 10), ("plane_tree", 10)],
 )
 def test_thread_count_does_not_change_bytes(generator, n):
     one = run(generator, n, 2, 2048, seed=3, threads=1)

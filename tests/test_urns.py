@@ -249,7 +249,7 @@ def test_sampler_and_nested_urns_agree_two_sample():
     n, k = 6, 2
     direct = Counter()
     for seed in range(4000):
-        sizes = urns.nested_block_urns(k, n, seed)
+        sizes = oracles.nested_block_steps(k, n, np.random.default_rng(seed))
         direct[(sizes[0], len(sizes))] += 1
     arr = urns.sample_block_size_stats(k, n, 4000, np.random.default_rng(7))
     chain = Counter((int(f), int(c)) for f, _, c in arr)
@@ -258,6 +258,29 @@ def test_sampler_and_nested_urns_agree_two_sample():
         [direct.get(s, 0) for s in support], [chain.get(s, 0) for s in support]
     )
     assert pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n,k", [(6, 2), (5, 3)])
+def test_nested_urns_match_step_loop(n, k):
+    """The nested urn levels give the gap-by-gap growth's law of the whole
+    label-ordered block-size tuple."""
+    levels = Counter(urns.nested_block_urns(k, n, seed) for seed in range(4000))
+    rng = np.random.default_rng(1)
+    steps = Counter(oracles.nested_block_steps(k, n, rng) for _ in range(4000))
+    support = sorted(set(levels) | set(steps))
+    _, pvalue = chi_square_two_sample(
+        [levels.get(s, 0) for s in support], [steps.get(s, 0) for s in support]
+    )
+    assert pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n,k", [(2000, 1), (100_000, 2)])
+def test_nested_urns_at_large_order(n, k):
+    sizes = urns.nested_block_urns(k, n, 3)
+    assert sum(sizes) == k * n
+    assert all(s >= k and s % k == 0 for s in sizes)
+    if k == 1:
+        assert sizes == (1,) * n
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
