@@ -20,8 +20,10 @@ Four codecs, all exact inverses of each other on their domains:
   trees <-> modified (k+2)-ary trees whose root has only k slots: the same
   bijection applied to each root bundle, whose tree goes to root slot b.
 
-Both pairs run on one iterative array bijection over a children table
-(``_bundles_to_slots`` and its inverse ``_slots_to_bundles``), so deep and
+The two word decoders read the word once, left to right, with the nesting
+stack that :func:`~stirlperm.perms.validate_word` checks.  The last two
+pairs run on one iterative array bijection over a children table
+(``_bundles_to_slots`` and its inverse ``_slots_to_bundles``).  So deep and
 degenerate trees convert in linear time without recursion.
 
 ``verify_stat_transfer`` exhaustively checks the statistic correspondences
@@ -34,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .perms import (
     GenStirlingPerm,
@@ -86,53 +86,33 @@ def encode_ary_tree(tree: AryIncreasingTree) -> GenStirlingPerm:
     return GenStirlingPerm(tuple(out), uniform_multiplicities(tree.order, k))
 
 
-def _min_tables(values: np.ndarray) -> list[np.ndarray]:
-    """Sparse table of windowed minima for O(1) range-min queries."""
-    tables = [values]
-    half = 1
-    while 2 * half <= len(values):
-        prev = tables[-1]
-        tables.append(np.minimum(prev[: len(prev) - half], prev[half:]))
-        half *= 2
-    return tables
-
-
-def _range_min(tables: list[np.ndarray], lo: int, hi: int) -> int:
-    j = (hi - lo).bit_length() - 1
-    t = tables[j]
-    return int(min(t[lo], t[hi - (1 << j)]))
-
-
 def decode_ary_tree(perm: GenStirlingPerm) -> AryIncreasingTree:
-    """Inverse of :func:`encode_ary_tree`.
+    """Inverse of :func:`encode_ary_tree`, in one stack pass over the word.
 
-    The smallest label of each segment is attached to the current slot and
-    its k occurrences split the segment into k+1 child segments.  Iterative,
-    with an O(1) range-minimum structure, so deep trees decode fine.
+    The stack holds the labels that no smaller label has followed yet, so
+    a label z leaves it when its subtree's code has ended.  z hangs below
+    the label y under it, in the slot after y's occurrences so far, unless
+    the label x that pops z is larger than y: then z is x's slot-1 child.
+    The labels left at the end keep y.  No recursion, so deep trees decode.
     """
     k = perm.uniform_k
     if k is None or perm.order == 0:
         raise InvalidPermutationError("ary decoding needs a non-empty k-Stirling permutation")
     n = perm.order
-    word = perm.word
-    occ: list[list[int]] = [[] for _ in range(n + 1)]
-    for pos, x in enumerate(word):
-        occ[x].append(pos)
-    tables = _min_tables(np.asarray(word, dtype=np.int64))
     parent = [0] * (n + 1)
     slot = [0] * (n + 1)
-    stack: list[tuple[int, int, int, int]] = [(0, len(word), 0, 0)]
-    while stack:
-        lo, hi, par, s = stack.pop()
-        if lo >= hi:
-            continue
-        v = _range_min(tables, lo, hi)
-        parent[v], slot[v] = par, s
-        prev = lo
-        for j, cut in enumerate(occ[v], start=1):
-            stack.append((prev, cut, v, j))
-            prev = cut + 1
-        stack.append((prev, hi, v, k + 1))
+    seen = [0] * (n + 1)
+    stack = [0]
+    for x in perm.word:
+        while stack[-1] > x:
+            z = stack.pop()
+            if x > parent[z]:
+                parent[z], slot[z] = x, 1
+        if not seen[x]:
+            y = stack[-1]
+            parent[x], slot[x] = y, seen[y] + 1 if y else 0
+            stack.append(x)
+        seen[x] += 1
     return AryIncreasingTree(k + 1, tuple(parent[1:]), tuple(slot[1:]))
 
 
@@ -175,11 +155,13 @@ def encode_bundled_tree(tree: BundledIncreasingTree) -> GenStirlingPerm:
 
 
 def decode_bundled_tree(perm: GenStirlingPerm) -> BundledIncreasingTree:
-    """Inverse of :func:`encode_bundled_tree`.
+    """Inverse of :func:`encode_bundled_tree`, in one stack pass over the
+    word with the root at the bottom of the stack.
 
-    Each segment is cut into blocks (full spans of their smallest label);
-    a block's label becomes the next child of the current bundle and the
-    label's inner occurrences split the block into its own bundles.
+    A label's first occurrence makes it the next child of the label on top,
+    in that label's bundle ``seen[top]`` (the occurrences so far, counting
+    one for the root, whose first bundle opens the word); its last
+    occurrence pops it.
     """
     mult = perm.multiplicities
     if not mult or mult[0] < 1:
@@ -190,40 +172,25 @@ def decode_bundled_tree(perm: GenStirlingPerm) -> BundledIncreasingTree:
             f"not a {k}-bundled multiset: expected (k, k+2, ..., k+2), got {mult}"
         )
     n = perm.order
-    m = k + 1
-    word = perm.word
-    occ: list[list[int]] = [[] for _ in range(n + 1)]
-    for pos, x in enumerate(word):
-        occ[x].append(pos)
     parent = [0] * (n + 1)
     bundle = [0] * (n + 1)
     pos_in = [0] * (n + 1)
-    fill: dict[tuple[int, int], int] = {}
-    stack: list[tuple[int, int, int, int]] = []
-
-    def push_segments(node: int, inner_lo: int, inner_hi: int, walls: list[int]) -> None:
-        prev = inner_lo
-        for b, cut in enumerate(walls, start=1):
-            stack.append((prev, cut, node, b))
-            prev = cut + 1
-        stack.append((prev, inner_hi, node, m))
-
-    push_segments(1, 0, len(word), occ[1])
-    while stack:
-        lo, hi, node, b = stack.pop()
-        p = lo
-        while p < hi:
-            u = word[p]
-            last = occ[u][-1]
-            if occ[u][0] != p or last >= hi:
-                raise InvalidPermutationError("word is not a valid bundled code")
-            parent[u] = node
-            bundle[u] = b
-            fill[(node, b)] = fill.get((node, b), 0) + 1
-            pos_in[u] = fill[(node, b)]
-            push_segments(u, p + 1, last, occ[u][1:-1])
-            p = last + 1
-    return BundledIncreasingTree(m, tuple(parent[1:]), tuple(bundle[1:]), tuple(pos_in[1:]))
+    seen = [0] * (n + 1)
+    seen[1] = 1
+    filled = [0] * (n + 1)  # children of v in its current bundle
+    stack = [1]
+    for x in perm.word:
+        if seen[x]:
+            filled[x] = 0
+        else:
+            top = stack[-1]
+            filled[top] += 1
+            parent[x], bundle[x], pos_in[x] = top, seen[top], filled[top]
+            stack.append(x)
+        seen[x] += 1
+        if seen[x] == k + 2:
+            stack.pop()
+    return BundledIncreasingTree(k + 1, tuple(parent[1:]), tuple(bundle[1:]), tuple(pos_in[1:]))
 
 
 # ---------------------------------------------------------------------------

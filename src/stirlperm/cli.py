@@ -100,6 +100,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_sample(args):
+    _require(args.count >= 0, "--count must be >= 0")
     words = []
     for index in range(args.count):
         seed = replicate_stream(args.seed, index)
@@ -241,6 +242,7 @@ def _cmd_pmf(args):
 
 
 def _cmd_moments(args):
+    _require(args.r >= 0, "--r must be >= 0")
     if args.limit:
         values = [
             {"r": r, "value": _dist.zeta_moment(args.k, r)}

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -493,22 +494,13 @@ def _theory_urn_b(spec: ExperimentSpec) -> TheoryTarget:
     )
 
 
-def _theory_first_block(spec: ExperimentSpec) -> TheoryTarget:
+def _theory_first_fraction(name: str, column: str, spec: ExperimentSpec) -> TheoryTarget:
+    """The mean (k-1)/(k+1) of one first-fraction column: the first block's
+    share of the word in the limit, and the first stick-breaking component."""
     k = spec.k
     return TheoryTarget(
-        name="first_block_mean",
-        columns=("firstFraction",),
-        center=(0.0,),
-        scale=1.0,
-        means=((k - 1) / (k + 1),),
-    )
-
-
-def _theory_stick(spec: ExperimentSpec) -> TheoryTarget:
-    k = spec.k
-    return TheoryTarget(
-        name="stick_breaking_mean",
-        columns=("component1",),
+        name=name,
+        columns=(column,),
         center=(0.0,),
         scale=1.0,
         means=((k - 1) / (k + 1),),
@@ -518,8 +510,8 @@ def _theory_stick(spec: ExperimentSpec) -> TheoryTarget:
 THEORIES: dict[str, Callable[[ExperimentSpec], TheoryTarget]] = {
     "urn_a_gaussian": _theory_urn_a,
     "urn_b_blocks": _theory_urn_b,
-    "first_block_mean": _theory_first_block,
-    "stick_breaking_mean": _theory_stick,
+    "first_block_mean": partial(_theory_first_fraction, "first_block_mean", "firstFraction"),
+    "stick_breaking_mean": partial(_theory_first_fraction, "stick_breaking_mean", "component1"),
 }
 
 

@@ -83,45 +83,29 @@ def validate_word(word: Sequence[int], mult: Sequence[int]) -> bool:
     >>> validate_word((2, 1, 2), (1, 2))
     False
     """
-    mult = tuple(mult)
-    if any(m < 1 for m in mult):
+    mult = (0,) + tuple(mult)
+    if any(m < 1 for m in mult[1:]) or len(word) != sum(mult):
         return False
-    n = len(mult)
-    if len(word) != sum(mult):
-        return False
-    counts = [0] * (n + 1)
+    n = len(mult) - 1
+    # One pass with the nesting stack of the labels seen but not yet used up.
+    # A first occurrence must not be smaller than the innermost open label;
+    # every later one must be that label and within its multiplicity.  With
+    # the length right, no count above its multiplicity means every count is.
+    seen = [0] * (n + 1)
+    stack: list[int] = []
     for x in word:
         if not 1 <= x <= n:
             return False
-        counts[x] += 1
-    if counts[1:] != list(mult):
-        return False
-
-    first = [-1] * (n + 1)
-    last = [-1] * (n + 1)
-    for pos, x in enumerate(word):
-        if first[x] < 0:
-            first[x] = pos
-        last[x] = pos
-
-    # Stack of labels whose first occurrence has been seen but whose last is
-    # still ahead.  The nesting property holds iff every opening label exceeds
-    # the innermost open one and every non-opening symbol matches the top.
-    stack: list[int] = []
-    for pos, x in enumerate(word):
-        if first[x] == pos:
+        if not seen[x]:
             if stack and x < stack[-1]:
                 return False
-            if last[x] > pos:
-                stack.append(x)
-        elif last[x] == pos:
-            if not stack or stack[-1] != x:
-                return False
+            stack.append(x)
+        elif seen[x] == mult[x] or stack[-1] != x:
+            return False
+        seen[x] += 1
+        if seen[x] == mult[x]:
             stack.pop()
-        else:
-            if not stack or stack[-1] != x:
-                return False
-    return not stack
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +356,8 @@ def sample_generalized(mult: Sequence[int], seed=None) -> GenStirlingPerm:
 
 
 def sample_k_stirling(n: int, k: int, seed=None) -> GenStirlingPerm:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     grower = k_stirling_grower(k, seed)
     grower.grow_to(n)
     return grower.permutation()

@@ -134,6 +134,74 @@ def bundled_code(tree, v: int = 1):
     return parts
 
 
+def _occurrences(word, n: int) -> list[list[int]]:
+    occ: list[list[int]] = [[] for _ in range(n + 1)]
+    for pos, x in enumerate(word):
+        occ[x].append(pos)
+    return occ
+
+
+def ary_arrays_by_range_min(word, k: int) -> tuple:
+    """``(parent, slot)`` of the ary tree of a k-Stirling permutation, by
+    segments: a segment's smallest label (a sparse-table range-minimum query)
+    hangs in the segment's slot, and its k occurrences cut the segment into
+    its k+1 child segments."""
+    n = max(word)
+    occ = _occurrences(word, n)
+    tables = [np.asarray(word, dtype=np.int64)]
+    half = 1
+    while 2 * half <= len(word):
+        prev = tables[-1]
+        tables.append(np.minimum(prev[: len(prev) - half], prev[half:]))
+        half *= 2
+    parent = [0] * (n + 1)
+    slot = [0] * (n + 1)
+    stack = [(0, len(word), 0, 0)]
+    while stack:
+        lo, hi, par, s = stack.pop()
+        if lo >= hi:
+            continue
+        j = (hi - lo).bit_length() - 1
+        v = int(min(tables[j][lo], tables[j][hi - (1 << j)]))
+        parent[v], slot[v] = par, s
+        prev = lo
+        for i, cut in enumerate(occ[v], start=1):
+            stack.append((prev, cut, v, i))
+            prev = cut + 1
+        stack.append((prev, hi, v, k + 1))
+    return tuple(parent[1:]), tuple(slot[1:])
+
+
+def bundled_arrays_by_segments(word, k: int) -> tuple:
+    """``(parent, bundle, pos_in_bundle)`` of the (k+1)-bundled tree of a
+    k-bundled permutation, by segments: each bundle segment is cut into the
+    full spans of its labels, which become the bundle's children in order,
+    and a child's inner occurrences cut its span into its own bundles."""
+    n = max(word)
+    occ = _occurrences(word, n)
+    parent = [0] * (n + 1)
+    bundle = [0] * (n + 1)
+    pos = [0] * (n + 1)
+    stack: list[tuple[int, int, int, int]] = []
+
+    def push_segments(node: int, lo: int, hi: int, walls: list[int]) -> None:
+        for b, cut in enumerate(walls + [hi], start=1):
+            stack.append((lo, cut, node, b))
+            lo = cut + 1
+
+    push_segments(1, 0, len(word), occ[1])
+    while stack:
+        lo, hi, node, b = stack.pop()
+        q = 0
+        while lo < hi:
+            u = word[lo]
+            q += 1
+            parent[u], bundle[u], pos[u] = node, b, q
+            push_segments(u, lo + 1, occ[u][-1], occ[u][1:-1])
+            lo = occ[u][-1] + 1
+    return tuple(parent[1:]), tuple(bundle[1:]), tuple(pos[1:])
+
+
 def cartesian_node(seq):
     """Recursive form of the sequence bijection, with ``(label, slots)``
     tuples as ary nodes (``None`` for a free slot): the tree of smallest label

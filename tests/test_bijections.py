@@ -321,15 +321,21 @@ def test_codecs_match_cartesian_oracle_on_grown_trees(seed, n, m):
     assert bj.bundled_from_f_tree(ft) == bt
 
 
+def _deep_bundled_tree(name: str) -> trees.BundledIncreasingTree:
+    n = DEEP
+    if name == "chain":
+        return trees.BundledIncreasingTree(2, range(n), [0] + [1] * (n - 1), [0] + [1] * (n - 1))
+    return trees.BundledIncreasingTree(2, [0] + [1] * (n - 1), [0] + [1] * (n - 1), range(n))
+
+
 @pytest.mark.parametrize("name", ["chain", "star"])
 def test_f_tree_codec_round_trips_deep_shapes(name):
     assert sys.getrecursionlimit() < DEEP
     n = DEEP
+    bt = _deep_bundled_tree(name)
     if name == "chain":
-        bt = trees.BundledIncreasingTree(2, range(n), [0] + [1] * (n - 1), [0] + [1] * (n - 1))
         slots = (0, 1) + (2,) * (n - 2)  # bundle 1 of a non-root node is slot 2
     else:
-        bt = trees.BundledIncreasingTree(2, [0] + [1] * (n - 1), [0] + [1] * (n - 1), range(n))
         slots = (0, 1) + (4,) * (n - 2)  # each later sibling in the last slot
     ft = bj.f_tree_from_bundled(bt)
     assert (ft.parent, ft.slot) == (tuple(range(n)), slots)
@@ -337,6 +343,56 @@ def test_f_tree_codec_round_trips_deep_shapes(name):
     node = bj.bundled_subtree_node(bt)
     assert node.labels() == set(range(1, n + 1))
     assert bj.bundled_node_to_tree(node) == bt
+
+
+# ---------------------------------------------------------------------------
+# stack decoders against the segment decoders
+# ---------------------------------------------------------------------------
+
+
+def assert_decoders_match_segment_oracles(word: perms.GenStirlingPerm) -> None:
+    """Decode ``word`` with whichever word codec its multiset fits and compare
+    the arrays with the segment decoder of :mod:`oracles`."""
+    k = word.multiplicities[0]
+    if word.uniform_k is not None:
+        t = bj.decode_ary_tree(word)
+        assert (t.parent, t.slot) == oracles.ary_arrays_by_range_min(word.word, k)
+    if word.order == 1 or word.multiplicities[1] == k + 2:
+        b = bj.decode_bundled_tree(word)
+        expected = oracles.bundled_arrays_by_segments(word.word, k)
+        assert (b.parent, b.bundle, b.pos_in_bundle) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_word_decoders_match_segment_oracles(n, k):
+    for p in perms.enumerate_k_stirling(n, k):
+        assert_decoders_match_segment_oracles(p)
+    for p in perms.enumerate_bundled(n, k):
+        assert_decoders_match_segment_oracles(p)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 200), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_word_decoders_match_segment_oracles_on_grown_trees(seed, n, k):
+    at = trees.grow_ary_tree(k + 1, n, seed)
+    assert_decoders_match_segment_oracles(bj.encode_ary_tree(at))
+    bt = trees.grow_bundled_tree(k + 1, n, seed)
+    assert_decoders_match_segment_oracles(bj.encode_bundled_tree(bt))
+
+
+@pytest.mark.parametrize(
+    "name", ["middle-chain", "flat", "caterpillar", "bundled-chain", "bundled-star"]
+)
+def test_word_decoders_match_segment_oracles_on_deep_shapes(name):
+    if name.startswith("bundled-"):
+        tree = _deep_bundled_tree(name.removeprefix("bundled-"))
+        word, decode = bj.encode_bundled_tree(tree), bj.decode_bundled_tree
+    else:
+        tree = _deep_ary_tree(name)
+        word, decode = bj.encode_ary_tree(tree), bj.decode_ary_tree
+    assert_decoders_match_segment_oracles(word)
+    assert decode(word) == tree
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,29 @@ def test_sample_is_deterministic(capsys):
     assert len(words) == 3 and len(set(words)) > 1
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("sample", "--n", "-3", "--seed", "1"), "n must be >= 0"),
+        (("sample", "--n", "2", "--seed", "1", "--count", "-2"), "--count"),
+        (("moments", "--r", "-1"), "--r"),
+        (("moments", "--r", "-1", "--limit"), "--r"),
+    ],
+    ids=["sample-negative-n", "sample-negative-count", "moments-negative-r",
+         "moments-limit-negative-r"],
+)
+def test_out_of_range_argument_is_one_error_line(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_sample_order_zero_is_one_empty_word(capsys):
+    payload = run_json(capsys, "sample", "--n", "0", "--seed", "1")
+    assert payload["words"] == [""]
+
+
 def test_stats_worked_example(capsys):
     payload = run_json(capsys, "stats", "112233321")
     stats = payload["statistics"]

@@ -3,6 +3,7 @@ word statistics, all cross-checked against the definition-level oracles."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -38,6 +39,20 @@ SMALL_MULTISETS = [
 def test_validate_word_matches_definition(mult):
     for word in oracles.multiset_words(mult):
         assert perms.validate_word(word, mult) == oracles.is_stirling(word)
+
+
+@pytest.mark.parametrize(
+    "mult", [m for m in SMALL_MULTISETS if (len(m) + 2) ** (sum(m) + 1) <= 10**5]
+)
+def test_validate_word_matches_definition_on_every_short_word(mult):
+    """Every word over the labels 0..n+1 with up to one letter more than the
+    multiset: wrong counts, out-of-range labels and wrong lengths included."""
+    n = len(mult)
+    multiset = Counter({label: m for label, m in enumerate(mult, start=1)})
+    for length in range(sum(mult) + 2):
+        for word in itertools.product(range(n + 2), repeat=length):
+            expected = Counter(word) == multiset and oracles.is_stirling(word)
+            assert perms.validate_word(word, mult) == expected, word
 
 
 def test_validate_word_rejects_wrong_multiset():
