@@ -421,44 +421,13 @@ def bundled_from_f_tree(ftree: FIncreasingTree) -> BundledIncreasingTree:
 
 def enumerate_bundled_sequences(n: int, bundle_count: int) -> Iterator[tuple[BundledNode, ...]]:
     """All sequences of ``bundle_count``-bundled increasing trees whose label
-    sets partition 1..n.  Exponential; intended for small n."""
+    sets partition 1..n, once each: the images under :func:`ary_tree_to_seq`
+    of the ``(bundle_count + 2)``-ary increasing trees of order n, in the
+    order of their (parent, slot) arrays."""
     if n < 1 or bundle_count < 1:
         raise ValueError("need n >= 1 and bundle_count >= 1")
-    m = bundle_count
-
-    def subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        for mask in range(1 << len(items)):
-            yield tuple(x for i, x in enumerate(items) if mask >> i & 1)
-
-    def sequences(labels: tuple[int, ...]) -> Iterator[tuple[BundledNode, ...]]:
-        if not labels:
-            yield ()
-            return
-        for first_set in subsets(labels):
-            if not first_set:
-                continue
-            rest = tuple(x for x in labels if x not in first_set)
-            for tree in trees_on(first_set):
-                for tail in sequences(rest):
-                    yield (tree,) + tail
-
-    def bundle_tuples(labels: tuple[int, ...], slots: int) -> Iterator[tuple]:
-        if slots == 1:
-            for seq in sequences(labels):
-                yield (seq,)
-            return
-        for first_set in subsets(labels):
-            rest = tuple(x for x in labels if x not in first_set)
-            for seq in sequences(first_set):
-                for tail in bundle_tuples(rest, slots - 1):
-                    yield (seq,) + tail
-
-    def trees_on(labels: tuple[int, ...]) -> Iterator[BundledNode]:
-        root, rest = labels[0], labels[1:]  # labels sorted ascending: root = min
-        for bundles in bundle_tuples(rest, m):
-            yield BundledNode(root, bundles)
-
-    yield from sequences(tuple(range(1, n + 1)))
+    for tree in enumerate_ary_trees(n, bundle_count + 2):
+        yield ary_tree_to_seq(tree)
 
 
 def enumerate_f_trees(n: int, root_slot_count: int) -> Iterator[FIncreasingTree]:

@@ -244,6 +244,7 @@ def _cmd_pmf(args):
 def _cmd_moments(args):
     _require(args.r >= 0, "--r must be >= 0")
     if args.limit:
+        _require(args.r >= 1, "--r must be >= 1 with --limit")
         values = [
             {"r": r, "value": _dist.zeta_moment(args.k, r)}
             for r in range(1, args.r + 1)

@@ -8,12 +8,15 @@ outside its m blocks open a new block.  The PMF is a dynamic program over
 those gaps; the binomial moments and the martingale prefactor are ratios of
 products over the gap counts.  The limit quantities (moments and density of
 the scaled block count, stick-breaking law of the scaled block sizes) are
-floating point.
+floating point, except the exact covariance of the Gaussian limit of the
+(ascents, descents, plateaux) vector, which is read off the fixed-addition
+urn of :mod:`stirlperm.urns`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -21,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import as_generator
+from .urns import fixed_addition_covariance
 
 
 class ConvergenceError(ArithmeticError):
@@ -232,6 +236,10 @@ def zeta_moment(k: int, r: float) -> float:
     )
 
 
+# natural log of the largest finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 class DensityValue(NamedTuple):
     value: float
     error_estimate: float
@@ -250,7 +258,8 @@ def zeta_density(k: int, x: float, term_cap: int = 500) -> DensityValue:
     alternating terms grow huge before decaying and the cancellation bound
     can dwarf the returned value, so callers should trust the result only
     when ``error_estimate`` is small relative to it.  Raises
-    :class:`ConvergenceError` if the term cap is hit first.
+    :class:`ConvergenceError` if the term cap is hit first, or if a term
+    is too large for a float.
     """
     if k < 2:
         raise ValueError("the series form of the density needs k >= 2")
@@ -264,7 +273,12 @@ def zeta_density(k: int, x: float, term_cap: int = 500) -> DensityValue:
     log_x = math.log(x)
 
     def magnitude(j: int) -> float:
-        return math.exp(math.lgamma(j / k + 1) - math.lgamma(j + 1) + j * log_x)
+        log_mag = math.lgamma(j / k + 1) - math.lgamma(j + 1) + j * log_x
+        if log_mag > _LOG_FLOAT_MAX:
+            raise ConvergenceError(
+                f"density series term {j} at x={x} is too large for floating point"
+            )
+        return math.exp(log_mag)
 
     total = 0.0
     absolute = 0.0
@@ -276,8 +290,12 @@ def zeta_density(k: int, x: float, term_cap: int = 500) -> DensityValue:
         total += (-1) ** (j - 1) * sine * mag
         absolute += mag
         if j > 1 and mag <= 1e-15 * abs(total):
-            error = magnitude(j + 1) + 1e-14 * absolute
-            return DensityValue(prefactor * total, prefactor * error)
+            error = prefactor * (magnitude(j + 1) + 1e-14 * absolute)
+            if math.isinf(error):
+                raise ConvergenceError(
+                    f"density series terms at x={x} sum beyond floating point"
+                )
+            return DensityValue(prefactor * total, error)
     raise ConvergenceError(
         f"density series did not reach tolerance within {term_cap} terms at x={x}"
     )
@@ -325,20 +343,13 @@ def _stick_breaking_rows(k: int, depth: int, count: int, rng) -> np.ndarray:
 def tnormal_covariance(k: int) -> tuple[tuple[Fraction, ...], ...]:
     """Exact covariance matrix of the Gaussian limit of the centered and
     scaled (ascents, descents, plateaux) vector of a random k-Stirling
-    permutation, in that row order.
+    permutation, in that row order: the limit of the fixed-addition urn
+    with ``s = (1, 1, k-1)``, because inserting ``v^k`` into a gap removes
+    that gap and adds one ascent, one descent and ``k-1`` plateaux.
 
     >>> tnormal_covariance(2)[0]
     (Fraction(1, 9), Fraction(-1, 18), Fraction(-1, 18))
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    den = (k + 1) ** 2 * (k + 2)
-    var_xy = Fraction(k * k, den)
-    cov_xy = Fraction(-k, den)
-    cov_xz = Fraction(-k * (k - 1), den)
-    var_z = Fraction(2 * k * (k - 1), den)
-    return (
-        (var_xy, cov_xy, cov_xz),
-        (cov_xy, var_xy, cov_xz),
-        (cov_xz, cov_xz, var_z),
-    )
+    return fixed_addition_covariance((1, 1, k - 1)).covariance

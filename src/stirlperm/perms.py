@@ -510,10 +510,6 @@ class BlockDecomposition:
     sizes_descending: tuple[int, ...]
     count: int
 
-    @property
-    def blocks_by_position(self) -> tuple[BlockSpan, ...]:
-        return tuple(sorted(self.blocks_by_label, key=lambda b: b.start))
-
     def to_json_dict(self) -> dict:
         return {
             "count": self.count,

@@ -17,7 +17,9 @@ Three concrete shapes appear throughout:
 Weighted plane trees and uniform bundled trees grow through one grower: a
 node of out-degree d is picked with weight ``a + b*d``, then one of its
 ``m + d`` bundle gaps uniformly (``m = 1``, ``a/b = alpha`` for plane trees;
-``a = m``, ``b = 1`` for m-bundled trees).
+``a = m``, ``b = 1`` for m-bundled trees).  The node is drawn from a token
+list in which it appears ``a + b*d`` times, as ``grow_ary_tree`` draws from
+its list of free slots, so growth takes linear time.
 """
 
 from __future__ import annotations
@@ -509,18 +511,13 @@ def grow_ary_tree(arity: int, n: int, seed=None) -> AryIncreasingTree:
 def _grow_bundles(m: int, a: int, b: int, n: int, rng) -> list[list[list[int]]]:
     """Grow an increasing tree of order n whose nodes carry ``m`` ordered
     bundles: each new node picks a node v with weight ``a + b*deg(v)``, then
-    one of the ``m + deg(v)`` gaps of v's bundles uniformly.  Returns
-    ``bundles[v-1][j]``, the children of v in bundle j+1."""
+    one of the ``m + deg(v)`` gaps of v's bundles uniformly.  The node is a
+    uniform entry of a token list in which v appears ``a + b*deg(v)``
+    times.  Returns ``bundles[v-1][j]``, the children of v in bundle j+1."""
     bundles: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(n)]
-    weight = [a] * n
+    tokens = [0] * a
     for v in range(2, n + 1):
-        order = v - 1
-        u = int(rng.integers(0, a * order + b * (order - 1)))
-        node = 0
-        acc = weight[0]
-        while u >= acc:
-            node += 1
-            acc += weight[node]
+        node = tokens[int(rng.integers(0, len(tokens)))]
         row = bundles[node]
         gap = int(rng.integers(0, m + sum(map(len, row))))
         for seq in row:
@@ -528,7 +525,7 @@ def _grow_bundles(m: int, a: int, b: int, n: int, rng) -> list[list[list[int]]]:
                 seq.insert(gap, v)
                 break
             gap -= len(seq) + 1
-        weight[node] += b
+        tokens += [node] * b + [v - 1] * a
     return bundles
 
 

@@ -20,9 +20,13 @@ marginal: ``nested_block_urns`` lists the levels of one permutation,
 ``sample_block_size_stats`` folds those of many, and the harness reads urn
 B (the level count) and urn C (the first level) off the same levels.
 
-``urn_a_covariance`` / ``fixed_addition_covariance`` return the exact
-covariance matrices of the Gaussian limits together with the per-step
-centering rates, as rationals.
+``fixed_addition_covariance`` returns the exact covariance matrix of the
+Gaussian limit of a fixed-addition urn together with its per-step centering
+rates, as rationals.  It is the one formula for every such limit: urn A is
+the case ``s = (1,)*q`` (``urn_a_covariance``), and the (ascents, descents,
+plateaux) limit of :func:`stirlperm.distributions.tnormal_covariance` is
+``s = (1, 1, k-1)``, since inserting ``v^k`` into a gap removes that gap
+and adds one ascent, one descent and ``k-1`` plateaux.
 """
 
 from __future__ import annotations
@@ -214,39 +218,32 @@ class UrnGaussianLimit:
 
 def urn_a_covariance(q: int) -> UrnGaussianLimit:
     """Limit of the symmetric draw-and-discard urn with ``q >= 2`` colours:
-    covariance ``(q-1)(q*delta_ij - 1) / (q^2 (q+1))``, centering ``(q-1)/q``.
+    the fixed-addition urn with ``s = (1,)*q``, so covariance ``(q-1)(q
+    delta_ij - 1) / (q^2 (q+1))`` and centering ``(q-1)/q``.
 
     >>> urn_a_covariance(3).covariance[0][:2]
     (Fraction(1, 9), Fraction(-1, 18))
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    cov = tuple(
-        tuple(
-            Fraction((q - 1) * ((q if i == j else 0) - 1), q * q * (q + 1))
-            for j in range(q)
-        )
-        for i in range(q)
-    )
-    return UrnGaussianLimit(cov, (Fraction(q - 1, q),) * q)
+    return fixed_addition_covariance((1,) * q)
 
 
 def fixed_addition_covariance(s: Sequence[int]) -> UrnGaussianLimit:
     """Limit of the fixed-addition urn: with ``S = sum(s)``, covariance
-    ``((S-1)/(S+1)) * (s_i delta_ij / S - s_i s_j / S^2)`` and centering
+    ``(S-1)(s_i S delta_ij - s_i s_j) / ((S+1) S^2)`` and centering
     ``s_i (S-1)/S``."""
     s = tuple(int(x) for x in s)
     total = sum(s)
     if any(x < 0 for x in s) or total < 2:
         raise ValueError("need s_i >= 0 and sum(s) >= 2")
-    q = len(s)
-    factor = Fraction(total - 1, total + 1)
+    den = (total + 1) * total * total
     cov = tuple(
         tuple(
-            factor * (Fraction(s[i], total) * (1 if i == j else 0) - Fraction(s[i] * s[j], total * total))
-            for j in range(q)
+            Fraction((total - 1) * (si * total * (i == j) - si * sj), den)
+            for j, sj in enumerate(s)
         )
-        for i in range(q)
+        for i, si in enumerate(s)
     )
     centering = tuple(Fraction(x * (total - 1), total) for x in s)
     return UrnGaussianLimit(cov, centering)

@@ -466,3 +466,99 @@ def stick_breaking_steps(k: int, depth: int, count: int, rng) -> np.ndarray:
         stick = stick * (1.0 - betas[:, m])
     out[:, depth] = stick
     return out
+
+
+def urn_a_covariance_closed_form(q: int) -> tuple[tuple, tuple]:
+    """Covariance and centering of the Gaussian limit of the symmetric urn
+    on q colours: ``(q-1)(q delta_ij - 1) / (q^2 (q+1))`` and ``(q-1)/q``."""
+    cov = tuple(
+        tuple(
+            Fraction((q - 1) * ((q if i == j else 0) - 1), q * q * (q + 1))
+            for j in range(q)
+        )
+        for i in range(q)
+    )
+    return cov, (Fraction(q - 1, q),) * q
+
+
+def tnormal_covariance_closed_form(k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Limit covariance of (ascents, descents, plateaux) of a random
+    k-Stirling permutation, entry by entry over ``(k+1)^2 (k+2)``."""
+    den = (k + 1) ** 2 * (k + 2)
+    var_xy = Fraction(k * k, den)
+    cov_xy = Fraction(-k, den)
+    cov_xz = Fraction(-k * (k - 1), den)
+    var_z = Fraction(2 * k * (k - 1), den)
+    return (
+        (var_xy, cov_xy, cov_xz),
+        (cov_xy, var_xy, cov_xz),
+        (cov_xz, cov_xz, var_z),
+    )
+
+
+def bundled_sequences(n: int, m: int):
+    """All sequences of m-bundled increasing trees whose label sets
+    partition 1..n, by splitting label sets recursively: a sequence is a
+    first tree on any non-empty subset and a sequence on the rest; a tree is
+    its smallest label with its other labels split over m bundles, each a
+    sequence."""
+
+    def subsets(items):
+        for mask in range(1 << len(items)):
+            yield tuple(x for i, x in enumerate(items) if mask >> i & 1)
+
+    def sequences(labels):
+        if not labels:
+            yield ()
+            return
+        for first_set in subsets(labels):
+            if not first_set:
+                continue
+            rest = tuple(x for x in labels if x not in first_set)
+            for tree in trees_on(first_set):
+                for tail in sequences(rest):
+                    yield (tree,) + tail
+
+    def bundle_tuples(labels, slots):
+        if slots == 1:
+            for seq in sequences(labels):
+                yield (seq,)
+            return
+        for first_set in subsets(labels):
+            rest = tuple(x for x in labels if x not in first_set)
+            for seq in sequences(first_set):
+                for tail in bundle_tuples(rest, slots - 1):
+                    yield (seq,) + tail
+
+    def trees_on(labels):
+        root, rest = labels[0], labels[1:]  # labels sorted ascending: root = min
+        for bundles in bundle_tuples(rest, m):
+            yield BundledNode(root, bundles)
+
+    yield from sequences(tuple(range(1, n + 1)))
+
+
+def grow_bundles_scan(m: int, a: int, b: int, n: int, rng) -> list[list[list[int]]]:
+    """Bundled growth with the node found by scanning the cumulative node
+    weights ``a + b*deg(v)`` for one uniform integer below their total, then
+    one of the ``m + deg(v)`` bundle gaps uniformly; ``bundles[v-1][j]`` are
+    the children of v in bundle j+1."""
+    bundles = [[[] for _ in range(m)] for _ in range(n)]
+    weight = [a] * n
+    for v in range(2, n + 1):
+        order = v - 1
+        u = int(rng.integers(0, a * order + b * (order - 1)))
+        node = 0
+        acc = weight[0]
+        while u >= acc:
+            node += 1
+            acc += weight[node]
+        row = bundles[node]
+        gap = int(rng.integers(0, m + sum(map(len, row))))
+        for seq in row:
+            if gap <= len(seq):
+                seq.insert(gap, v)
+                break
+            gap -= len(seq) + 1
+        weight[node] += b
+    return bundles

@@ -143,7 +143,7 @@ def test_bundled_decode_rejects_wrong_multiset():
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
 def test_seq_bijection_roundtrip_and_count(n, m):
-    seqs = list(bj.enumerate_bundled_sequences(n, m))
+    seqs = list(oracles.bundled_sequences(n, m))
     image = set()
     for seq in seqs:
         t = bj.seq_to_ary_tree(seq)
@@ -155,8 +155,16 @@ def test_seq_bijection_roundtrip_and_count(n, m):
 
 
 def test_seq_bijection_image_is_all_trees():
-    got = {bj.seq_to_ary_tree(s) for s in bj.enumerate_bundled_sequences(3, 1)}
+    got = {bj.seq_to_ary_tree(s) for s in oracles.bundled_sequences(3, 1)}
     assert got == set(trees.enumerate_ary_trees(3, 3))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerated_sequences_match_recursive_oracle(n, m):
+    listed = list(bj.enumerate_bundled_sequences(n, m))
+    assert len(listed) == len(set(listed)) == perms.count_k_stirling(n, m + 1)
+    assert set(listed) == set(oracles.bundled_sequences(n, m))
 
 
 def test_bundled_node_json_roundtrip():
@@ -204,7 +212,7 @@ def shape(seq):
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_seq_codec_matches_cartesian_oracle(n, m):
-    for seq in bj.enumerate_bundled_sequences(n, m):
+    for seq in oracles.bundled_sequences(n, m):
         t = bj.seq_to_ary_tree(seq)
         assert (t.arity, t.parent, t.slot) == oracles.seq_to_ary_arrays(seq)
     for t in trees.enumerate_ary_trees(n, m + 2):

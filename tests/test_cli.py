@@ -90,9 +90,11 @@ def test_sample_is_deterministic(capsys):
         (("sample", "--n", "2", "--seed", "1", "--count", "-2"), "--count"),
         (("moments", "--r", "-1"), "--r"),
         (("moments", "--r", "-1", "--limit"), "--r"),
+        (("moments", "--r", "0", "--limit"), "--r must be >= 1 with --limit"),
+        (("density", "--k", "2", "--x", "1000"), "x=1000.0"),
     ],
     ids=["sample-negative-n", "sample-negative-count", "moments-negative-r",
-         "moments-limit-negative-r"],
+         "moments-limit-negative-r", "moments-limit-zero-r", "density-beyond-float-range"],
 )
 def test_out_of_range_argument_is_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)

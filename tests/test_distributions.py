@@ -251,6 +251,16 @@ def test_zeta_density_edge_cases():
         dist.zeta_density(1, 1.0)
 
 
+@pytest.mark.parametrize(
+    "k,x,term_cap", [(2, 1000.0, 500), (3, 200.0, 500), (5, 1000.0, 500), (3, 150.0, 2000)]
+)
+def test_zeta_density_beyond_float_range_is_convergence_error(k, x, term_cap):
+    # a term (or the sum of term magnitudes) too large for a float is a
+    # failure to converge, not an OverflowError or an infinite error estimate
+    with pytest.raises(dist.ConvergenceError, match="floating point"):
+        dist.zeta_density(k, x, term_cap=term_cap)
+
+
 def test_zeta_density_error_estimate_flags_cancellation():
     # at x = 10 (k = 2) the alternating series loses all significant digits;
     # the estimate must not pretend otherwise
@@ -331,3 +341,11 @@ def test_tnormal_variance_entries():
         m = dist.tnormal_covariance(k)
         assert m[0][0] == Fraction(k * k, den)
         assert m[2][2] == Fraction(2 * k * (k - 1), den)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_tnormal_covariance_matches_closed_form_oracle(k):
+    got = dist.tnormal_covariance(k)
+    want = oracles.tnormal_covariance_closed_form(k)
+    assert got == want
+    assert [[str(x) for x in row] for row in got] == [[str(x) for x in row] for row in want]

@@ -11,7 +11,8 @@ import pytest
 
 import oracles
 from stirlperm import distributions as dist
-from stirlperm import harness
+from stirlperm import harness, trees
+from stirlperm._rng import chunk_stream
 
 
 def run(generator, n, k, replicates, seed=0, statistics=None, threads=1):
@@ -152,6 +153,18 @@ def test_ary_tree_rows_conserve_slots():
     slots = sum(res.column(f"exterior{j}") for j in range(1, k + 2))
     assert (slots == k * n + 1).all()
     assert (res.column("leaves") >= 1).all() and (res.column("leaves") <= n).all()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_plane_tree_rows_match_grown_trees(k):
+    """Each row is (leaves, root degree) of the tree grown from the chunk's
+    stream, recomputed with ``leaves()`` and the root's bundle."""
+    n, seed = 12, 5
+    res = run("plane_tree", n, k, 200, seed=seed)
+    rng = chunk_stream(seed, 0)
+    grown = [trees.grow_plane_tree(trees.k_plane_family(k), n, rng) for _ in range(200)]
+    want = [(t.leaves(), len(t.bundles_of(1)[0])) for t in grown]
+    assert res.matrix.tolist() == [list(map(float, row)) for row in want]
 
 
 def test_stick_breaking_rows_sum_to_one():

@@ -7,13 +7,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from stirlperm import perms, trees
-from stirlperm.harness import chi_square_gof
+from stirlperm.harness import chi_square_gof, chi_square_two_sample
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +292,36 @@ def test_grow_plane_tree_weight_proportional_chi_square():
     _, pvalue = chi_square_gof(observed, [w / total for w in weights])
     assert pvalue > 1e-3
     assert sum(observed) == 6000
+
+
+@pytest.mark.parametrize(
+    "grow,m,a,b",
+    [
+        (partial(trees.grow_plane_tree, trees.k_plane_family(2)), 1, 1, 1),
+        (partial(trees.grow_plane_tree, trees.k_plane_family(3)), 1, 1, 2),
+        (partial(trees.grow_bundled_tree, 2), 2, 2, 1),
+    ],
+    ids=["plane-2", "plane-3", "bundled-2"],
+)
+def test_token_growth_matches_weight_scan_oracle(grow, m, a, b):
+    """The token-list grower and the cumulative weight scan give the same
+    law on order-4 shapes (two-sample chi-square)."""
+    n, draws = 4, 8000
+    rng = np.random.default_rng(11)
+    tokens = Counter(
+        tuple(t.bundles_of(v) for v in range(1, n + 1))
+        for t in (grow(n, rng) for _ in range(draws))
+    )
+    rng = np.random.default_rng(12)
+    scan = Counter(
+        tuple(tuple(map(tuple, row)) for row in oracles.grow_bundles_scan(m, a, b, n, rng))
+        for _ in range(draws)
+    )
+    support = sorted(set(tokens) | set(scan))
+    _, pvalue = chi_square_two_sample(
+        [tokens.get(s, 0) for s in support], [scan.get(s, 0) for s in support]
+    )
+    assert pvalue > 1e-3
 
 
 def test_grow_random_dispatch():

@@ -204,6 +204,17 @@ def test_fixed_addition_covariance_rows_sum_to_zero(s):
     assert lim.centering == tuple(Fraction(x * (sum(s) - 1), sum(s)) for x in s)
 
 
+@pytest.mark.parametrize("q", range(2, 13))
+def test_urn_a_covariance_matches_closed_form_oracle(q):
+    lim = urns.urn_a_covariance(q)
+    cov, centering = oracles.urn_a_covariance_closed_form(q)
+    assert (lim.covariance, lim.centering) == (cov, centering)
+    assert [[str(x) for x in row] for row in lim.covariance] == [
+        [str(x) for x in row] for row in cov
+    ]
+    assert [str(x) for x in lim.centering] == [str(x) for x in centering]
+
+
 # ---------------------------------------------------------------------------
 # nested urns and the vectorized block-size sampler
 # ---------------------------------------------------------------------------
