@@ -527,6 +527,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        # sample, urn and experiment take a seed; numpy's own message for a
+        # negative one does not name the option
+        _require(getattr(args, "seed", 0) >= 0, "--seed must be >= 0")
         payload, table, exit_code = args.handler(args)
     except _DOMAIN_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")

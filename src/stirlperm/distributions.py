@@ -28,7 +28,12 @@ from .urns import fixed_addition_covariance
 
 
 class ConvergenceError(ArithmeticError):
-    """Series failed to reach the stopping tolerance within the term cap."""
+    """Series failed to reach the stopping tolerance within the term cap, or
+    a limit value is too large for floating point."""
+
+
+# natural log of the largest finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def rational_binomial(a, n: int) -> Fraction:
@@ -231,13 +236,10 @@ def zeta_moment(k: int, r: float) -> float:
         raise ValueError("k must be >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
-    return math.exp(
-        math.lgamma(r + 2) + math.lgamma(1 + 1 / k) - math.lgamma(1 + (r + 1) / k)
-    )
-
-
-# natural log of the largest finite float
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+    log_moment = math.lgamma(r + 2) + math.lgamma(1 + 1 / k) - math.lgamma(1 + (r + 1) / k)
+    if log_moment > _LOG_FLOAT_MAX:
+        raise ConvergenceError(f"E zeta^{r} at k={k} is too large for floating point")
+    return math.exp(log_moment)
 
 
 class DensityValue(NamedTuple):

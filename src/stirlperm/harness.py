@@ -3,10 +3,14 @@ runs, and comparison of empirical summaries against exact or limit values.
 
 Determinism contract: an experiment is a preallocated replicate-by-statistic
 matrix filled in fixed chunks of :data:`REPLICATE_CHUNK` rows.  Every
-generator is a chunk kernel that draws from one stream per chunk (the
-per-row generators ``stirling_perm``, ``ary_tree`` and ``plane_tree`` grow
-their rows one after another from it), so the matrix is byte-identical for
-any thread count.
+generator is a chunk kernel that draws from one stream per chunk, so the
+matrix is byte-identical for any thread count.
+
+``stirling_perm``, ``ary_tree`` and ``plane_tree`` grow all rows of a chunk
+together as urns over gap or slot classes: each growth step picks a class by
+its count (or weight) and changes the class counts by a fixed rule, which is
+exact in law.  Each step draws a full chunk width of integers and row i uses
+the i-th, so a row is the same whatever the number of rows in its chunk.
 
 The block-law generators ``urn_b``, ``urn_c_block`` and ``block_sizes`` all
 read the nested Polya urn levels of :mod:`stirlperm.urns` rather than
@@ -26,8 +30,6 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from . import distributions as _dist
-from . import perms as _perms
-from . import trees as _trees
 from ._rng import as_generator  # noqa: F401  (bench/run.py records its bit generator)
 from ._rng import chunk_stream
 from .urns import _block_levels, sample_block_size_stats, urn_a_covariance
@@ -103,39 +105,122 @@ def _stick_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
     return _dist._stick_breaking_rows(k, STICK_DEPTH, count, rng)
 
 
-def _stirling_row(n: int, k: int, rng) -> tuple[float, ...]:
-    grower = _perms.k_stirling_grower(k, rng)
-    grower.grow_to(n)
-    perm = grower.permutation()
-    profile = _perms.stat_profile(perm)
-    blocks = _perms.block_decomposition(perm)
-    return (
-        float(profile.ascents),
-        float(profile.descents),
-        float(profile.plateaux),
-        float(blocks.count),
-        float(blocks.sizes_by_label[0]),
-        float(blocks.sizes_descending[0]),
-    )
+def _stirling_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
+    """Gap-class urn of a random k-Stirling permutation of order n.
+
+    Inserting the run ``v^k`` into a gap of type t (ascent, descent or
+    plateau) replaces it by one ascent, k-1 plateaux and one descent, so only
+    the class of the gap matters.  Class 0 holds the boundary gaps between
+    blocks and at the borders (ascents and descents only); class b >= 1 holds
+    the gaps inside block b, in the order the blocks were opened.  A boundary
+    gap opens a new block of k-1 inner plateaux; an inner gap grows its block
+    by k.  One uniform gap per row picks the class by the class gap counts and
+    the type by its offset inside the class.  At k = 1 no block has an inner
+    gap, every insertion opens a block and class 0 is all there is.
+    """
+    rows = np.arange(count)
+    width = 4 if k > 1 else 1
+    # gaps[:, r, c] = (gaps, ascents, descents) of class c in row r; the
+    # rest of a class's gaps are plateaux
+    gaps = np.zeros((3, count, width), dtype=np.int64)
+    gaps[:, :, 0] = np.array([[2], [1], [1]])
+    if k > 1:
+        gaps[0, :, 1] = k - 1
+    sizes, ascents, descents = gaps.reshape(3, -1)
+    blocks = np.ones(count, dtype=np.int64)
+    at = rows  # at k = 1 every gap is in class 0 and the width stays 1
+    for t in range(1, n):
+        u = rng.integers(0, k * t + 1, size=REPLICATE_CHUNK)[:count]
+        offset = u
+        if k > 1:
+            used = int(blocks.max()) + 1
+            if used == width:
+                gaps = np.concatenate([gaps, np.zeros_like(gaps)], axis=2)
+                sizes, ascents, descents = gaps.reshape(3, -1)
+                width *= 2
+            cum = np.cumsum(gaps[0, :, :used], axis=1)
+            cls = (u[:, None] >= cum).sum(axis=1)
+            at = rows * width + cls
+            size = sizes[at]
+            offset = u - cum.reshape(-1)[rows * used + cls] + size
+        a, d = ascents[at], descents[at]
+        ascent = offset < a
+        ascents[at] = a + ~ascent
+        descents[at] = d + (ascent | (offset >= a + d))
+        if k > 1:
+            inner = cls > 0
+            sizes[at] = size + np.where(inner, k, 1)
+            opened = rows[~inner]
+            blocks[opened] += 1
+            sizes[opened * width + blocks[opened]] = k - 1
+    asc = gaps[1].sum(axis=1)
+    desc = gaps[2].sum(axis=1)
+    if k == 1:
+        blocks[:] = n
+        first = largest = np.ones(count, dtype=np.int64)
+    else:
+        first = gaps[0, :, 1] + 1
+        largest = gaps[0, :, 1:].max(axis=1) + 1
+    return np.stack(
+        [asc, desc, k * n + 1 - asc - desc, blocks, first, largest], axis=1
+    ).astype(np.float64)
 
 
-def _ary_row(n: int, k: int, rng) -> tuple[float, ...]:
-    tree = _trees.grow_ary_tree(k + 1, n, rng)
-    st = _trees.ary_stats(tree)
-    return tuple(float(v) for v in st.exterior_by_slot) + (
-        float(st.left_right),
-        float(st.leaves),
-    )
+def _ary_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
+    """Slot-class urn of a random (k+1)-ary increasing tree of order n.
+
+    Row r's free (j+1)-slots whose parent is (not) a leaf and is (not)
+    left-right are counted in class ``4j + 2*leaf + lr``.  Each step takes
+    one free slot uniformly; a leaf parent stops being a leaf, so its other
+    slots move to the non-leaf class; the new node brings k+1 leaf slots and
+    is left-right iff its parent is and the slot is an extreme one.
+    """
+    d = k + 1
+    free = np.zeros((count, d, 2, 2), dtype=np.int64)
+    free[:, :, 1, 1] = 1
+    table = free.reshape(count, 4 * d)
+    flat = free.reshape(-1)
+    base = np.arange(count) * (4 * d)
+    slots = np.arange(0, 4 * d, 4)  # class (j, non-leaf, not left-right) of each slot j
+    left_right = np.ones(count, dtype=np.int64)
+    for t in range(1, n):
+        u = rng.integers(0, d + (t - 1) * (d - 1), size=REPLICATE_CHUNK)[:count]
+        cls = (u[:, None] >= np.cumsum(table, axis=1)).sum(axis=1)
+        j, leaf, lr = cls >> 2, (cls >> 1) & 1, cls & 1
+        # take the slot from the non-leaf class; a leaf parent first moves
+        # all of its slots there
+        flat[base + (cls & ~2)] -= 1
+        parent = (base + lr)[:, None] + slots
+        flat[parent + 2] -= leaf[:, None]
+        flat[parent] += leaf[:, None]
+        new_lr = lr & ((j == 0) | (j == d - 1))
+        flat[(base + 2 + new_lr)[:, None] + slots] += 1
+        left_right += new_lr
+    exterior = free.sum(axis=(2, 3))
+    leaves = free[:, 0, 1].sum(axis=1)
+    return np.column_stack([exterior, left_right, leaves]).astype(np.float64)
 
 
-def _plane_row(n: int, k: int, rng) -> tuple[float, ...]:
-    degrees = _trees.grow_plane_tree(_trees.k_plane_family(k), n, rng).degrees()
-    return (float(degrees.count(0)), float(degrees[0]))
+def _plane_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
+    """Weight-class urn of a random k-plane recursive tree of order n.
 
-
-def _rows(row_kernel: Callable) -> Callable:
-    """Chunk kernel that grows its rows one after another from the chunk's stream."""
-    return lambda n, k, count, rng: np.array([row_kernel(n, k, rng) for _ in range(count)])
+    A node of degree d attracts the new node with weight 1 + (k-1)d.  The
+    classes are the root, the non-root leaves (weight 1 each) and the other
+    nodes; only (leaves, root degree) is kept.  The new node is a leaf, and
+    the chosen node stops being one if it was.
+    """
+    leaves = np.ones(count, dtype=np.int64)
+    root = np.zeros(count, dtype=np.int64)
+    for t in range(1, n):
+        u = rng.integers(0, t + (k - 1) * (t - 1), size=REPLICATE_CHUNK)[:count]
+        root_weight = 1 + (k - 1) * root
+        root_leaf = root == 0
+        at_root = u < root_weight
+        at_leaf = ~at_root & (u < root_weight + leaves - root_leaf)
+        leaves += 1
+        leaves -= at_leaf | (at_root & root_leaf)
+        root += at_root
+    return np.stack([leaves, root], axis=1).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -172,15 +257,15 @@ GENERATORS: dict[str, GeneratorDef] = {
             "firstBlock",
             "largestBlock",
         ),
-        _rows(_stirling_row),
+        _stirling_chunk,
     ),
     "ary_tree": GeneratorDef(
         1,
         lambda n, k: tuple(f"exterior{j}" for j in range(1, k + 2))
         + ("leftRight", "leaves"),
-        _rows(_ary_row),
+        _ary_chunk,
     ),
-    "plane_tree": GeneratorDef(2, lambda n, k: ("leaves", "rootDegree"), _rows(_plane_row)),
+    "plane_tree": GeneratorDef(2, lambda n, k: ("leaves", "rootDegree"), _plane_chunk),
 }
 
 

@@ -3,7 +3,9 @@
 Everything here recomputes a quantity straight from its definition, or by a
 slower closed form the package has replaced, with no reuse of the package's
 algorithms, so a disagreement points at a real defect rather than a shared
-bug.
+bug.  The one exception is the row kernels the harness's chunk kernels
+replaced (``ROW_KERNELS``): they grow each row with the package's own
+growers and statistics, which their own tests check against enumeration.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from stirlperm import perms, trees
 from stirlperm.bijections import BundledNode
 
 
@@ -562,3 +565,62 @@ def grow_bundles_scan(m: int, a: int, b: int, n: int, rng) -> list[list[list[int
             gap -= len(seq) + 1
         weight[node] += b
     return bundles
+
+
+def stirling_stats(perm) -> tuple[float, ...]:
+    """A ``stirling_perm`` row of one word: statistic profile and blocks."""
+    profile = perms.stat_profile(perm)
+    blocks = perms.block_decomposition(perm)
+    return (
+        float(profile.ascents),
+        float(profile.descents),
+        float(profile.plateaux),
+        float(blocks.count),
+        float(blocks.sizes_by_label[0]),
+        float(blocks.sizes_descending[0]),
+    )
+
+
+def ary_tree_stats(tree) -> tuple[float, ...]:
+    """An ``ary_tree`` row of one tree: free slots by slot, left-right nodes, leaves."""
+    st = trees.ary_stats(tree)
+    return tuple(float(v) for v in st.exterior_by_slot) + (
+        float(st.left_right),
+        float(st.leaves),
+    )
+
+
+def plane_tree_stats(tree) -> tuple[float, ...]:
+    """A ``plane_tree`` row of one plane shape: leaves and root degree."""
+    degrees = tree.degrees()
+    return (float(degrees.count(0)), float(degrees[0]))
+
+
+def stirling_row(n: int, k: int, rng) -> tuple[float, ...]:
+    """One ``stirling_perm`` row from a word grown run by run."""
+    grower = perms.k_stirling_grower(k, rng)
+    grower.grow_to(n)
+    return stirling_stats(grower.permutation())
+
+
+def ary_row(n: int, k: int, rng) -> tuple[float, ...]:
+    """One ``ary_tree`` row from a grown (k+1)-ary increasing tree."""
+    return ary_tree_stats(trees.grow_ary_tree(k + 1, n, rng))
+
+
+def plane_row(n: int, k: int, rng) -> tuple[float, ...]:
+    """One ``plane_tree`` row from a grown k-plane recursive tree."""
+    return plane_tree_stats(trees.grow_plane_tree(trees.k_plane_family(k), n, rng))
+
+
+def rows(row_kernel):
+    """Chunk kernel that grows its rows one after another from the chunk's stream."""
+    return lambda n, k, count, rng: np.array([row_kernel(n, k, rng) for _ in range(count)])
+
+
+# generator name -> the row-by-row chunk kernel its harness kernel replaced
+ROW_KERNELS = {
+    "stirling_perm": rows(stirling_row),
+    "ary_tree": rows(ary_row),
+    "plane_tree": rows(plane_row),
+}

@@ -92,9 +92,16 @@ def test_sample_is_deterministic(capsys):
         (("moments", "--r", "-1", "--limit"), "--r"),
         (("moments", "--r", "0", "--limit"), "--r must be >= 1 with --limit"),
         (("density", "--k", "2", "--x", "1000"), "x=1000.0"),
+        (("moments", "--k", "2", "--r", "400", "--limit"), "E zeta^268 at k=2"),
+        (("sample", "--n", "2", "--seed", "-1"), "--seed"),
+        (("urn", "--model", "a", "--steps", "3", "--seed", "-1"), "--seed"),
+        (("experiment", "--generator", "urn_b", "--n", "3", "--replicates", "4",
+          "--seed", "-1"), "--seed"),
     ],
     ids=["sample-negative-n", "sample-negative-count", "moments-negative-r",
-         "moments-limit-negative-r", "moments-limit-zero-r", "density-beyond-float-range"],
+         "moments-limit-negative-r", "moments-limit-zero-r", "density-beyond-float-range",
+         "moments-limit-beyond-float-range", "sample-negative-seed", "urn-negative-seed",
+         "experiment-negative-seed"],
 )
 def test_out_of_range_argument_is_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)

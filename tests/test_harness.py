@@ -4,14 +4,16 @@ errors against a refit oracle, theory comparisons, cross-generator agreement."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
 from stirlperm import distributions as dist
-from stirlperm import harness, trees
+from stirlperm import harness, perms, trees
 from stirlperm._rng import chunk_stream
 
 
@@ -108,6 +110,15 @@ def test_replicate_mode_prefix_stability():
     assert np.array_equal(large.matrix[:40], small.matrix)
 
 
+@pytest.mark.parametrize("generator", sorted(oracles.ROW_KERNELS))
+def test_chunk_kernel_rows_are_prefix_stable(generator):
+    """Each step draws a full chunk width of uniforms, so row i is the same
+    for any row count."""
+    small = run(generator, 30, 2, 40, seed=5)
+    large = run(generator, 30, 2, 130, seed=5)
+    assert np.array_equal(large.matrix[:40], small.matrix)
+
+
 def test_run_experiment_rejects_bad_threads():
     spec = harness.ExperimentSpec(generator="urn_b", n=5, k=2, replicates=8)
     with pytest.raises(ValueError):
@@ -157,14 +168,15 @@ def test_ary_tree_rows_conserve_slots():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_plane_tree_rows_match_grown_trees(k):
-    """Each row is (leaves, root degree) of the tree grown from the chunk's
-    stream, recomputed with ``leaves()`` and the root's bundle."""
+    """Each row of the row-by-row oracle kernel is (leaves, root degree) of
+    the tree grown from the chunk's stream, recomputed with ``leaves()`` and
+    the root's bundle."""
     n, seed = 12, 5
-    res = run("plane_tree", n, k, 200, seed=seed)
+    matrix = oracles.ROW_KERNELS["plane_tree"](n, k, 200, chunk_stream(seed, 0))
     rng = chunk_stream(seed, 0)
     grown = [trees.grow_plane_tree(trees.k_plane_family(k), n, rng) for _ in range(200)]
     want = [(t.leaves(), len(t.bundles_of(1)[0])) for t in grown]
-    assert res.matrix.tolist() == [list(map(float, row)) for row in want]
+    assert matrix.tolist() == [list(map(float, row)) for row in want]
 
 
 def test_stick_breaking_rows_sum_to_one():
@@ -178,6 +190,23 @@ def test_urn_c_fraction_consistent_with_white():
     n, k = 18, 2
     res = run("urn_c_block", n, k, 300, seed=9)
     assert np.allclose(res.column("firstFraction"), (res.column("white") + 1) / (k * n))
+
+
+def test_stirling_perm_at_k_one_opens_a_block_per_label():
+    """At k = 1 every gap lies between blocks: n blocks of size 1 and no
+    plateau, kept without a column per block."""
+    n = 10_000
+    tracemalloc.start()
+    try:
+        res = run("stirling_perm", n, 1, harness.REPLICATE_CHUNK, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.column("blocks") == n).all() and (res.column("plateaux") == 0).all()
+    assert (res.column("firstBlock") == 1).all() and (res.column("largestBlock") == 1).all()
+    assert (res.column("ascents") + res.column("descents") == n + 1).all()
+    # n block columns of three int64 counts would take 245 MB for this chunk
+    assert peak < 20e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +395,64 @@ def test_urn_b_white_matches_exact_pmf():
         [table.prob(m) for m in range(1, n + 1)],
     )
     assert pvalue > 1e-3
+
+
+def _exact_law(objects, stats, weight=lambda obj: 1):
+    """Row histogram of a finite population, each object counted with its weight."""
+    law: Counter = Counter()
+    for obj in objects:
+        law[stats(obj)] += Fraction(weight(obj))
+    total = sum(law.values())
+    return {row: w / total for row, w in law.items()}
+
+
+def _gof_pvalue(generator, n, k, law, seed):
+    res = run(generator, n, k, 20 * harness.REPLICATE_CHUNK, seed=seed)
+    hist = Counter(map(tuple, res.matrix.tolist()))
+    cells = sorted(set(law) | set(hist))
+    _, pvalue = harness.chi_square_gof(
+        [hist.get(c, 0) for c in cells], [law.get(c, 0) for c in cells]
+    )
+    return pvalue
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (5, 2), (4, 3), (5, 3)])
+def test_stirling_perm_kernel_matches_enumeration(n, k):
+    law = _exact_law(perms.enumerate_k_stirling(n, k), oracles.stirling_stats)
+    assert _gof_pvalue("stirling_perm", n, k, law, seed=40 + n + k) > 1e-3
+
+
+@pytest.mark.parametrize("n,arity", [(5, 2), (4, 3), (5, 3), (5, 4)])
+def test_ary_tree_kernel_matches_enumeration(n, arity):
+    law = _exact_law(trees.enumerate_ary_trees(n, arity), oracles.ary_tree_stats)
+    assert _gof_pvalue("ary_tree", n, arity - 1, law, seed=50 + n + arity) > 1e-3
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3)])
+def test_plane_tree_kernel_matches_weighted_enumeration(n, k):
+    family = trees.k_plane_family(k)
+    law = _exact_law(
+        trees.enumerate_plane_trees(n),
+        oracles.plane_tree_stats,
+        lambda tree: trees.tree_weight(tree, family),
+    )
+    assert _gof_pvalue("plane_tree", n, k, law, seed=60 + n + k) > 1e-3
+
+
+@pytest.mark.parametrize("generator,k", [("stirling_perm", 2), ("stirling_perm", 3),
+                                         ("ary_tree", 2), ("plane_tree", 2), ("plane_tree", 3)])
+def test_chunk_kernel_matches_row_kernel(generator, k):
+    """Every column of the chunk kernel against the row-by-row oracle at
+    n = 60, on independent streams."""
+    n, reps = 60, 2 * harness.REPLICATE_CHUNK
+    fast = run(generator, n, k, reps, seed=70 + k)
+    slow = np.concatenate([
+        oracles.ROW_KERNELS[generator](n, k, harness.REPLICATE_CHUNK, chunk_stream(71 + k, c))
+        for c in range(2)
+    ])
+    for i, name in enumerate(fast.columns):
+        _, pvalue = harness.ks_two_sample(fast.matrix[:, i], slow[:, i])
+        assert pvalue > 1e-3, (name, pvalue)
 
 
 # ---------------------------------------------------------------------------
