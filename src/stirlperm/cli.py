@@ -45,12 +45,17 @@ class _Parser(argparse.ArgumentParser):
 def _word_text(perm: _perms.GenStirlingPerm) -> str:
     if perm.order <= 9:
         return perm.compact()
-    return ",".join(str(s) for s in perm.word)
+    return ",".join(map(str, perm.word))
 
 
 def _multiplicities_for(args) -> tuple[int, ...]:
     if args.multiplicities is not None:
-        return tuple(int(x) for x in args.multiplicities.split(","))
+        try:
+            return tuple(int(x) for x in args.multiplicities.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--multiplicities must be comma separated integers, got {args.multiplicities!r}"
+            ) from None
     if args.n is None:
         raise ValueError("provide --n/--k or --multiplicities")
     if args.bundled:

@@ -300,6 +300,9 @@ class ExperimentSpec:
         # the covariance of the result needs two rows (ddof=1)
         if not 2 <= self.replicates <= MAX_REPLICATES:
             raise ValueError(f"replicates must be in [2, {MAX_REPLICATES}]")
+        # numpy's own message for a negative seed names neither the field nor the spec
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.statistics is not None:
             object.__setattr__(self, "statistics", tuple(self.statistics))
             available = set(self.all_columns)

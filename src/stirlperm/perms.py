@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from ._rng import as_generator
 
 Multiplicities = tuple[int, ...]
@@ -348,27 +350,35 @@ def bundled_grower(k: int, seed=None) -> PermutationGrower:
 
 
 def sample_generalized(mult: Sequence[int], seed=None) -> GenStirlingPerm:
-    """Draw a uniformly random generalized Stirling permutation of the multiset."""
+    """Draw a uniformly random generalized Stirling permutation of the multiset.
+
+    Label ``i``'s run goes into a uniform gap of the word of labels ``< i``,
+    one of ``k_1 + ... + k_{i-1} + 1``.  All n gaps are drawn in one call;
+    numpy draws an array of bounds element by element, so the word and the
+    generator's state afterwards are those of :class:`PermutationGrower`.
+    """
     mult = check_multiplicities(mult)
-    grower = PermutationGrower(lambda i: mult[i - 1], seed)
-    grower.grow_to(len(mult))
-    return grower.permutation()
+    gaps = as_generator(seed).integers(0, np.cumsum((0,) + mult)[:-1] + 1)
+    word: list[int] = []
+    for label, (m, gap) in enumerate(zip(mult, gaps.tolist()), start=1):
+        word[gap:gap] = [label] * m
+    return GenStirlingPerm(tuple(word), mult)
 
 
 def sample_k_stirling(n: int, k: int, seed=None) -> GenStirlingPerm:
     if n < 0:
         raise ValueError("n must be >= 0")
-    grower = k_stirling_grower(k, seed)
-    grower.grow_to(n)
-    return grower.permutation()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return sample_generalized((k,) * n, seed)
 
 
 def sample_bundled(n: int, k: int, seed=None) -> GenStirlingPerm:
     if n < 1:
         raise ValueError("n must be >= 1")
-    grower = bundled_grower(k, seed)
-    grower.grow_to(n)
-    return grower.permutation()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return sample_generalized(bundled_multiplicities(n, k), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Everything here recomputes a quantity straight from its definition, or by a
 slower closed form the package has replaced, with no reuse of the package's
 algorithms, so a disagreement points at a real defect rather than a shared
-bug.  The one exception is the row kernels the harness's chunk kernels
-replaced (``ROW_KERNELS``): they grow each row with the package's own
-growers and statistics, which their own tests check against enumeration.
+bug.  The exceptions are the routes that step the package's own
+``PermutationGrower`` one label at a time: ``sample_by_growth``, the
+sampler that ``perms.sample_generalized`` replaced, and the row kernels the
+harness's chunk kernels replaced (``ROW_KERNELS``), which also use the
+package's statistics.  Their own tests check them against enumeration.
 """
 
 from __future__ import annotations
@@ -596,11 +598,16 @@ def plane_tree_stats(tree) -> tuple[float, ...]:
     return (float(degrees.count(0)), float(degrees[0]))
 
 
+def sample_by_growth(mult, rng):
+    """A uniform generalized Stirling permutation grown run by run, one draw per label."""
+    grower = perms.PermutationGrower(lambda i: mult[i - 1], rng)
+    grower.grow_to(len(mult))
+    return grower.permutation()
+
+
 def stirling_row(n: int, k: int, rng) -> tuple[float, ...]:
     """One ``stirling_perm`` row from a word grown run by run."""
-    grower = perms.k_stirling_grower(k, rng)
-    grower.grow_to(n)
-    return stirling_stats(grower.permutation())
+    return stirling_stats(sample_by_growth((k,) * n, rng))
 
 
 def ary_row(n: int, k: int, rng) -> tuple[float, ...]:

@@ -97,17 +97,31 @@ def test_sample_is_deterministic(capsys):
         (("urn", "--model", "a", "--steps", "3", "--seed", "-1"), "--seed"),
         (("experiment", "--generator", "urn_b", "--n", "3", "--replicates", "4",
           "--seed", "-1"), "--seed"),
+        (("count", "--multiplicities", ""), "--multiplicities must be comma separated integers, got ''"),
+        (("count", "--multiplicities", "1,,2"), "got '1,,2'"),
+        (("enumerate", "--multiplicities", "1,x"), "got '1,x'"),
     ],
     ids=["sample-negative-n", "sample-negative-count", "moments-negative-r",
          "moments-limit-negative-r", "moments-limit-zero-r", "density-beyond-float-range",
          "moments-limit-beyond-float-range", "sample-negative-seed", "urn-negative-seed",
-         "experiment-negative-seed"],
+         "experiment-negative-seed", "count-empty-multiplicities",
+         "count-empty-multiplicity", "enumerate-non-integer-multiplicity"],
 )
 def test_out_of_range_argument_is_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_sample_word_does_not_depend_on_count(capsys):
+    """Word r comes from its own stream, so a longer run only appends words."""
+    for bundled in ((), ("--bundled",)):
+        base = ("sample", "--n", "9", "--k", "2", "--seed", "5", *bundled)
+        runs = [run_json(capsys, *base, "--count", str(c))["words"] for c in (1, 3, 8)]
+        assert len(runs[-1]) == 8 and len(set(runs[-1])) > 1
+        for words in runs:
+            assert words == runs[-1][: len(words)]
 
 
 def test_sample_order_zero_is_one_empty_word(capsys):

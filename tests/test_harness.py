@@ -48,6 +48,7 @@ def test_spec_rejects_unknown_generator():
         dict(replicates=harness.MAX_REPLICATES + 1),
         dict(statistics=("no_such_column",)),
         dict(replicates=1),
+        dict(seed=-1),
     ],
 )
 def test_spec_rejects_out_of_range(kwargs):
@@ -55,6 +56,11 @@ def test_spec_rejects_out_of_range(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         harness.ExperimentSpec(**base)
+
+
+def test_spec_negative_seed_names_the_field():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        harness.ExperimentSpec(generator="urn_b", n=5, k=2, replicates=10, seed=-1)
 
 
 def test_spec_enforces_min_k():

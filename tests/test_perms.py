@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +156,69 @@ def test_sampler_is_uniform_chi_square():
     observed = [counts.get(w, 0) for w in support]
     _, pvalue = chi_square_gof(observed, [1 / 15] * 15)
     assert pvalue > 1e-3
+
+
+def _exactness_cases():
+    cases = [
+        (f"k-stirling-n{n}-k{k}", (n, k), perms.sample_k_stirling, perms.uniform_multiplicities(n, k))
+        for k in (1, 2, 3, 4)
+        for n in (0, 1, 2, 6, 40)
+    ]
+    cases += [
+        (f"bundled-n{n}-k{k}", (n, k), perms.sample_bundled, perms.bundled_multiplicities(n, k))
+        for k in (1, 2, 3)
+        for n in (1, 2, 6, 40)
+    ]
+    draw = random.Random(20081)
+    for index in range(5):
+        mult = tuple(draw.randint(1, 6) for _ in range(draw.randint(2, 30)))
+        cases.append((f"generalized-{index}", (mult,), perms.sample_generalized, mult))
+    return cases
+
+
+EXACTNESS_CASES = _exactness_cases()
+
+
+@pytest.mark.parametrize(
+    "args,sampler,mult", [c[1:] for c in EXACTNESS_CASES], ids=[c[0] for c in EXACTNESS_CASES]
+)
+def test_sampler_matches_growth_oracle_exactly(args, sampler, mult):
+    """Same word, and the shared generator left in the same state, as growing
+    the word one label at a time, for 200 seeds."""
+    for seed in range(200):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        word = sampler(*args, fast)
+        assert word == oracles.sample_by_growth(mult, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+    # an integer seed is the same stream as its Generator
+    assert sampler(*args, 7) == oracles.sample_by_growth(mult, np.random.default_rng(7))
+
+
+def test_generalized_sampler_is_uniform_chi_square():
+    """6000 draws over the 12 permutations of the non-uniform multiset (2, 1, 3)."""
+    mult = (2, 1, 3)
+    support = [p.word for p in perms.enumerate_generalized(mult)]
+    rng = np.random.default_rng(2008)
+    counts = Counter(perms.sample_generalized(mult, rng).word for _ in range(6000))
+    assert set(counts) <= set(support)
+    _, pvalue = chi_square_gof([counts.get(w, 0) for w in support], [1 / 12] * 12)
+    assert pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: perms.sample_k_stirling(-1, 2), "n must be >= 0"),
+        (lambda: perms.sample_k_stirling(0, 0), "k must be >= 1"),
+        (lambda: perms.sample_bundled(0, 0), "n must be >= 1"),
+        (lambda: perms.sample_bundled(2, 0), "k must be >= 1"),
+        (lambda: perms.sample_generalized((2, 0)), "multiplicities must be positive"),
+    ],
+    ids=["k-stirling-n", "k-stirling-k", "bundled-n", "bundled-k", "generalized-mult"],
+)
+def test_sampler_argument_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_sample_respects_seed():
