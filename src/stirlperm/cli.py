@@ -50,6 +50,8 @@ def _word_text(perm: _perms.GenStirlingPerm) -> str:
 
 def _multiplicities_for(args) -> tuple[int, ...]:
     if args.multiplicities is not None:
+        if args.n is not None or args.bundled:
+            raise ValueError("--multiplicities cannot be combined with --n or --bundled")
         try:
             return tuple(int(x) for x in args.multiplicities.split(","))
         except ValueError:

@@ -6,11 +6,13 @@ matrix filled in fixed chunks of :data:`REPLICATE_CHUNK` rows.  Every
 generator is a chunk kernel that draws from one stream per chunk, so the
 matrix is byte-identical for any thread count.
 
-``stirling_perm``, ``ary_tree`` and ``plane_tree`` grow all rows of a chunk
-together as urns over gap or slot classes: each growth step picks a class by
-its count (or weight) and changes the class counts by a fixed rule, which is
-exact in law.  Each step draws a full chunk width of integers and row i uses
-the i-th, so a row is the same whatever the number of rows in its chunk.
+``urn_a``, ``ary_tree`` and ``plane_tree`` are balanced urns written as
+tables (:class:`BalancedUrn`) and ``stirling_perm`` is an urn over gap
+classes.  Their kernels grow all rows of a chunk together: each step picks a
+class by one integer uniform below the total and changes the class counts
+by a fixed rule, which is exact in law.  Each step draws a full chunk width
+of integers and row i uses the i-th, so a row is the same whatever the
+number of rows in its chunk.
 
 The block-law generators ``urn_b``, ``urn_c_block`` and ``block_sizes`` all
 read the nested Polya urn levels of :mod:`stirlperm.urns` rather than
@@ -32,10 +34,10 @@ from scipy import stats as _scipy_stats
 from . import distributions as _dist
 from ._rng import as_generator  # noqa: F401  (bench/run.py records its bit generator)
 from ._rng import chunk_stream
-from .urns import _block_levels, sample_block_size_stats, urn_a_covariance
+from .urns import _block_levels, sample_block_size_stats, symmetric_urn, urn_a_covariance
 
 REPLICATE_CHUNK = 1024
-# uniform draws for the urn_a step loop are batched this many steps at a time
+# the balanced-urn engine draws this many steps of a chunk (64 MiB) per call
 STEP_CHUNK = 8192
 STICK_DEPTH = 3
 MAX_REPLICATES = 10_000_000
@@ -47,29 +49,86 @@ MAX_ORDER = 100_000_000
 # ---------------------------------------------------------------------------
 
 
-def _urn_a_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
-    """Symmetric urn on k+1 colors, n draws from the all-ones state.
+@dataclass(frozen=True)
+class BalancedUrn:
+    """A balanced urn as a table: the state is the drawn colours, one per
+    replacement row of ``deltas``, then tally columns that are never drawn;
+    ``readout`` maps it to the output columns.  Order n runs n - lag steps."""
 
-    each draw adds one ball of every color other than the drawn one, so the
-    counts match the exterior slot counts of a random (k+1)-ary increasing
-    tree of order n+1.
+    initial: tuple[int, ...]
+    deltas: tuple[tuple[int, ...], ...]
+    readout: tuple[tuple[int, ...], ...]
+    lag: int
+
+    def __post_init__(self) -> None:
+        if len({sum(row[: len(self.deltas)]) for row in self.deltas}) != 1:
+            raise ValueError("every drawn colour must add the same number of balls")
+
+
+def urn_a_spec(k: int) -> BalancedUrn:
+    """Urn A: :func:`~stirlperm.urns.symmetric_urn` on k+1 colours, read out as is."""
+    urn = symmetric_urn(k + 1)
+    identity = tuple(tuple(int(i == j) for j in range(k + 1)) for i in range(k + 1))
+    return BalancedUrn(urn.initial, urn.deltas, identity, 0)
+
+
+def ary_tree_spec(k: int) -> BalancedUrn:
+    """Free-slot classes of a (k+1)-ary increasing tree of order n.
+
+    A free (j+1)-slot whose parent is (not) a leaf and is (not) left-right
+    is in class ``4j + 2*leaf + lr``; the tally counts left-right nodes.  A
+    leaf parent's other slots move to the non-leaf class; the new node
+    brings k+1 leaf slots and is left-right iff its parent is and the slot
+    is an extreme one.  Read out the exteriors, leftRight and the leaves.
     """
-    q = k + 1
-    counts = np.ones((count, q), dtype=np.int64)
-    rows = np.arange(count)
-    total = q
-    done = 0
-    while done < n:
-        block = min(STEP_CHUNK, n - done)
-        u = rng.random((block, count))
-        for t in range(block):
-            cum = np.cumsum(counts, axis=1)
-            drawn = (u[t][:, None] * total >= cum).sum(axis=1)
-            counts += 1
-            counts[rows, drawn] -= 1
-            total += q - 1
-        done += block
-    return counts.astype(np.float64)
+    d = k + 1
+    classes = range(4 * d)
+    deltas = []
+    for c in classes:
+        j, leaf, lr = c >> 2, c >> 1 & 1, c & 1
+        new_lr = lr * (j in (0, d - 1))
+        row = [0] * (4 * d) + [new_lr]
+        row[c & ~2] -= 1
+        for s in range(0, 4 * d, 4):
+            row[s + 2 + lr] -= leaf
+            row[s + lr] += leaf
+            row[s + 2 + new_lr] += 1
+        deltas.append(tuple(row))
+    readout = [tuple(int(c >> 2 == j) for c in classes) + (0,) for j in range(d)]
+    readout += [(0,) * (4 * d) + (1,), tuple(int(c in (2, 3)) for c in classes) + (0,)]
+    initial = tuple(int(c & 3 == 3) for c in classes) + (1,)
+    return BalancedUrn(initial, tuple(deltas), tuple(readout), 1)
+
+
+def plane_tree_spec(k: int) -> BalancedUrn:
+    """Weight classes of a k-plane recursive tree of order n, whose node of
+    degree d has weight 1 + (k-1)d: the root while a leaf, the root once it
+    is not, the non-root leaves and the other nodes, then the root degree.
+    A chosen leaf becomes a node of weight k, and the new node is a leaf."""
+    rows = ((-1, k, 1, 0, 1), (0, k - 1, 1, 0, 1), (0, 0, 0, k, 0), (0, 0, 1, k - 1, 0))
+    return BalancedUrn((1, 0, 0, 0, 0), rows, ((1, 0, 1, 0, 0), (0, 0, 0, 0, 1)), 1)
+
+
+def _urn_chunk(spec: Callable[[int], BalancedUrn], n: int, k: int, count: int, rng) -> np.ndarray:
+    """``count`` rows of the urn ``spec(k)`` at order n.  The column-major
+    state keeps the drawn colours as cumulative counts, so the drawn colour
+    is the number of them at or below the draw."""
+    urn = spec(k)
+    drawn = len(urn.deltas)
+    cumulate = np.eye(len(urn.initial), dtype=np.int64)
+    cumulate[:drawn, :drawn] = np.tri(drawn, dtype=np.int64)
+    deltas = cumulate @ np.array(urn.deltas, dtype=np.int64).T
+    state = np.repeat((cumulate @ urn.initial)[:, None], count, axis=1)
+    cum = state[:drawn]
+    start, growth = sum(urn.initial[:drawn]), sum(urn.deltas[0][:drawn])
+    steps = n - urn.lag
+    for lo in range(0, steps, STEP_CHUNK):
+        totals = start + growth * np.arange(lo, min(lo + STEP_CHUNK, steps))
+        draws = rng.integers(0, totals[:, None], size=(len(totals), REPLICATE_CHUNK))
+        for u in draws[:, :count]:
+            state += np.take(deltas, (u >= cum).sum(axis=0), axis=1)
+    state[:drawn] = np.diff(cum, axis=0, prepend=0)
+    return (np.array(urn.readout, dtype=np.int64) @ state).T.astype(np.float64)
 
 
 def _urn_b_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
@@ -166,63 +225,6 @@ def _stirling_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
     ).astype(np.float64)
 
 
-def _ary_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
-    """Slot-class urn of a random (k+1)-ary increasing tree of order n.
-
-    Row r's free (j+1)-slots whose parent is (not) a leaf and is (not)
-    left-right are counted in class ``4j + 2*leaf + lr``.  Each step takes
-    one free slot uniformly; a leaf parent stops being a leaf, so its other
-    slots move to the non-leaf class; the new node brings k+1 leaf slots and
-    is left-right iff its parent is and the slot is an extreme one.
-    """
-    d = k + 1
-    free = np.zeros((count, d, 2, 2), dtype=np.int64)
-    free[:, :, 1, 1] = 1
-    table = free.reshape(count, 4 * d)
-    flat = free.reshape(-1)
-    base = np.arange(count) * (4 * d)
-    slots = np.arange(0, 4 * d, 4)  # class (j, non-leaf, not left-right) of each slot j
-    left_right = np.ones(count, dtype=np.int64)
-    for t in range(1, n):
-        u = rng.integers(0, d + (t - 1) * (d - 1), size=REPLICATE_CHUNK)[:count]
-        cls = (u[:, None] >= np.cumsum(table, axis=1)).sum(axis=1)
-        j, leaf, lr = cls >> 2, (cls >> 1) & 1, cls & 1
-        # take the slot from the non-leaf class; a leaf parent first moves
-        # all of its slots there
-        flat[base + (cls & ~2)] -= 1
-        parent = (base + lr)[:, None] + slots
-        flat[parent + 2] -= leaf[:, None]
-        flat[parent] += leaf[:, None]
-        new_lr = lr & ((j == 0) | (j == d - 1))
-        flat[(base + 2 + new_lr)[:, None] + slots] += 1
-        left_right += new_lr
-    exterior = free.sum(axis=(2, 3))
-    leaves = free[:, 0, 1].sum(axis=1)
-    return np.column_stack([exterior, left_right, leaves]).astype(np.float64)
-
-
-def _plane_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
-    """Weight-class urn of a random k-plane recursive tree of order n.
-
-    A node of degree d attracts the new node with weight 1 + (k-1)d.  The
-    classes are the root, the non-root leaves (weight 1 each) and the other
-    nodes; only (leaves, root degree) is kept.  The new node is a leaf, and
-    the chosen node stops being one if it was.
-    """
-    leaves = np.ones(count, dtype=np.int64)
-    root = np.zeros(count, dtype=np.int64)
-    for t in range(1, n):
-        u = rng.integers(0, t + (k - 1) * (t - 1), size=REPLICATE_CHUNK)[:count]
-        root_weight = 1 + (k - 1) * root
-        root_leaf = root == 0
-        at_root = u < root_weight
-        at_leaf = ~at_root & (u < root_weight + leaves - root_leaf)
-        leaves += 1
-        leaves -= at_leaf | (at_root & root_leaf)
-        root += at_root
-    return np.stack([leaves, root], axis=1).astype(np.float64)
-
-
 @dataclass(frozen=True)
 class GeneratorDef:
     min_k: int
@@ -232,40 +234,29 @@ class GeneratorDef:
 
 GENERATORS: dict[str, GeneratorDef] = {
     "urn_a": GeneratorDef(
-        1, lambda n, k: tuple(f"color{j}" for j in range(1, k + 2)), _urn_a_chunk
+        1, lambda n, k: tuple(f"color{j}" for j in range(1, k + 2)), partial(_urn_chunk, urn_a_spec)
     ),
     "urn_b": GeneratorDef(1, lambda n, k: ("black", "white"), _urn_b_chunk),
-    "urn_c_block": GeneratorDef(
-        1, lambda n, k: ("white", "black", "firstFraction"), _urn_c_chunk
-    ),
-    "block_sizes": GeneratorDef(
-        2, lambda n, k: ("first", "largest", "count"), _block_sizes_chunk
-    ),
+    "urn_c_block": GeneratorDef(1, lambda n, k: ("white", "black", "firstFraction"), _urn_c_chunk),
+    "block_sizes": GeneratorDef(2, lambda n, k: ("first", "largest", "count"), _block_sizes_chunk),
     "stick_breaking": GeneratorDef(
         2,
-        lambda n, k: tuple(f"component{m}" for m in range(1, STICK_DEPTH + 1))
-        + ("remainder",),
+        lambda n, k: tuple(f"component{m}" for m in range(1, STICK_DEPTH + 1)) + ("remainder",),
         _stick_chunk,
     ),
     "stirling_perm": GeneratorDef(
         1,
-        lambda n, k: (
-            "ascents",
-            "descents",
-            "plateaux",
-            "blocks",
-            "firstBlock",
-            "largestBlock",
-        ),
+        lambda n, k: ("ascents", "descents", "plateaux", "blocks", "firstBlock", "largestBlock"),
         _stirling_chunk,
     ),
     "ary_tree": GeneratorDef(
         1,
-        lambda n, k: tuple(f"exterior{j}" for j in range(1, k + 2))
-        + ("leftRight", "leaves"),
-        _ary_chunk,
+        lambda n, k: tuple(f"exterior{j}" for j in range(1, k + 2)) + ("leftRight", "leaves"),
+        partial(_urn_chunk, ary_tree_spec),
     ),
-    "plane_tree": GeneratorDef(2, lambda n, k: ("leaves", "rootDegree"), _plane_chunk),
+    "plane_tree": GeneratorDef(
+        2, lambda n, k: ("leaves", "rootDegree"), partial(_urn_chunk, plane_tree_spec)
+    ),
 }
 
 
@@ -379,10 +370,13 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         lo, hi = bounds[index]
         out[lo:hi] = gen.kernel(spec.n, spec.k, hi - lo, chunk_stream(spec.seed, index))
 
-    # The pool stays because numpy releases the GIL inside the urn kernels'
-    # array steps: on 2 cores, 8192 replicates of urn_a (n=2000), urn_b and
-    # block_sizes (n=20000) ran 1.15x, 1.25x and 1.19x faster at threads=2
-    # (medians of 7 alternating runs).
+    # numpy releases the GIL inside the kernels' array steps, but on a
+    # shared 2-core host the second thread gained nothing measurable:
+    # medians of 11 alternating in-process runs at threads=1 and 2 were
+    # 0.25 and 0.24 s for urn_a (n=1200, 4096 replicates), 0.80 and 0.75 s
+    # for urn_b and 0.83 and 0.93 s for block_sizes (n=20000, 8192), and
+    # 0.18 and 0.17 s for ary_tree (n=500, 4096).  The pool stays until an
+    # end-to-end benchmark of the CLI says whether it pays.
     if threads == 1 or len(bounds) == 1:
         for index in range(len(bounds)):
             fill(index)

@@ -3,10 +3,10 @@
 Four replacement schemes, all driven by a single simulator:
 
 * ``symmetric_urn(q)``: draw a ball, discard it, add one ball of every
-  colour.  With ``q = k+1`` colours and an all-ones start, the colour counts
-  after n-1 draws have exactly the joint law of the exterior slot counts of
-  a random (k+1)-ary increasing tree of order n (and hence of the total
-  ascent/descent/plateau statistics of a random k-Stirling permutation).
+  colour.  From all ones, the ``q = k+1`` colour counts after n-1 draws have
+  the joint law of the exterior slot counts of a random (k+1)-ary increasing
+  tree of order n, so of the ascents, descents and plateaux of a random
+  k-Stirling permutation.  The harness steps it as the balanced urn ``urn_a``.
 * ``fixed_addition_urn(s)``: draw, discard, add the fixed vector ``s``.
 * ``triangular_block_urn(k)``: colours (black, white); a black draw adds k
   black, a white draw adds k-1 black and 1 white.  Starting from (k-1, 2)

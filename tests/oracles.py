@@ -8,6 +8,13 @@ bug.  The exceptions are the routes that step the package's own
 sampler that ``perms.sample_generalized`` replaced, and the row kernels the
 harness's chunk kernels replaced (``ROW_KERNELS``), which also use the
 package's statistics.  Their own tests check them against enumeration.
+
+``urn_a_chunk``, ``ary_chunk`` and ``plane_chunk`` are the hand-written
+chunk kernels that the harness's balanced-urn engine replaced, each with
+its replacement rule as index arithmetic.  ``ary_chunk`` and
+``plane_chunk`` draw the engine's integer stream, so the engine must match
+them byte for byte; ``urn_a_chunk`` draws ``u * total`` floats instead, an
+independent stream for distribution tests.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stirlperm import perms, trees
+from stirlperm import harness, perms, trees
 from stirlperm.bijections import BundledNode
 
 
@@ -569,6 +576,89 @@ def grow_bundles_scan(m: int, a: int, b: int, n: int, rng) -> list[list[list[int
     return bundles
 
 
+def urn_a_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
+    """Symmetric urn on k+1 colors, n draws from the all-ones state, each
+    picked by a float uniform times the total.
+
+    Each draw adds one ball of every color other than the drawn one, so the
+    counts match the exterior slot counts of a random (k+1)-ary increasing
+    tree of order n+1.
+    """
+    q = k + 1
+    counts = np.ones((count, q), dtype=np.int64)
+    rows = np.arange(count)
+    total = q
+    done = 0
+    while done < n:
+        block = min(harness.STEP_CHUNK, n - done)
+        u = rng.random((block, count))
+        for t in range(block):
+            cum = np.cumsum(counts, axis=1)
+            drawn = (u[t][:, None] * total >= cum).sum(axis=1)
+            counts += 1
+            counts[rows, drawn] -= 1
+            total += q - 1
+        done += block
+    return counts.astype(np.float64)
+
+
+def ary_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
+    """Slot-class urn of a random (k+1)-ary increasing tree of order n.
+
+    Row r's free (j+1)-slots whose parent is (not) a leaf and is (not)
+    left-right are counted in class ``4j + 2*leaf + lr``.  Each step takes
+    one free slot uniformly; a leaf parent stops being a leaf, so its other
+    slots move to the non-leaf class; the new node brings k+1 leaf slots and
+    is left-right iff its parent is and the slot is an extreme one.
+    """
+    d = k + 1
+    free = np.zeros((count, d, 2, 2), dtype=np.int64)
+    free[:, :, 1, 1] = 1
+    table = free.reshape(count, 4 * d)
+    flat = free.reshape(-1)
+    base = np.arange(count) * (4 * d)
+    slots = np.arange(0, 4 * d, 4)  # class (j, non-leaf, not left-right) of each slot j
+    left_right = np.ones(count, dtype=np.int64)
+    for t in range(1, n):
+        u = rng.integers(0, d + (t - 1) * (d - 1), size=harness.REPLICATE_CHUNK)[:count]
+        cls = (u[:, None] >= np.cumsum(table, axis=1)).sum(axis=1)
+        j, leaf, lr = cls >> 2, (cls >> 1) & 1, cls & 1
+        # take the slot from the non-leaf class; a leaf parent first moves
+        # all of its slots there
+        flat[base + (cls & ~2)] -= 1
+        parent = (base + lr)[:, None] + slots
+        flat[parent + 2] -= leaf[:, None]
+        flat[parent] += leaf[:, None]
+        new_lr = lr & ((j == 0) | (j == d - 1))
+        flat[(base + 2 + new_lr)[:, None] + slots] += 1
+        left_right += new_lr
+    exterior = free.sum(axis=(2, 3))
+    leaves = free[:, 0, 1].sum(axis=1)
+    return np.column_stack([exterior, left_right, leaves]).astype(np.float64)
+
+
+def plane_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
+    """Weight-class urn of a random k-plane recursive tree of order n.
+
+    A node of degree d attracts the new node with weight 1 + (k-1)d.  The
+    classes are the root, the non-root leaves (weight 1 each) and the other
+    nodes; only (leaves, root degree) is kept.  The new node is a leaf, and
+    the chosen node stops being one if it was.
+    """
+    leaves = np.ones(count, dtype=np.int64)
+    root = np.zeros(count, dtype=np.int64)
+    for t in range(1, n):
+        u = rng.integers(0, t + (k - 1) * (t - 1), size=harness.REPLICATE_CHUNK)[:count]
+        root_weight = 1 + (k - 1) * root
+        root_leaf = root == 0
+        at_root = u < root_weight
+        at_leaf = ~at_root & (u < root_weight + leaves - root_leaf)
+        leaves += 1
+        leaves -= at_leaf | (at_root & root_leaf)
+        root += at_root
+    return np.stack([leaves, root], axis=1).astype(np.float64)
+
+
 def stirling_stats(perm) -> tuple[float, ...]:
     """A ``stirling_perm`` row of one word: statistic profile and blocks."""
     profile = perms.stat_profile(perm)
@@ -631,3 +721,5 @@ ROW_KERNELS = {
     "ary_tree": rows(ary_row),
     "plane_tree": rows(plane_row),
 }
+# generator name -> an independent reference kernel for distribution tests
+REFERENCE_KERNELS = {**ROW_KERNELS, "urn_a": urn_a_chunk}

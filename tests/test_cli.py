@@ -100,12 +100,18 @@ def test_sample_is_deterministic(capsys):
         (("count", "--multiplicities", ""), "--multiplicities must be comma separated integers, got ''"),
         (("count", "--multiplicities", "1,,2"), "got '1,,2'"),
         (("enumerate", "--multiplicities", "1,x"), "got '1,x'"),
+        (("count", "--multiplicities", "2,1", "--n", "5"), "--multiplicities cannot be combined"),
+        (("count", "--multiplicities", "2,1", "--bundled"), "with --n or --bundled"),
+        (("enumerate", "--multiplicities", "2,1", "--n", "2", "--bundled"),
+         "--multiplicities cannot be combined with --n or --bundled"),
     ],
     ids=["sample-negative-n", "sample-negative-count", "moments-negative-r",
          "moments-limit-negative-r", "moments-limit-zero-r", "density-beyond-float-range",
          "moments-limit-beyond-float-range", "sample-negative-seed", "urn-negative-seed",
          "experiment-negative-seed", "count-empty-multiplicities",
-         "count-empty-multiplicity", "enumerate-non-integer-multiplicity"],
+         "count-empty-multiplicity", "enumerate-non-integer-multiplicity",
+         "count-multiplicities-with-n", "count-multiplicities-with-bundled",
+         "enumerate-multiplicities-with-n-and-bundled"],
 )
 def test_out_of_range_argument_is_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)

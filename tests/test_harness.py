@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from stirlperm import distributions as dist
-from stirlperm import harness, perms, trees
+from stirlperm import harness, perms, trees, urns
 from stirlperm._rng import chunk_stream
 
 
@@ -116,13 +116,54 @@ def test_replicate_mode_prefix_stability():
     assert np.array_equal(large.matrix[:40], small.matrix)
 
 
-@pytest.mark.parametrize("generator", sorted(oracles.ROW_KERNELS))
+@pytest.mark.parametrize("generator", sorted(oracles.REFERENCE_KERNELS))
 def test_chunk_kernel_rows_are_prefix_stable(generator):
-    """Each step draws a full chunk width of uniforms, so row i is the same
+    """Each step draws a full chunk width of integers, so row i is the same
     for any row count."""
     small = run(generator, 30, 2, 40, seed=5)
     large = run(generator, 30, 2, 130, seed=5)
     assert np.array_equal(large.matrix[:40], small.matrix)
+
+
+# ---------------------------------------------------------------------------
+# balanced-urn engine
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "generator,reference",
+    [("ary_tree", oracles.ary_chunk), ("plane_tree", oracles.plane_chunk)],
+    ids=["ary_tree", "plane_tree"],
+)
+def test_urn_engine_matches_hand_written_kernel(generator, reference, k):
+    """The engine draws the integers the hand-written kernels drew and
+    applies the same rule, so rows and generator state agree byte for byte."""
+    kernel = harness.GENERATORS[generator].kernel
+    for n in (1, 2, 3, 50, 300, 2000):
+        for count in (1, 7, 700, harness.REPLICATE_CHUNK):
+            want_rng, got_rng = chunk_stream(9, n), chunk_stream(9, n)
+            want = reference(n, k, count, want_rng)
+            got = kernel(n, k, count, got_rng)
+            assert got.tobytes() == want.tobytes(), (n, count)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ary_tree_exteriors_are_urn_a(k):
+    """Under the exterior read-out every ary_tree replacement row is the
+    symmetric_urn(k+1) row of its slot: urn A is the exterior projection of
+    the slot-class urn."""
+    spec, urn = harness.ary_tree_spec(k), urns.symmetric_urn(k + 1)
+    exterior = np.array(spec.readout[: k + 1])
+    assert (exterior @ spec.initial).tolist() == list(urn.initial)
+    for cls, row in enumerate(spec.deltas):
+        assert (exterior @ row).tolist() == list(urn.deltas[cls // 4]), cls
+
+
+def test_balanced_urn_rejects_unequal_growth():
+    with pytest.raises(ValueError, match="same number of balls"):
+        harness.BalancedUrn((1, 1), ((0, 1), (1, 1)), ((1, 0),), 0)
 
 
 def test_run_experiment_rejects_bad_threads():
@@ -434,6 +475,13 @@ def test_ary_tree_kernel_matches_enumeration(n, arity):
     assert _gof_pvalue("ary_tree", n, arity - 1, law, seed=50 + n + arity) > 1e-3
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_urn_a_kernel_matches_exact_law(n, k):
+    law = oracles.urn_exact_distribution(urns.symmetric_urn(k + 1), n)
+    assert _gof_pvalue("urn_a", n, k, law, seed=80 + 10 * k + n) > 1e-3
+
+
 @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3)])
 def test_plane_tree_kernel_matches_weighted_enumeration(n, k):
     family = trees.k_plane_family(k)
@@ -446,14 +494,18 @@ def test_plane_tree_kernel_matches_weighted_enumeration(n, k):
 
 
 @pytest.mark.parametrize("generator,k", [("stirling_perm", 2), ("stirling_perm", 3),
-                                         ("ary_tree", 2), ("plane_tree", 2), ("plane_tree", 3)])
+                                         ("ary_tree", 2), ("plane_tree", 2), ("plane_tree", 3),
+                                         ("urn_a", 1), ("urn_a", 2), ("urn_a", 3)])
 def test_chunk_kernel_matches_row_kernel(generator, k):
-    """Every column of the chunk kernel against the row-by-row oracle at
-    n = 60, on independent streams."""
+    """Every column of the chunk kernel against its reference kernel (rows
+    grown one by one, or urn A drawn by floats) at n = 60, on independent
+    streams."""
     n, reps = 60, 2 * harness.REPLICATE_CHUNK
     fast = run(generator, n, k, reps, seed=70 + k)
     slow = np.concatenate([
-        oracles.ROW_KERNELS[generator](n, k, harness.REPLICATE_CHUNK, chunk_stream(71 + k, c))
+        oracles.REFERENCE_KERNELS[generator](
+            n, k, harness.REPLICATE_CHUNK, chunk_stream(71 + k, c)
+        )
         for c in range(2)
     ])
     for i, name in enumerate(fast.columns):
