@@ -218,6 +218,8 @@ def _cmd_urn(args):
         }
         rows = (("index", "size"), list(enumerate(sizes, start=1)))
         return payload, rows, EXIT_OK
+    # symmetric_urn names its own parameter q = k + 1
+    _require(args.k >= 1, "k must be >= 1")
     if args.model == "a":
         spec = _urns.symmetric_urn(args.k + 1)
     elif args.model == "b":

@@ -265,6 +265,8 @@ def zeta_density(k: int, x: float, term_cap: int = 500) -> DensityValue:
     """
     if k < 2:
         raise ValueError("the series form of the density needs k >= 2")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if x < 0:
         raise ValueError("x must be non-negative")
     if term_cap < 1:

@@ -18,6 +18,10 @@ The block-law generators ``urn_b``, ``urn_c_block`` and ``block_sizes`` all
 read the nested Polya urn levels of :mod:`stirlperm.urns` rather than
 stepping their urns draw by draw, so with one seed their rows agree: urn B's
 white minus one is the block count, urn C's white plus one the first block.
+
+``scipy.stats`` is imported inside the three goodness-of-fit helpers at the
+end of this module, not at its top: no CLI path calls them, and loading it
+costs several times the rest of a CLI cold start in both time and memory.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import distributions as _dist
 from ._rng import as_generator  # noqa: F401  (bench/run.py records its bit generator)
@@ -617,7 +620,9 @@ def chi_square_gof(counts, probabilities) -> tuple[float, float]:
     keep = probs > 0
     if np.any(~keep) and np.any(counts[~keep] > 0):
         return math.inf, 0.0
-    stat, pvalue = _scipy_stats.chisquare(counts[keep], expected[keep])
+    from scipy import stats
+
+    stat, pvalue = stats.chisquare(counts[keep], expected[keep])
     return float(stat), float(pvalue)
 
 
@@ -629,11 +634,15 @@ def chi_square_two_sample(counts_a, counts_b) -> tuple[float, float]:
         raise ValueError("histograms must align")
     keep = (a + b) > 0
     table = np.vstack([a[keep], b[keep]])
-    stat, pvalue, _, _ = _scipy_stats.chi2_contingency(table)
+    from scipy import stats
+
+    stat, pvalue, _, _ = stats.chi2_contingency(table)
     return float(stat), float(pvalue)
 
 
 def ks_two_sample(sample_a, sample_b) -> tuple[float, float]:
     """Two-sample Kolmogorov--Smirnov test."""
-    res = _scipy_stats.ks_2samp(np.asarray(sample_a), np.asarray(sample_b))
+    from scipy import stats
+
+    res = stats.ks_2samp(np.asarray(sample_a), np.asarray(sample_b))
     return float(res.statistic), float(res.pvalue)

@@ -104,6 +104,10 @@ def test_sample_is_deterministic(capsys):
         (("count", "--multiplicities", "2,1", "--bundled"), "with --n or --bundled"),
         (("enumerate", "--multiplicities", "2,1", "--n", "2", "--bundled"),
          "--multiplicities cannot be combined with --n or --bundled"),
+        (("urn", "--model", "a", "--k", "0", "--steps", "3", "--seed", "1"), "k must be >= 1"),
+        (("urn", "--model", "b", "--k", "0", "--steps", "3", "--seed", "1"), "k must be >= 1"),
+        (("density", "--x", "nan"), "x must be finite, got nan"),
+        (("density", "--x", "inf"), "x must be finite, got inf"),
     ],
     ids=["sample-negative-n", "sample-negative-count", "moments-negative-r",
          "moments-limit-negative-r", "moments-limit-zero-r", "density-beyond-float-range",
@@ -111,7 +115,8 @@ def test_sample_is_deterministic(capsys):
          "experiment-negative-seed", "count-empty-multiplicities",
          "count-empty-multiplicity", "enumerate-non-integer-multiplicity",
          "count-multiplicities-with-n", "count-multiplicities-with-bundled",
-         "enumerate-multiplicities-with-n-and-bundled"],
+         "enumerate-multiplicities-with-n-and-bundled", "urn-a-zero-k", "urn-b-zero-k",
+         "density-nan", "density-inf"],
 )
 def test_out_of_range_argument_is_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)

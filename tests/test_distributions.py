@@ -251,6 +251,12 @@ def test_zeta_density_edge_cases():
         dist.zeta_density(1, 1.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_zeta_density_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match=f"x must be finite, got {x}"):
+        dist.zeta_density(2, x)
+
+
 @pytest.mark.parametrize(
     "k,x,term_cap", [(2, 1000.0, 500), (3, 200.0, 500), (5, 1000.0, 500), (3, 150.0, 2000)]
 )

@@ -539,3 +539,25 @@ def test_ks_two_sample_basic():
     _, p_diff = harness.ks_two_sample(a, rng.normal(loc=1.0, size=400))
     assert p_same > 1e-3
     assert p_diff < 1e-6
+
+
+def test_goodness_of_fit_helpers_equal_direct_scipy_calls():
+    from scipy import stats
+
+    counts, probs = [18, 31, 27, 24], [Fraction(1, 5), Fraction(3, 10), Fraction(1, 4), Fraction(1, 4)]
+    expected = np.asarray([float(p) for p in probs]) * sum(counts)
+    stat, pvalue = stats.chisquare(np.asarray(counts, dtype=np.float64), expected)
+    gof = harness.chi_square_gof(counts, probs)
+    assert gof == (float(stat), float(pvalue))
+
+    a, b = [12, 0, 30, 7], [9, 0, 25, 14]
+    stat, pvalue, _, _ = stats.chi2_contingency(np.asarray([[12, 30, 7], [9, 25, 14]], dtype=np.float64))
+    two_sample = harness.chi_square_two_sample(a, b)
+    assert two_sample == (float(stat), float(pvalue))
+
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=150), rng.normal(loc=0.3, size=120)
+    res = stats.ks_2samp(x, y)
+    ks = harness.ks_two_sample(x, y)
+    assert ks == (float(res.statistic), float(res.pvalue))
+    assert all(type(value) is float for value in gof + two_sample + ks)
