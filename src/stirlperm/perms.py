@@ -36,6 +36,9 @@ Multiplicities = tuple[int, ...]
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
+# byte i -> the ASCII digit i, for the compact form of words with labels 1..9
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
 
 class InvalidPermutationError(ValueError):
     """Word is not a generalized Stirling permutation of the stated multiset."""
@@ -139,6 +142,14 @@ class GenStirlingPerm:
             )
 
     @classmethod
+    def _trusted(cls, word: tuple[int, ...], mult: Multiplicities) -> "GenStirlingPerm":
+        """Wrap a word that is already known to be valid, skipping validation."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "word", word)
+        object.__setattr__(perm, "multiplicities", mult)
+        return perm
+
+    @classmethod
     def from_word(cls, word: Iterable[int]) -> "GenStirlingPerm":
         """Build from a bare word; the multiset is inferred from symbol counts."""
         w = tuple(int(x) for x in word)
@@ -188,7 +199,7 @@ class GenStirlingPerm:
         """Space-free string form, available when all labels are single digits."""
         if self.order > 9:
             return None
-        return "".join(str(x) for x in self.word)
+        return bytes(self.word).translate(_DIGITS).decode("ascii")
 
     def to_json_dict(self) -> dict:
         out: dict = {"word": list(self.word), "multiplicities": list(self.multiplicities)}
@@ -263,23 +274,62 @@ def enumerate_generalized(
     """Yield every generalized Stirling permutation of the multiset, in
     lexicographic word order.
 
-    Enumeration inserts the runs ``i^{k_i}`` into every gap, label by label,
-    which generates each permutation exactly once.  Raises
-    :class:`EnumerationCapError` up front when the exact count exceeds ``cap``;
-    otherwise the whole list is built and sorted before the first word is
-    yielded.
+    Raises :class:`EnumerationCapError` before the first word when the exact
+    count exceeds ``cap``.  Otherwise the words are streamed from one
+    depth-first search over prefixes, with the state of :func:`validate_word`
+    (the seen counts and the stack of open labels) and nothing else: memory is
+    O(length + n) however many words follow.  The symbols that may extend a
+    prefix are, in increasing order, the innermost open label and then every
+    unseen label above it; every such prefix completes, so the search never
+    backtracks out of a dead end.  Once no label is unseen, the rest of the
+    word is forced: the remaining copies of the open labels, innermost first.
     """
     mult = check_multiplicities(mult)
     total = count_generalized(mult)
     if total > cap:
         raise EnumerationCapError(f"{total} permutations exceed cap {cap}")
-    words: list[tuple[int, ...]] = [()]
-    for label, m in enumerate(mult, start=1):
-        run = (label,) * m
-        words = [w[:g] + run + w[g:] for w in words for g in range(len(w) + 1)]
-    words.sort()
-    for w in words:
-        yield GenStirlingPerm(w, mult)
+    n = len(mult)
+    padded = (0,) + mult
+    seen = [0] * (n + 1)
+    stack: list[int] = []
+    word: list[int] = []
+    unseen = n
+    after = 0  # the next symbol at this depth must be larger than ``after``
+    while True:
+        if unseen:
+            top = stack[-1] if stack else 0
+            if after < top:
+                x = top
+            else:
+                x = after + 1
+                while x <= n and seen[x]:
+                    x += 1
+            if x <= n:
+                if not seen[x]:
+                    stack.append(x)
+                    unseen -= 1
+                seen[x] += 1
+                if seen[x] == padded[x]:
+                    stack.pop()
+                word.append(x)
+                after = 0
+                continue
+        else:
+            tail: list[int] = []
+            for label in reversed(stack):
+                tail += [label] * (padded[label] - seen[label])
+            yield GenStirlingPerm._trusted(tuple(word + tail), mult)
+        if not word:
+            return
+        # backtrack: undo the last symbol and try the next one after it
+        x = word.pop()
+        if seen[x] == padded[x]:
+            stack.append(x)
+        seen[x] -= 1
+        if not seen[x]:
+            stack.pop()
+            unseen += 1
+        after = x
 
 
 def enumerate_k_stirling(

@@ -257,8 +257,10 @@ def fixed_addition_covariance(s: Sequence[int]) -> UrnGaussianLimit:
 def nested_block_urns(k: int, n: int, seed=None) -> tuple[int, ...]:
     """Label-ordered block sizes of a random k-Stirling permutation of order
     n, read off the nested Polya urn levels of one replicate."""
-    if k < 1 or n < 1:
-        raise ValueError("need k >= 1 and n >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return tuple(int(size[0]) for _, size in _block_levels(k, n, 1, as_generator(seed)))
 
 

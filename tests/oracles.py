@@ -8,6 +8,9 @@ bug.  The exceptions are the routes that step the package's own
 sampler that ``perms.sample_generalized`` replaced, and the row kernels the
 harness's chunk kernels replaced (``ROW_KERNELS``), which also use the
 package's statistics.  Their own tests check them against enumeration.
+``enumerate_by_insertion`` is the gap-insertion-and-sort enumerator that
+the package's streaming depth-first search over prefixes replaced; the two
+must yield the same words in the same order.
 
 ``urn_a_chunk``, ``ary_chunk`` and ``plane_chunk`` are the hand-written
 chunk kernels that the harness's balanced-urn engine replaced, each with
@@ -64,6 +67,18 @@ def is_stirling(word) -> bool:
 
 def stirling_words(multiplicities):
     return [w for w in multiset_words(multiplicities) if is_stirling(w)]
+
+
+def enumerate_by_insertion(multiplicities) -> list[tuple[int, ...]]:
+    """All generalized Stirling permutations of the multiset in lexicographic
+    order, built by inserting the run ``i^{k_i}`` into every gap of every
+    word of the smaller labels, then sorting the whole list."""
+    words: list[tuple[int, ...]] = [()]
+    for label, m in enumerate(multiplicities, start=1):
+        run = (label,) * m
+        words = [w[:g] + run + w[g:] for w in words for g in range(len(w) + 1)]
+    words.sort()
+    return words
 
 
 def direct_stats(word, kmax: int) -> dict:

@@ -4,6 +4,7 @@ exit codes, file round trips, output determinism."""
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -61,6 +62,27 @@ def test_enumerate_words(capsys):
     assert payload["count"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv,sha1",
+    [
+        (("enumerate", "--n", "6", "--k", "2"), "15ea3852697addfb87ee803dbc9041339e9d74cc"),
+        (("enumerate", "--n", "5", "--k", "1", "--bundled"),
+         "da6ff6e3bf8b7ca18a7b551a8b10aad6b821dfca"),
+        (("enumerate", "--multiplicities", "1,3,2,2,3"),
+         "293a6691bcf808cf463e4be348db52409f510549"),
+        (("enumerate", "--n", "0", "--k", "2"), "e2f41009e652774a9e9c4710fd3130a7de816272"),
+        (("--csv", "enumerate", "--n", "4", "--k", "3"),
+         "f47878e09b0e0473e810edfdd3f1802f3df19402"),
+    ],
+    ids=["k2-n6", "bundled-k1-n5", "generalized", "order-zero", "csv-k3-n4"],
+)
+def test_enumerate_stdout_frozen(capsys, argv, sha1):
+    """Byte-identical to the output of the gap-insertion-and-sort enumerator."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
 def test_enumerate_cap_exceeded(capsys):
     code, out, err = run_cli(capsys, "enumerate", "--n", "8", "--k", "2", "--cap", "10")
     assert code == 1
@@ -106,6 +128,8 @@ def test_sample_is_deterministic(capsys):
          "--multiplicities cannot be combined with --n or --bundled"),
         (("urn", "--model", "a", "--k", "0", "--steps", "3", "--seed", "1"), "k must be >= 1"),
         (("urn", "--model", "b", "--k", "0", "--steps", "3", "--seed", "1"), "k must be >= 1"),
+        (("urn", "--model", "nested", "--k", "0", "--n", "3", "--seed", "1"), "k must be >= 1"),
+        (("urn", "--model", "nested", "--k", "2", "--n", "0", "--seed", "1"), "n must be >= 1"),
         (("density", "--x", "nan"), "x must be finite, got nan"),
         (("density", "--x", "inf"), "x must be finite, got inf"),
     ],
@@ -116,6 +140,7 @@ def test_sample_is_deterministic(capsys):
          "count-empty-multiplicity", "enumerate-non-integer-multiplicity",
          "count-multiplicities-with-n", "count-multiplicities-with-bundled",
          "enumerate-multiplicities-with-n-and-bundled", "urn-a-zero-k", "urn-b-zero-k",
+         "urn-nested-zero-k", "urn-nested-zero-n",
          "density-nan", "density-inf"],
 )
 def test_out_of_range_argument_is_one_error_line(capsys, argv, named):

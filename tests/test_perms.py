@@ -3,9 +3,11 @@ word statistics, all cross-checked against the definition-level oracles."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -118,6 +120,72 @@ def test_bundled_enumeration_is_generalized_with_bundled_multiset():
 def test_enumeration_cap():
     with pytest.raises(perms.EnumerationCapError):
         list(perms.enumerate_k_stirling(9, 3, cap=1000))
+    # the count is checked before the first word, not after the last
+    with pytest.raises(perms.EnumerationCapError):
+        next(perms.enumerate_generalized((2,) * 9, cap=10**6))
+
+
+def _random_multisets(count: int) -> list[tuple[int, ...]]:
+    rng = random.Random(20081)
+    return [
+        tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 6))) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "mults",
+    [SMALL_MULTISETS, _random_multisets(200), [(2,) * 7]],
+    ids=["small", "random-200", "k2-n7"],
+)
+def test_enumeration_matches_insertion_oracle(mults):
+    for mult in mults:
+        enumerated = [p.word for p in perms.enumerate_generalized(mult)]
+        assert enumerated == oracles.enumerate_by_insertion(mult), mult
+        assert all(perms.validate_word(w, mult) for w in enumerated), mult
+
+
+# sha256 of the enumeration order ("\n".join(",".join(word))), frozen from the
+# gap-insertion-and-sort enumerator
+FROZEN_ORDER = {
+    (2,) * 7: "59ded1c5ce033372689a0f743a8a4e531d86858192f6becf2edd3b1758c48a46",
+    (3,) * 5: "21b87a1e7c22a9d7c453b6009cc60718fa195c5c87cd3de5d25c607b913a405a",
+    (1, 3, 3, 3, 3, 3): "f9907eda891f4eb61938a0265979af83b3f15f6cf67d18dd0f7b0d4c00591dd4",
+    (1, 2, 2, 3, 3): "cb2c98c470f1f730a71abd4f25db9495b581de03dc6b308095b5b5f4b00e776f",
+    (2, 1, 3, 1, 2): "122c0086f6d8d3dbe5cbfd4f518cb3902fbe00e2ade33f2e86f66746e0e76f2f",
+    (1,) * 7: "8d6ce2d29955604b8334682fa9b56ac461900441efb37853b6acb3068cd822ac",
+    (4, 1, 1, 4): "13a7451e9765ea6de36d70294b615e7498894aa07a25aaf92f654450be8b47d4",
+}
+
+
+@pytest.mark.parametrize("mult", list(FROZEN_ORDER), ids=str)
+def test_enumeration_order_frozen(mult):
+    text = "\n".join(",".join(map(str, p.word)) for p in perms.enumerate_generalized(mult))
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_ORDER[mult]
+
+
+def test_enumeration_streams():
+    """The first words arrive without the other 34 million being built."""
+    tracemalloc.start()
+    try:
+        words = [p.word for p in itertools.islice(
+            perms.enumerate_generalized((2,) * 9, cap=10**9), 1000)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words == sorted(set(words)) and len(words) == 1000
+    assert words[0] == tuple(x for label in range(1, 10) for x in (label, label))
+    assert peak < 2 * 2**20
+
+
+def test_enumeration_of_a_long_word_does_not_recurse():
+    mult = (3000, 1, 1)
+    words = [p.word for p in itertools.islice(perms.enumerate_generalized(mult), 5)]
+    assert words[:3] == [(1,) * 3000 + (2, 3), (1,) * 3000 + (3, 2), (1,) * 2999 + (2, 1, 3)]
+    assert all(perms.validate_word(w, mult) for w in words)
+
+
+def test_enumeration_of_the_empty_multiset_is_one_empty_word():
+    assert [p.word for p in perms.enumerate_generalized(())] == [()]
 
 
 @given(
