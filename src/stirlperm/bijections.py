@@ -479,6 +479,8 @@ def verify_stat_transfer(n: int, k: int, include_bundled: bool = True) -> StatTr
     exterior slots, block count = left-right nodes.  For every (k+1)-bundled
     tree: the bundle statistics equal (ascents, descents, plateaux).
     """
+    if k < 1 or n < 1:
+        raise ValueError("k must be >= 1" if k < 1 else "n must be >= 1")
     bad: list[dict] = []
     ary_count = 0
 

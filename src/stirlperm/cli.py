@@ -48,16 +48,18 @@ def _word_text(perm: _perms.GenStirlingPerm) -> str:
     return ",".join(map(str, perm.word))
 
 
+def _int_list(text: str, option: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{option} must be comma separated integers, got {text!r}") from None
+
+
 def _multiplicities_for(args) -> tuple[int, ...]:
     if args.multiplicities is not None:
         if args.n is not None or args.bundled:
             raise ValueError("--multiplicities cannot be combined with --n or --bundled")
-        try:
-            return tuple(int(x) for x in args.multiplicities.split(","))
-        except ValueError:
-            raise ValueError(
-                f"--multiplicities must be comma separated integers, got {args.multiplicities!r}"
-            ) from None
+        return _int_list(args.multiplicities, "--multiplicities")
     if args.n is None:
         raise ValueError("provide --n/--k or --multiplicities")
     if args.bundled:
@@ -311,7 +313,7 @@ def _cmd_covariance(args):
         payload = {"which": "urnA", "q": args.q, "limit": limit.to_json_dict()}
         matrix = limit.covariance
     elif args.which == "fixed":
-        s = tuple(int(x) for x in args.s.split(","))
+        s = _int_list(args.s, "--s")
         limit = _urns.fixed_addition_covariance(s)
         payload = {"which": "fixed", "s": list(s), "limit": limit.to_json_dict()}
         matrix = limit.covariance
@@ -355,7 +357,7 @@ def _cmd_verify(args):
 
 
 def _cmd_experiment(args):
-    statistics = tuple(args.statistics.split(",")) if args.statistics else None
+    statistics = None if args.statistics is None else tuple(args.statistics.split(","))
     spec = _harness.ExperimentSpec(
         generator=args.generator,
         n=args.n,

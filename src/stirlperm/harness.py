@@ -300,11 +300,11 @@ class ExperimentSpec:
         if self.statistics is not None:
             object.__setattr__(self, "statistics", tuple(self.statistics))
             available = set(self.all_columns)
-            for name in self.statistics:
+            for i, name in enumerate(self.statistics):
                 if name not in available:
-                    raise ValueError(
-                        f"generator {self.generator!r} has no statistic {name!r}"
-                    )
+                    raise ValueError(f"generator {self.generator!r} has no statistic {name!r}")
+                if name in self.statistics[:i]:
+                    raise ValueError(f"statistic {name!r} is selected twice")
 
     @property
     def all_columns(self) -> tuple[str, ...]:

@@ -19,12 +19,14 @@ node of out-degree d is picked with weight ``a + b*d``, then one of its
 ``m + d`` bundle gaps uniformly (``m = 1``, ``a/b = alpha`` for plane trees;
 ``a = m``, ``b = 1`` for m-bundled trees).  The node is drawn from a token
 list in which it appears ``a + b*d`` times, as ``grow_ary_tree`` draws from
-its list of free slots, so growth takes linear time.
+its list of free slots, so growth takes linear time.  Enumeration streams
+the trees of one order from one lexicographic search over attachment arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -598,55 +600,57 @@ def enumerate_ary_trees(n: int, arity: int) -> Iterator[AryIncreasingTree]:
     yield from _enumerate_slot_trees(n, arity, arity, partial(AryIncreasingTree, arity))
 
 
+def _lex_search(top, group, cap) -> Iterator[tuple[int, ...]]:
+    """Every tuple ``a`` with ``1 <= a[i] <= top[i]``, in lexicographic
+    order, in which each pair ``(group[i], a[i])`` occurs at most
+    ``cap[a[i]]`` times.  An iterative depth-first search: the entry at each
+    depth holds one unit of its pair's capacity while the search works below
+    it, so only the current tuple and its held counts are kept."""
+    a, held, i = [0] * len(top), Counter(), 0
+    while i >= 0:
+        if i == len(a):
+            yield tuple(a)
+            i -= 1
+            continue
+        g, x = group[i], a[i]
+        if x:
+            held[g, x] -= 1
+        x += 1
+        while x <= top[i] and held[g, x] >= cap[x]:
+            x += 1
+        if x > top[i]:
+            a[i], i = 0, i - 1
+        else:
+            held[g, x] += 1
+            a[i], i = x, i + 1
+
+
 def _enumerate_slot_trees(
     n: int, arity: int, root_slots: int, make: Callable[[tuple, tuple], AryIncreasingTree]
 ) -> Iterator[AryIncreasingTree]:
     """``make(parent, slot)`` for every order-n slot tree whose root has
-    ``root_slots`` slots and other nodes ``arity``, by sorted arrays."""
-    items: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), (0,))]
-    for v in range(2, n + 1):
-        nxt = []
-        for parent, slot in items:
-            used = set(zip(parent[1:], slot[1:]))
-            for p in range(1, v):
-                for s in range(1, (root_slots if p == 1 else arity) + 1):
-                    if (p, s) not in used:
-                        nxt.append((parent + (p,), slot + (s,)))
-        items = nxt
-    items.sort()
-    for parent, slot in items:
-        yield make(parent, slot)
+    ``root_slots`` slots and other nodes ``arity``, by sorted arrays: parent
+    arrays that fill no node beyond its slots, then slots used once each."""
+    slots = [0, root_slots] + [arity] * n
+    for parent in _lex_search(range(1, n), (0,) * n, slots):
+        for slot in _lex_search([slots[p] for p in parent], parent, [1] * (arity + 1)):
+            yield make((0,) + parent, (0,) + slot)
 
 
 def enumerate_bundled_trees(n: int, bundle_count: int) -> Iterator[BundledIncreasingTree]:
-    """Yield every bundled increasing tree of order n exactly once.
-
-    Direct recursive enumeration over insertion positions; tests cross-check
-    it against decoding the enumerated bundled Stirling permutations.
-    """
+    """Yield every bundled increasing tree of order n exactly once, ordered
+    by their (parent, bundle, pos_in_bundle) arrays: each parent array, then
+    each bundle array, then each array of positions in which no position of
+    a bundle is used twice."""
     if bundle_count < 1 or n < 1:
         raise ValueError("need bundle_count >= 1 and n >= 1")
     m = bundle_count
-    # state: tuple over nodes of tuple over bundles of child tuples
-    start = ((tuple(() for _ in range(m)),), )
-    states: list[tuple] = [start[0]]
-    for v in range(2, n + 1):
-        nxt = []
-        for state in states:
-            for node in range(1, v):
-                row = state[node - 1]
-                for b in range(m):
-                    seq = row[b]
-                    for gap in range(len(seq) + 1):
-                        new_seq = seq[:gap] + (v,) + seq[gap:]
-                        new_row = row[:b] + (new_seq,) + row[b + 1 :]
-                        nxt.append(state[: node - 1] + (new_row,) + state[node:]
-                                   + (tuple(() for _ in range(m)),))
-        states = nxt
-    results = [_bundled_arrays(state) for state in states]
-    results.sort()
-    for parent, bundle, pos in results:
-        yield BundledIncreasingTree(m, parent, bundle, pos)
+    for parent in _lex_search(range(1, n), (0,) * n, [n] * n):
+        for bundle in _lex_search([m] * (n - 1), parent, [n] * (m + 1)):
+            groups = list(zip(parent, bundle))
+            size = Counter(groups)
+            for pos in _lex_search([size[g] for g in groups], groups, [1] * n):
+                yield BundledIncreasingTree(m, (0,) + parent, (0,) + bundle, (0,) + pos)
 
 
 def enumerate_plane_trees(n: int) -> Iterator[BundledIncreasingTree]:

@@ -10,7 +10,10 @@ harness's chunk kernels replaced (``ROW_KERNELS``), which also use the
 package's statistics.  Their own tests check them against enumeration.
 ``enumerate_by_insertion`` is the gap-insertion-and-sort enumerator that
 the package's streaming depth-first search over prefixes replaced; the two
-must yield the same words in the same order.
+must yield the same words in the same order.  Likewise
+``slot_tree_arrays_by_levels`` and ``bundled_tree_arrays_by_insertion``
+build every tree of one order and sort, as the tree enumerators did before
+they streamed from one lexicographic search over attachment arrays.
 
 ``urn_a_chunk``, ``ary_chunk`` and ``plane_chunk`` are the hand-written
 chunk kernels that the harness's balanced-urn engine replaced, each with
@@ -563,6 +566,51 @@ def bundled_sequences(n: int, m: int):
             yield BundledNode(root, bundles)
 
     yield from sequences(tuple(range(1, n + 1)))
+
+
+def slot_tree_arrays_by_levels(n: int, arity: int, root_slots: int) -> list[tuple]:
+    """``(parent, slot)`` arrays of every order-n slot tree whose root has
+    ``root_slots`` slots and other nodes ``arity``, sorted: all partial
+    arrays of each order are listed, each extended by every free slot."""
+    items: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((0,), (0,))]
+    for v in range(2, n + 1):
+        nxt = []
+        for parent, slot in items:
+            used = set(zip(parent[1:], slot[1:]))
+            for p in range(1, v):
+                for s in range(1, (root_slots if p == 1 else arity) + 1):
+                    if (p, s) not in used:
+                        nxt.append((parent + (p,), slot + (s,)))
+        items = nxt
+    return sorted(items)
+
+
+def bundled_tree_arrays_by_insertion(n: int, m: int) -> list[tuple]:
+    """``(parent, bundle, pos_in_bundle)`` arrays of every order-n tree with
+    m bundles per node, sorted: each tree of order v-1, as a tuple over nodes
+    of a tuple over bundles of child tuples, is extended by label v in every
+    gap of every bundle."""
+    states: list[tuple] = [(((),) * m,)]
+    for v in range(2, n + 1):
+        nxt = []
+        for state in states:
+            for node in range(1, v):
+                row = state[node - 1]
+                for b in range(m):
+                    seq = row[b]
+                    for gap in range(len(seq) + 1):
+                        new_row = row[:b] + (seq[:gap] + (v,) + seq[gap:],) + row[b + 1 :]
+                        nxt.append(state[: node - 1] + (new_row,) + state[node:] + (((),) * m,))
+        states = nxt
+    arrays = []
+    for state in states:
+        parent, bundle, pos = {1: 0}, {1: 0}, {1: 0}
+        for p, row in enumerate(state, start=1):
+            for b, seq in enumerate(row, start=1):
+                for q, c in enumerate(seq, start=1):
+                    parent[c], bundle[c], pos[c] = p, b, q
+        arrays.append(_arrays(parent, bundle, pos))
+    return sorted(arrays)
 
 
 def grow_bundles_scan(m: int, a: int, b: int, n: int, rng) -> list[list[list[int]]]:

@@ -132,6 +132,14 @@ def test_sample_is_deterministic(capsys):
         (("urn", "--model", "nested", "--k", "2", "--n", "0", "--seed", "1"), "n must be >= 1"),
         (("density", "--x", "nan"), "x must be finite, got nan"),
         (("density", "--x", "inf"), "x must be finite, got inf"),
+        (("verify", "--n", "3", "--k", "0"), "k must be >= 1"),
+        (("verify", "--n", "0"), "n must be >= 1"),
+        (("covariance", "--which", "fixed", "--s", "1,x"),
+         "--s must be comma separated integers, got '1,x'"),
+        (("experiment", "--generator", "urn_b", "--n", "3", "--replicates", "4",
+          "--seed", "1", "--statistics", ""), "has no statistic ''"),
+        (("experiment", "--generator", "urn_a", "--n", "3", "--k", "2", "--replicates", "4",
+          "--seed", "1", "--statistics", "color1,color1"), "statistic 'color1' is selected twice"),
     ],
     ids=["sample-negative-n", "sample-negative-count", "moments-negative-r",
          "moments-limit-negative-r", "moments-limit-zero-r", "density-beyond-float-range",
@@ -141,7 +149,9 @@ def test_sample_is_deterministic(capsys):
          "count-multiplicities-with-n", "count-multiplicities-with-bundled",
          "enumerate-multiplicities-with-n-and-bundled", "urn-a-zero-k", "urn-b-zero-k",
          "urn-nested-zero-k", "urn-nested-zero-n",
-         "density-nan", "density-inf"],
+         "density-nan", "density-inf", "verify-zero-k", "verify-zero-n",
+         "covariance-non-integer-s", "experiment-empty-statistics",
+         "experiment-repeated-statistic"],
 )
 def test_out_of_range_argument_is_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)

@@ -49,6 +49,8 @@ def test_spec_rejects_unknown_generator():
         dict(statistics=("no_such_column",)),
         dict(replicates=1),
         dict(seed=-1),
+        dict(statistics=("",)),
+        dict(statistics=("black", "black")),
     ],
 )
 def test_spec_rejects_out_of_range(kwargs):

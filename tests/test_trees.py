@@ -3,6 +3,9 @@ enumeration, with dual-route totals against direct enumeration sums."""
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from stirlperm import bijections as bj
 from stirlperm import perms, trees
 from stirlperm.harness import chi_square_gof, chi_square_two_sample
 
@@ -255,6 +259,131 @@ def test_enumerate_bundled_trees_counts(n, m):
     assert len(set(listed)) == expected
     keys = [(t.parent, t.bundle, t.pos_in_bundle) for t in listed]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# enumeration order and streaming
+# ---------------------------------------------------------------------------
+
+
+def _sequence_key(seq):
+    """Top-level labels of a sequence of node forms and the child labels of
+    each node by bundle, read with a stack."""
+    rows, stack = {}, list(seq)
+    while stack:
+        node = stack.pop()
+        rows[node.label] = tuple(tuple(c.label for c in b) for b in node.bundles)
+        stack.extend(c for b in node.bundles for c in b)
+    return tuple(t.label for t in seq), tuple(sorted(rows.items()))
+
+
+def _slot_key(t):
+    return t.parent, t.slot
+
+
+def _bundled_key(t):
+    return t.parent, t.bundle, t.pos_in_bundle
+
+
+# sha256 over the enumerated arrays (one repr per line) of orders 1..6, or
+# 1..5 for sequences, as the enumerators yielded them when they built and
+# sorted every tree
+FROZEN_TREE_ORDER = {
+    "ary2": (partial(trees.enumerate_ary_trees, arity=2), _slot_key, 6,
+             "ba0145a5e635f66ac31bf8fc3985c76e58abccbfd6de5fed76638e0fad1f0eea"),
+    "ary3": (partial(trees.enumerate_ary_trees, arity=3), _slot_key, 6,
+             "e1f17232fe045ae35122326e0342629de7985fe412b47fecbf53a75573cbaa2c"),
+    "ary4": (partial(trees.enumerate_ary_trees, arity=4), _slot_key, 6,
+             "6c7bab21119f23457f84efabcc6a7316bc531a35a1f9f5db264268cf463352f2"),
+    "f1": (partial(bj.enumerate_f_trees, root_slot_count=1), _slot_key, 6,
+           "fcf87f0a2385ad4248939dede2bb814e2b6738b4a234d812c3a35fe9d7fe9902"),
+    "f2": (partial(bj.enumerate_f_trees, root_slot_count=2), _slot_key, 6,
+           "466bfa7c7d9e9907130178f098b68d2433ae31b301b041790e084aeb4d390da9"),
+    "f3": (partial(bj.enumerate_f_trees, root_slot_count=3), _slot_key, 6,
+           "c000d7ee51dec5be775ac90fd9e0dc6de13069db3ab4f985502d6ccbe11487c2"),
+    "bundled1": (partial(trees.enumerate_bundled_trees, bundle_count=1), _bundled_key, 6,
+                 "18640cf58773c86b858c1a851621b8b260f70c185f0db58a7d71a90c99ff24c5"),
+    "bundled2": (partial(trees.enumerate_bundled_trees, bundle_count=2), _bundled_key, 6,
+                 "1836eb6f19566cba5756d79aaca29397bd37491bb84973a75a880b7cf36c0dc9"),
+    "bundled3": (partial(trees.enumerate_bundled_trees, bundle_count=3), _bundled_key, 6,
+                 "0e695713ab76e468aaab96ca6281d83063ab98e09ed5a241f99cc554bef9ed51"),
+    "plane": (trees.enumerate_plane_trees, _bundled_key, 6,
+              "18640cf58773c86b858c1a851621b8b260f70c185f0db58a7d71a90c99ff24c5"),
+    "seq1": (partial(bj.enumerate_bundled_sequences, bundle_count=1), _sequence_key, 5,
+             "e1f98f8c74bf640f232c0c7dc59a030dc0c1fc64372d28f9eccb1257f77d7aba"),
+    "seq2": (partial(bj.enumerate_bundled_sequences, bundle_count=2), _sequence_key, 5,
+             "7c407db3feb3e7d7709fb6be2222e45ccdfd15198f932da30ac17bb72fca8421"),
+    "seq3": (partial(bj.enumerate_bundled_sequences, bundle_count=3), _sequence_key, 5,
+             "e1bf1147d62fcc1ddbd23aa0a41b1389dd81cd46eb1cb429258ca1c5f208ff9f"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FROZEN_TREE_ORDER))
+def test_tree_enumeration_order_frozen(family):
+    enumerate_trees, key, max_order, expected = FROZEN_TREE_ORDER[family]
+    digest = hashlib.sha256()
+    for n in range(1, max_order + 1):
+        for tree in enumerate_trees(n):
+            digest.update(repr(key(tree)).encode() + b"\n")
+    assert digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "enumerate_trees,arity,root_slots",
+    [
+        (partial(trees.enumerate_ary_trees, arity=2), 2, 2),
+        (partial(trees.enumerate_ary_trees, arity=3), 3, 3),
+        (partial(trees.enumerate_ary_trees, arity=4), 4, 4),
+        (partial(bj.enumerate_f_trees, root_slot_count=1), 3, 1),
+        (partial(bj.enumerate_f_trees, root_slot_count=2), 4, 2),
+        (partial(bj.enumerate_f_trees, root_slot_count=3), 5, 3),
+    ],
+    ids=["ary2", "ary3", "ary4", "f1", "f2", "f3"],
+)
+def test_slot_tree_enumeration_matches_level_oracle(enumerate_trees, arity, root_slots, n):
+    listed = [_slot_key(t) for t in enumerate_trees(n)]
+    assert listed == oracles.slot_tree_arrays_by_levels(n, arity, root_slots)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bundled_tree_enumeration_matches_insertion_oracle(m, n):
+    listed = [_bundled_key(t) for t in trees.enumerate_bundled_trees(n, m)]
+    assert listed == oracles.bundled_tree_arrays_by_insertion(n, m)
+
+
+@pytest.mark.parametrize(
+    "enumerate_trees",
+    [partial(trees.enumerate_bundled_trees, 7, 2), partial(trees.enumerate_ary_trees, 7, 3)],
+    ids=["bundled-7-2", "ary-7-3"],
+)
+def test_tree_enumeration_streams(enumerate_trees):
+    """The first trees arrive without the other hundreds of thousands being
+    built."""
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(enumerate_trees(), 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(first)) == 1000
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "enumerate_trees",
+    [
+        partial(trees.enumerate_ary_trees, 2000, 3),
+        partial(trees.enumerate_bundled_trees, 2000, 2),
+        partial(bj.enumerate_f_trees, 2000, 2),
+    ],
+    ids=["ary", "bundled", "f-tree"],
+)
+def test_first_tree_of_a_large_order_does_not_recurse(enumerate_trees):
+    tree = next(enumerate_trees())
+    assert tree.order == 2000
+    assert tree.parent[1:] == tuple(sorted(tree.parent[1:]))
 
 
 @pytest.mark.parametrize(
