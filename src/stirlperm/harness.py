@@ -231,34 +231,34 @@ def _stirling_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
 @dataclass(frozen=True)
 class GeneratorDef:
     min_k: int
-    columns: Callable[[int, int], tuple[str, ...]]
+    columns: Callable[[int], tuple[str, ...]]  # k -> column names
     kernel: Callable  # (n, k, count, rng) -> count-by-columns array
 
 
 GENERATORS: dict[str, GeneratorDef] = {
     "urn_a": GeneratorDef(
-        1, lambda n, k: tuple(f"color{j}" for j in range(1, k + 2)), partial(_urn_chunk, urn_a_spec)
+        1, lambda k: tuple(f"color{j}" for j in range(1, k + 2)), partial(_urn_chunk, urn_a_spec)
     ),
-    "urn_b": GeneratorDef(1, lambda n, k: ("black", "white"), _urn_b_chunk),
-    "urn_c_block": GeneratorDef(1, lambda n, k: ("white", "black", "firstFraction"), _urn_c_chunk),
-    "block_sizes": GeneratorDef(2, lambda n, k: ("first", "largest", "count"), _block_sizes_chunk),
+    "urn_b": GeneratorDef(1, lambda k: ("black", "white"), _urn_b_chunk),
+    "urn_c_block": GeneratorDef(1, lambda k: ("white", "black", "firstFraction"), _urn_c_chunk),
+    "block_sizes": GeneratorDef(2, lambda k: ("first", "largest", "count"), _block_sizes_chunk),
     "stick_breaking": GeneratorDef(
         2,
-        lambda n, k: tuple(f"component{m}" for m in range(1, STICK_DEPTH + 1)) + ("remainder",),
+        lambda k: tuple(f"component{m}" for m in range(1, STICK_DEPTH + 1)) + ("remainder",),
         _stick_chunk,
     ),
     "stirling_perm": GeneratorDef(
         1,
-        lambda n, k: ("ascents", "descents", "plateaux", "blocks", "firstBlock", "largestBlock"),
+        lambda k: ("ascents", "descents", "plateaux", "blocks", "firstBlock", "largestBlock"),
         _stirling_chunk,
     ),
     "ary_tree": GeneratorDef(
         1,
-        lambda n, k: tuple(f"exterior{j}" for j in range(1, k + 2)) + ("leftRight", "leaves"),
+        lambda k: tuple(f"exterior{j}" for j in range(1, k + 2)) + ("leftRight", "leaves"),
         partial(_urn_chunk, ary_tree_spec),
     ),
     "plane_tree": GeneratorDef(
-        2, lambda n, k: ("leaves", "rootDegree"), partial(_urn_chunk, plane_tree_spec)
+        2, lambda k: ("leaves", "rootDegree"), partial(_urn_chunk, plane_tree_spec)
     ),
 }
 
@@ -299,6 +299,8 @@ class ExperimentSpec:
             raise ValueError("seed must be >= 0")
         if self.statistics is not None:
             object.__setattr__(self, "statistics", tuple(self.statistics))
+            if not self.statistics:
+                raise ValueError("statistics must name at least one column")
             available = set(self.all_columns)
             for i, name in enumerate(self.statistics):
                 if name not in available:
@@ -308,7 +310,7 @@ class ExperimentSpec:
 
     @property
     def all_columns(self) -> tuple[str, ...]:
-        return GENERATORS[self.generator].columns(self.n, self.k)
+        return GENERATORS[self.generator].columns(self.k)
 
     @property
     def selected_columns(self) -> tuple[str, ...]:
@@ -374,12 +376,12 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         out[lo:hi] = gen.kernel(spec.n, spec.k, hi - lo, chunk_stream(spec.seed, index))
 
     # numpy releases the GIL inside the kernels' array steps, but on a
-    # shared 2-core host the second thread gained nothing measurable:
-    # medians of 11 alternating in-process runs at threads=1 and 2 were
-    # 0.25 and 0.24 s for urn_a (n=1200, 4096 replicates), 0.80 and 0.75 s
-    # for urn_b and 0.83 and 0.93 s for block_sizes (n=20000, 8192), and
-    # 0.18 and 0.17 s for ary_tree (n=500, 4096).  The pool stays until an
-    # end-to-end benchmark of the CLI says whether it pays.
+    # shared 2-core host the second thread gains nothing measurable: the
+    # benchmark's harness.thread_speedup (threads=1 over threads=2 time)
+    # had medians of 0.92 on mc_chunk and 0.89 on mc_replicate over 10
+    # runs each, and in-process runs of urn_a, urn_b, block_sizes and
+    # ary_tree were even too.  Every benchmark workload passes --threads 2,
+    # so the pool stays until a benchmark change drops that argument.
     if threads == 1 or len(bounds) == 1:
         for index in range(len(bounds)):
             fill(index)

@@ -21,6 +21,9 @@ node of out-degree d is picked with weight ``a + b*d``, then one of its
 list in which it appears ``a + b*d`` times, as ``grow_ary_tree`` draws from
 its list of free slots, so growth takes linear time.  Enumeration streams
 the trees of one order from one lexicographic search over attachment arrays.
+
+Each tree groups its children once: the validation pass of its constructor
+builds the index that ``child`` and ``bundles_of`` read.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 from ._rng import as_generator
 from .distributions import rational_binomial
@@ -258,39 +261,33 @@ class AryIncreasingTree(_ParentArrayTree):
         if self.parent[0] != 0 or self.slot[0] != 0:
             raise InvalidTreeError("node 1 must be the root")
         arity, root_slots = self.arity, self._root_slots
-        used = set()
+        # kids[v][s] = child of v in slot s, or 0 for a free slot (index 0 unused)
+        kids = [[0] * (arity + 1) for _ in range(n + 1)]
         for v in range(2, n + 1):
             p, s = self.parent[v - 1], self.slot[v - 1]
             if not 1 <= p < v:
                 raise InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
             if not 1 <= s <= (root_slots if p == 1 else arity):
                 raise InvalidTreeError(f"slot of node {v} out of range: {s}")
-            if (p, s) in used:
+            if kids[p][s]:
                 raise InvalidTreeError(f"slot {s} of node {p} used twice")
-            used.add((p, s))
+            kids[p][s] = v
+        object.__setattr__(self, "_kids", kids)
 
     @property
     def _root_slots(self) -> int:
         return self.arity
 
-    @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        """``_children[v][s]`` = child of v in slot s, or 0 (index 0 unused)."""
-        table = [[0] * (self.arity + 1) for _ in range(self.order + 1)]
-        for v in range(2, self.order + 1):
-            table[self.parent[v - 1]][self.slot[v - 1]] = v
-        return tuple(tuple(row) for row in table)
-
     def child(self, v: int, s: int) -> int:
         """Child of node v in slot s (0 if the slot is free)."""
-        return self._children[v][s]
+        return self._kids[v][s]
 
     def free_slots(self) -> list[tuple[int, int]]:
         return [
             (v, s)
             for v in range(1, self.order + 1)
             for s in range(1, (self._root_slots if v == 1 else self.arity) + 1)
-            if self._children[v][s] == 0
+            if not self.child(v, s)
         ]
 
     def to_json_dict(self) -> dict:
@@ -385,36 +382,31 @@ class BundledIncreasingTree(_ParentArrayTree):
             raise InvalidTreeError("array fields must be non-empty and aligned")
         if (self.parent[0], self.bundle[0], self.pos_in_bundle[0]) != (0, 0, 0):
             raise InvalidTreeError("node 1 must be the root")
-        groups: dict[tuple[int, int], list[int]] = {}
+        # _groups[p, b] = children of p in bundle b, in order; empty bundles absent
+        groups: dict[tuple[int, int], Sequence[int]] = {}
         for v in range(2, n + 1):
-            p, b, q = self.parent[v - 1], self.bundle[v - 1], self.pos_in_bundle[v - 1]
+            p, b = self.parent[v - 1], self.bundle[v - 1]
             if not 1 <= p < v:
                 raise InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
             if not 1 <= b <= self.bundle_count:
                 raise InvalidTreeError(f"bundle of node {v} out of range: {b}")
-            groups.setdefault((p, b), []).append(q)
-        for (p, b), positions in groups.items():
-            if sorted(positions) != list(range(1, len(positions) + 1)):
-                raise InvalidTreeError(
-                    f"positions in bundle {b} of node {p} are not contiguous: {positions}"
-                )
-
-    @cached_property
-    def _bundles(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """``_bundles[v][b-1]`` = children of v in bundle b, in order (index 0 unused)."""
-        table: list[list[list[int]]] = [
-            [[] for _ in range(self.bundle_count)] for _ in range(self.order + 1)
-        ]
-        order_keys = sorted(
-            range(2, self.order + 1),
-            key=lambda v: (self.parent[v - 1], self.bundle[v - 1], self.pos_in_bundle[v - 1]),
-        )
-        for v in order_keys:
-            table[self.parent[v - 1]][self.bundle[v - 1] - 1].append(v)
-        return tuple(tuple(tuple(b) for b in row) for row in table)
+            groups.setdefault((p, b), []).append(v)
+        for (p, b), kids in groups.items():
+            row = [0] * len(kids)
+            for v in kids:
+                q = self.pos_in_bundle[v - 1]
+                if not 1 <= q <= len(row) or row[q - 1]:
+                    positions = [self.pos_in_bundle[u - 1] for u in kids]
+                    raise InvalidTreeError(
+                        f"positions in bundle {b} of node {p} are not contiguous: {positions}"
+                    )
+                row[q - 1] = v
+            groups[p, b] = tuple(row)
+        object.__setattr__(self, "_groups", groups)
 
     def bundles_of(self, v: int) -> tuple[tuple[int, ...], ...]:
-        return self._bundles[v]
+        """The children of v in each bundle, in order."""
+        return tuple([self._groups.get((v, b), ()) for b in range(1, self.bundle_count + 1)])
 
     def leaves(self) -> int:
         return sum(1 for d in self.degrees() if d == 0)

@@ -138,10 +138,13 @@ def block_intervals(word):
 
 
 def ary_code(tree, v: int = 1):
-    """Recursive form of the depth-first code: the node's label is emitted
-    between consecutive subtree codes."""
+    """Recursive form of the depth-first contour code: the node's label is
+    emitted between consecutive subtree codes.  The root of an F-tree has
+    ``root_slot_count`` slots, so its label appears once less per missing
+    slot; every other node has ``arity`` slots."""
+    slots = getattr(tree, "root_slot_count", tree.arity) if v == 1 else tree.arity
     parts: list[int] = []
-    for s in range(1, tree.arity + 1):
+    for s in range(1, slots + 1):
         if s > 1:
             parts.append(v)
         c = tree.child(v, s)

@@ -124,6 +124,19 @@ def test_bundled_encode_matches_recursive_oracle(n, m):
         assert bj.encode_bundled_tree(t).word == tuple(oracles.bundled_code(t))
 
 
+@pytest.mark.parametrize("m,count", [(2, 973), (3, 3721)])
+def test_bundled_code_is_contour_code_of_f_tree(m, count):
+    """The bundled code of a tree is the depth-first contour code of its
+    F-tree, the root having ``m`` slots and the other nodes ``m + 2``."""
+    trees_seen = 0
+    for n in range(1, 6):
+        for t in trees.enumerate_bundled_trees(n, m):
+            contour = oracles.ary_code(bj.f_tree_from_bundled(t))
+            assert bj.encode_bundled_tree(t).word == tuple(contour)
+            trees_seen += 1
+    assert trees_seen == count
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 40))
 @settings(max_examples=50, deadline=None)
 def test_bundled_roundtrip_on_grown_trees(seed, n):

@@ -51,6 +51,7 @@ def test_spec_rejects_unknown_generator():
         dict(seed=-1),
         dict(statistics=("",)),
         dict(statistics=("black", "black")),
+        dict(statistics=()),
     ],
 )
 def test_spec_rejects_out_of_range(kwargs):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -167,6 +168,26 @@ def test_ary_tree_validation():
         trees.AryIncreasingTree(1, (0,), (0,))  # arity too small
 
 
+@pytest.mark.parametrize(
+    "cls,args,message",
+    [
+        (trees.AryIncreasingTree, (3, (0, 1, 3), (0, 1, 2)), "node 3 needs a smaller parent, got 3"),
+        (trees.AryIncreasingTree, (3, (0, 0), (0, 1)), "node 2 needs a smaller parent, got 0"),
+        (trees.AryIncreasingTree, (3, (0, 1), (0, 4)), "slot of node 2 out of range: 4"),
+        (trees.AryIncreasingTree, (3, (0, 1, 2), (0, 1, 0)), "slot of node 3 out of range: 0"),
+        (bj.FIncreasingTree, (2, (0, 1), (0, 3)), "slot of node 2 out of range: 3"),
+        (bj.FIncreasingTree, (2, (0, 1, 2), (0, 2, 5)), "slot of node 3 out of range: 5"),
+        (trees.AryIncreasingTree, (3, (0, 1, 1), (0, 2, 2)), "slot 2 of node 1 used twice"),
+        (bj.FIncreasingTree, (1, (0, 1, 2, 2), (0, 1, 3, 3)), "slot 3 of node 2 used twice"),
+        # the nodes are checked in turn: the first bad node is reported
+        (trees.AryIncreasingTree, (2, (0, 1, 1, 5), (0, 1, 1, 1)), "slot 1 of node 1 used twice"),
+    ],
+)
+def test_ary_tree_validation_messages(cls, args, message):
+    with pytest.raises(trees.InvalidTreeError, match=f"^{re.escape(message)}$"):
+        cls(*args)
+
+
 def test_ary_tree_json_roundtrip():
     t = trees.AryIncreasingTree(3, (0, 1, 2), (0, 2, 3))
     assert trees.AryIncreasingTree.from_json_dict(t.to_json_dict()) == t
@@ -229,6 +250,35 @@ def test_bundled_tree_validation():
         trees.BundledIncreasingTree(2, (0, 1), (0, 3), (0, 1))  # bundle index
     with pytest.raises(trees.InvalidTreeError):
         trees.BundledIncreasingTree(2, (0, 1), (0, 1), (0, 2))  # position gap
+
+
+@pytest.mark.parametrize(
+    "arrays,message",
+    [
+        (((0, 2), (0, 1), (0, 1)), "node 2 needs a smaller parent, got 2"),
+        (((0, 1), (0, 3), (0, 1)), "bundle of node 2 out of range: 3"),
+        (((0, 1), (0, 0), (0, 1)), "bundle of node 2 out of range: 0"),
+        (((0, 1, 1), (0, 1, 1), (0, 1, 3)), "positions in bundle 1 of node 1 are not contiguous: [1, 3]"),
+        (((0, 1, 1), (0, 2, 2), (0, 2, 2)), "positions in bundle 2 of node 1 are not contiguous: [2, 2]"),
+        (((0, 1, 1), (0, 1, 1), (0, 0, 1)), "positions in bundle 1 of node 1 are not contiguous: [0, 1]"),
+        (((0, 1, 2), (0, 1, 2), (0, 1, 2)), "positions in bundle 2 of node 2 are not contiguous: [2]"),
+        # groups are checked in the order of their first child, not sorted
+        (
+            ((0, 1, 1, 1, 1), (0, 2, 1, 2, 1), (0, 1, 2, 3, 2)),
+            "positions in bundle 2 of node 1 are not contiguous: [1, 3]",
+        ),
+        # every node's parent and bundle are checked before any positions
+        (((0, 1, 1, 3), (0, 1, 1, 4), (0, 1, 1, 1)), "bundle of node 4 out of range: 4"),
+    ],
+)
+def test_bundled_tree_validation_messages(arrays, message):
+    with pytest.raises(trees.InvalidTreeError, match=f"^{re.escape(message)}$"):
+        trees.BundledIncreasingTree(2, *arrays)
+
+
+def test_bundled_children_follow_their_positions():
+    t = trees.BundledIncreasingTree(2, (0, 1, 1, 1), (0, 1, 1, 1), (0, 3, 1, 2))
+    assert t.bundles_of(1) == ((3, 4, 2), ())
 
 
 def test_bundled_tree_json_roundtrip():
