@@ -6,13 +6,14 @@ matrix filled in fixed chunks of :data:`REPLICATE_CHUNK` rows.  Every
 generator is a chunk kernel that draws from one stream per chunk, so the
 matrix is byte-identical for any thread count.
 
-``urn_a``, ``ary_tree`` and ``plane_tree`` are balanced urns written as
-tables (:class:`BalancedUrn`) and ``stirling_perm`` is an urn over gap
-classes.  Their kernels grow all rows of a chunk together: each step picks a
-class by one integer uniform below the total and changes the class counts
-by a fixed rule, which is exact in law.  Each step draws a full chunk width
-of integers and row i uses the i-th, so a row is the same whatever the
-number of rows in its chunk.
+``urn_a``, ``ary_tree`` and ``plane_tree`` step balanced urn tables of
+type :class:`stirlperm.urns.UrnSpec`, the type the ``urn`` command
+simulates, and ``stirling_perm`` is an urn over gap classes.  Their kernels
+grow all rows of a chunk together: each step picks a class by one integer
+uniform below the total and changes the class counts by a fixed rule, which
+is exact in law.  Each step draws a full chunk width of integers and row i
+uses the i-th, so a row is the same whatever the number of rows in its
+chunk.
 
 The block-law generators ``urn_b``, ``urn_c_block`` and ``block_sizes`` all
 read the nested Polya urn levels of :mod:`stirlperm.urns` rather than
@@ -37,7 +38,8 @@ import numpy as np
 from . import distributions as _dist
 from ._rng import as_generator  # noqa: F401  (bench/run.py records its bit generator)
 from ._rng import chunk_stream
-from .urns import _block_levels, sample_block_size_stats, symmetric_urn, urn_a_covariance
+from .urns import UrnSpec, _block_levels, ary_tree_urn, plane_tree_urn, sample_block_size_stats
+from .urns import symmetric_urn, urn_a_covariance
 
 REPLICATE_CHUNK = 1024
 # the balanced-urn engine draws this many steps of a chunk (64 MiB) per call
@@ -52,71 +54,11 @@ MAX_ORDER = 100_000_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BalancedUrn:
-    """A balanced urn as a table: the state is the drawn colours, one per
-    replacement row of ``deltas``, then tally columns that are never drawn;
-    ``readout`` maps it to the output columns.  Order n runs n - lag steps."""
-
-    initial: tuple[int, ...]
-    deltas: tuple[tuple[int, ...], ...]
-    readout: tuple[tuple[int, ...], ...]
-    lag: int
-
-    def __post_init__(self) -> None:
-        if len({sum(row[: len(self.deltas)]) for row in self.deltas}) != 1:
-            raise ValueError("every drawn colour must add the same number of balls")
-
-
-def urn_a_spec(k: int) -> BalancedUrn:
-    """Urn A: :func:`~stirlperm.urns.symmetric_urn` on k+1 colours, read out as is."""
-    urn = symmetric_urn(k + 1)
-    identity = tuple(tuple(int(i == j) for j in range(k + 1)) for i in range(k + 1))
-    return BalancedUrn(urn.initial, urn.deltas, identity, 0)
-
-
-def ary_tree_spec(k: int) -> BalancedUrn:
-    """Free-slot classes of a (k+1)-ary increasing tree of order n.
-
-    A free (j+1)-slot whose parent is (not) a leaf and is (not) left-right
-    is in class ``4j + 2*leaf + lr``; the tally counts left-right nodes.  A
-    leaf parent's other slots move to the non-leaf class; the new node
-    brings k+1 leaf slots and is left-right iff its parent is and the slot
-    is an extreme one.  Read out the exteriors, leftRight and the leaves.
-    """
-    d = k + 1
-    classes = range(4 * d)
-    deltas = []
-    for c in classes:
-        j, leaf, lr = c >> 2, c >> 1 & 1, c & 1
-        new_lr = lr * (j in (0, d - 1))
-        row = [0] * (4 * d) + [new_lr]
-        row[c & ~2] -= 1
-        for s in range(0, 4 * d, 4):
-            row[s + 2 + lr] -= leaf
-            row[s + lr] += leaf
-            row[s + 2 + new_lr] += 1
-        deltas.append(tuple(row))
-    readout = [tuple(int(c >> 2 == j) for c in classes) + (0,) for j in range(d)]
-    readout += [(0,) * (4 * d) + (1,), tuple(int(c in (2, 3)) for c in classes) + (0,)]
-    initial = tuple(int(c & 3 == 3) for c in classes) + (1,)
-    return BalancedUrn(initial, tuple(deltas), tuple(readout), 1)
-
-
-def plane_tree_spec(k: int) -> BalancedUrn:
-    """Weight classes of a k-plane recursive tree of order n, whose node of
-    degree d has weight 1 + (k-1)d: the root while a leaf, the root once it
-    is not, the non-root leaves and the other nodes, then the root degree.
-    A chosen leaf becomes a node of weight k, and the new node is a leaf."""
-    rows = ((-1, k, 1, 0, 1), (0, k - 1, 1, 0, 1), (0, 0, 0, k, 0), (0, 0, 1, k - 1, 0))
-    return BalancedUrn((1, 0, 0, 0, 0), rows, ((1, 0, 1, 0, 0), (0, 0, 0, 0, 1)), 1)
-
-
-def _urn_chunk(spec: Callable[[int], BalancedUrn], n: int, k: int, count: int, rng) -> np.ndarray:
-    """``count`` rows of the urn ``spec(k)`` at order n.  The column-major
-    state keeps the drawn colours as cumulative counts, so the drawn colour
-    is the number of them at or below the draw."""
-    urn = spec(k)
+def _urn_chunk(urn_of: Callable[[int], UrnSpec], lag: int, n: int, k: int, count: int, rng):
+    """``count`` rows of the urn ``urn_of(k)`` at order n, which is n - lag
+    draws.  The column-major state keeps the drawn colours as cumulative
+    counts, so the drawn colour is the number of them at or below the draw."""
+    urn = urn_of(k)
     drawn = len(urn.deltas)
     cumulate = np.eye(len(urn.initial), dtype=np.int64)
     cumulate[:drawn, :drawn] = np.tri(drawn, dtype=np.int64)
@@ -124,14 +66,16 @@ def _urn_chunk(spec: Callable[[int], BalancedUrn], n: int, k: int, count: int, r
     state = np.repeat((cumulate @ urn.initial)[:, None], count, axis=1)
     cum = state[:drawn]
     start, growth = sum(urn.initial[:drawn]), sum(urn.deltas[0][:drawn])
-    steps = n - urn.lag
+    steps = n - lag
     for lo in range(0, steps, STEP_CHUNK):
         totals = start + growth * np.arange(lo, min(lo + STEP_CHUNK, steps))
         draws = rng.integers(0, totals[:, None], size=(len(totals), REPLICATE_CHUNK))
         for u in draws[:, :count]:
             state += np.take(deltas, (u >= cum).sum(axis=0), axis=1)
     state[:drawn] = np.diff(cum, axis=0, prepend=0)
-    return (np.array(urn.readout, dtype=np.int64) @ state).T.astype(np.float64)
+    if urn.readout is not None:
+        state = np.array(urn.readout, dtype=np.int64) @ state
+    return state.T.astype(np.float64)
 
 
 def _urn_b_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
@@ -235,10 +179,13 @@ class GeneratorDef:
     kernel: Callable  # (n, k, count, rng) -> count-by-columns array
 
 
+def _urn_generator(min_k: int, urn_of: Callable[[int], UrnSpec], lag: int) -> GeneratorDef:
+    """A generator that steps the urn ``urn_of(k)`` and names its columns after its colours."""
+    return GeneratorDef(min_k, lambda k: urn_of(k).colors, partial(_urn_chunk, urn_of, lag))
+
+
 GENERATORS: dict[str, GeneratorDef] = {
-    "urn_a": GeneratorDef(
-        1, lambda k: tuple(f"color{j}" for j in range(1, k + 2)), partial(_urn_chunk, urn_a_spec)
-    ),
+    "urn_a": _urn_generator(1, lambda k: symmetric_urn(k + 1), 0),
     "urn_b": GeneratorDef(1, lambda k: ("black", "white"), _urn_b_chunk),
     "urn_c_block": GeneratorDef(1, lambda k: ("white", "black", "firstFraction"), _urn_c_chunk),
     "block_sizes": GeneratorDef(2, lambda k: ("first", "largest", "count"), _block_sizes_chunk),
@@ -252,14 +199,8 @@ GENERATORS: dict[str, GeneratorDef] = {
         lambda k: ("ascents", "descents", "plateaux", "blocks", "firstBlock", "largestBlock"),
         _stirling_chunk,
     ),
-    "ary_tree": GeneratorDef(
-        1,
-        lambda k: tuple(f"exterior{j}" for j in range(1, k + 2)) + ("leftRight", "leaves"),
-        partial(_urn_chunk, ary_tree_spec),
-    ),
-    "plane_tree": GeneratorDef(
-        2, lambda k: ("leaves", "rootDegree"), partial(_urn_chunk, plane_tree_spec)
-    ),
+    "ary_tree": _urn_generator(1, ary_tree_urn, 1),
+    "plane_tree": _urn_generator(2, plane_tree_urn, 1),
 }
 
 
@@ -558,7 +499,7 @@ def _theory_urn_a(spec: ExperimentSpec) -> TheoryTarget:
     cov = urn_a_covariance(q).covariance
     return TheoryTarget(
         name="urn_a_gaussian",
-        columns=tuple(f"color{j}" for j in range(1, q + 1)),
+        columns=symmetric_urn(q).colors,
         center=(exact_mean,) * q,
         scale=scale,
         means=(0.0,) * q,
@@ -584,13 +525,27 @@ def _theory_urn_b(spec: ExperimentSpec) -> TheoryTarget:
     )
 
 
-def _theory_first_fraction(name: str, column: str, spec: ExperimentSpec) -> TheoryTarget:
-    """The mean (k-1)/(k+1) of one first-fraction column: the first block's
-    share of the word in the limit, and the first stick-breaking component."""
+def _theory_first_block(spec: ExperimentSpec) -> TheoryTarget:
+    """The exact mean ((k-1)n + 2)/((k+1)n) of firstFraction: the first
+    block is k(J + 1) for the first nested urn level J ~ BetaBinomial(n-1,
+    (k-1)/k, 2/k), so firstFraction is (J + 1)/n."""
+    n, k = spec.n, spec.k
+    return TheoryTarget(
+        name="first_block_mean",
+        columns=("firstFraction",),
+        center=(0.0,),
+        scale=1.0,
+        means=(((k - 1) * n + 2) / ((k + 1) * n),),
+    )
+
+
+def _theory_stick_breaking(spec: ExperimentSpec) -> TheoryTarget:
+    """The mean (k-1)/(k+1) of the first stick-breaking component, the
+    limit of the first block's share of the word."""
     k = spec.k
     return TheoryTarget(
-        name=name,
-        columns=(column,),
+        name="stick_breaking_mean",
+        columns=("component1",),
         center=(0.0,),
         scale=1.0,
         means=((k - 1) / (k + 1),),
@@ -600,8 +555,8 @@ def _theory_first_fraction(name: str, column: str, spec: ExperimentSpec) -> Theo
 THEORIES: dict[str, Callable[[ExperimentSpec], TheoryTarget]] = {
     "urn_a_gaussian": _theory_urn_a,
     "urn_b_blocks": _theory_urn_b,
-    "first_block_mean": partial(_theory_first_fraction, "first_block_mean", "firstFraction"),
-    "stick_breaking_mean": partial(_theory_first_fraction, "stick_breaking_mean", "component1"),
+    "first_block_mean": _theory_first_block,
+    "stick_breaking_mean": _theory_stick_breaking,
 }
 
 

@@ -1,12 +1,13 @@
 """Polya urn models tied to Stirling permutation statistics.
 
-Four replacement schemes, all driven by a single simulator:
+Six urn tables of one type, :class:`UrnSpec`, all driven by a single
+simulator and by :func:`transition_distribution`:
 
 * ``symmetric_urn(q)``: draw a ball, discard it, add one ball of every
   colour.  From all ones, the ``q = k+1`` colour counts after n-1 draws have
   the joint law of the exterior slot counts of a random (k+1)-ary increasing
   tree of order n, so of the ascents, descents and plateaux of a random
-  k-Stirling permutation.  The harness steps it as the balanced urn ``urn_a``.
+  k-Stirling permutation.  The harness steps it as ``urn_a``.
 * ``fixed_addition_urn(s)``: draw, discard, add the fixed vector ``s``.
 * ``triangular_block_urn(k)``: colours (black, white); a black draw adds k
   black, a white draw adds k-1 black and 1 white.  Starting from (k-1, 2)
@@ -14,6 +15,15 @@ Four replacement schemes, all driven by a single simulator:
   random k-Stirling permutation.
 * ``polya_urn(k, w, b)``: classical two-colour urn, k extra balls of the
   drawn colour.  Nested copies of it drive the label-ordered block sizes.
+* ``ary_tree_urn(k)``: the free slots of a (k+1)-ary increasing tree by
+  slot, parent leaf or not and parent left-right or not, read out as the
+  exteriors by slot, the left-right nodes and the leaves.
+* ``plane_tree_urn(k)``: the nodes of a k-plane recursive tree by weight
+  class, read out as the leaves and the root degree.
+
+The two tree tables carry tally columns that are never drawn and read their
+statistics out of the state; the harness steps them as ``ary_tree`` and
+``plane_tree``.
 
 Every block-law sampler draws each nested urn level from its beta-binomial
 marginal: ``nested_block_urns`` lists the levels of one permutation,
@@ -43,33 +53,42 @@ KIND_SYMMETRIC = "symmetricA"
 KIND_FIXED = "fixedAddition"
 KIND_TRIANGULAR = "triangularB"
 KIND_POLYA = "polyaC"
+KIND_ARY_TREE = "aryTreeSlots"
+KIND_PLANE_TREE = "planeTreeWeights"
 
 
 @dataclass(frozen=True)
 class UrnSpec:
     """An urn model: colour names, initial counts and the replacement rule.
 
-    ``deltas[c]`` is the net change applied to the counts when colour ``c``
-    is drawn (any discard of the drawn ball is already folded in).
+    The state is the drawn colours, one per replacement row of ``deltas``,
+    then tally columns that are never drawn.  ``deltas[c]`` is the net
+    change applied to the whole state when colour ``c`` is drawn (any
+    discard of the drawn ball is already folded in), and every drawn colour
+    adds the same number of balls.  ``readout`` maps the state to the
+    ``colors`` columns; ``None`` reads the state as is.
     """
 
     kind: str
     colors: tuple[str, ...]
     initial: tuple[int, ...]
     deltas: tuple[tuple[int, ...], ...]
+    readout: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        q = len(self.colors)
-        if q < 2:
+        drawn, width = len(self.deltas), len(self.initial)
+        if drawn < 2:
             raise ValueError("an urn needs at least two colours")
-        if len(self.initial) != q or len(self.deltas) != q:
-            raise ValueError("initial counts and replacement rows must match colours")
-        if any(c < 0 for c in self.initial) or sum(self.initial) < 1:
+        if drawn > width:
+            raise ValueError("every replacement row must draw a state column")
+        if len(self.colors) != (width if self.readout is None else len(self.readout)):
+            raise ValueError("colours must name the read-out columns")
+        if any(len(row) != width for row in self.deltas + (self.readout or ())):
+            raise ValueError("replacement and readout rows need one entry per state column")
+        if any(c < 0 for c in self.initial) or sum(self.initial[:drawn]) < 1:
             raise ValueError("initial counts must be non-negative and not all zero")
-
-    @property
-    def color_count(self) -> int:
-        return len(self.colors)
+        if len({sum(row[:drawn]) for row in self.deltas}) != 1:
+            raise ValueError("every drawn colour must add the same number of balls")
 
 
 def symmetric_urn(q: int, initial: Sequence[int] | None = None) -> UrnSpec:
@@ -81,6 +100,50 @@ def symmetric_urn(q: int, initial: Sequence[int] | None = None) -> UrnSpec:
         tuple(1 - (1 if j == c else 0) for j in range(q)) for c in range(q)
     )
     return UrnSpec(KIND_SYMMETRIC, tuple(f"color{j+1}" for j in range(q)), init, deltas)
+
+
+def ary_tree_urn(k: int) -> UrnSpec:
+    """Free-slot classes of a (k+1)-ary increasing tree; order n is n-1 draws.
+
+    A free (j+1)-slot whose parent is (not) a leaf and is (not) left-right
+    is in class ``4j + 2*leaf + lr``; the tally counts left-right nodes.  A
+    leaf parent's other slots move to the non-leaf class; the new node
+    brings k+1 leaf slots and is left-right iff its parent is and the slot
+    is an extreme one.  Read out the exteriors, leftRight and the leaves.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    d = k + 1
+    classes = range(4 * d)
+    deltas = []
+    for c in classes:
+        j, leaf, lr = c >> 2, c >> 1 & 1, c & 1
+        new_lr = lr * (j in (0, d - 1))
+        row = [0] * (4 * d) + [new_lr]
+        row[c & ~2] -= 1
+        for s in range(0, 4 * d, 4):
+            row[s + 2 + lr] -= leaf
+            row[s + lr] += leaf
+            row[s + 2 + new_lr] += 1
+        deltas.append(tuple(row))
+    readout = [tuple(int(c >> 2 == j) for c in classes) + (0,) for j in range(d)]
+    readout += [(0,) * (4 * d) + (1,), tuple(int(c in (2, 3)) for c in classes) + (0,)]
+    initial = tuple(int(c & 3 == 3) for c in classes) + (1,)
+    colors = tuple(f"exterior{j}" for j in range(1, d + 1)) + ("leftRight", "leaves")
+    return UrnSpec(KIND_ARY_TREE, colors, initial, tuple(deltas), tuple(readout))
+
+
+def plane_tree_urn(k: int) -> UrnSpec:
+    """Weight classes of a k-plane recursive tree, whose node of degree d
+    has weight 1 + (k-1)d; order n is n-1 draws.  The classes are the root
+    while a leaf, the root once it is not, the non-root leaves and the other
+    nodes, then the root degree is tallied.  A chosen leaf becomes a node of
+    weight k, and the new node is a leaf."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    rows = ((-1, k, 1, 0, 1), (0, k - 1, 1, 0, 1), (0, 0, 0, k, 0), (0, 0, 1, k - 1, 0))
+    readout = ((1, 0, 1, 0, 0), (0, 0, 0, 0, 1))
+    return UrnSpec(KIND_PLANE_TREE, ("leaves", "rootDegree"), (1, 0, 0, 0, 0), rows, readout)
 
 
 def fixed_addition_urn(s: Sequence[int], initial: Sequence[int]) -> UrnSpec:
@@ -143,16 +206,18 @@ class UrnTrajectory:
 def simulate(spec: UrnSpec, steps: int, seed=None, record_path: bool = False) -> UrnTrajectory:
     """Run the urn ``steps`` draws from its initial state.
 
-    Each draw picks a ball uniformly (one integer uniform on the current
-    total) and applies the replacement row of its colour.
+    Each draw picks a ball of a drawn colour uniformly (one integer uniform
+    on their current total) and applies the replacement row of its colour;
+    tally columns change only through those rows.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = as_generator(seed)
+    drawn = len(spec.deltas)
     counts = list(spec.initial)
     path = [tuple(counts)] if record_path else None
     for _ in range(steps):
-        total = sum(counts)
+        total = sum(counts[:drawn])
         if total <= 0:
             raise RuntimeError("urn ran out of balls")
         u = int(rng.integers(0, total))
@@ -161,9 +226,8 @@ def simulate(spec: UrnSpec, steps: int, seed=None, record_path: bool = False) ->
         while u >= acc:
             color += 1
             acc += counts[color]
-        delta = spec.deltas[color]
-        for j in range(spec.color_count):
-            counts[j] += delta[j]
+        for j, change in enumerate(spec.deltas[color]):
+            counts[j] += change
         if counts[color] < 0:
             raise RuntimeError("replacement produced a negative count")
         if path is not None:
@@ -180,16 +244,16 @@ def simulate(spec: UrnSpec, steps: int, seed=None, record_path: bool = False) ->
 def transition_distribution(
     spec: UrnSpec, counts: Sequence[int]
 ) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Exact one-step transition law of the simulator from the given counts."""
+    """Exact one-step transition law of the simulator from the given state."""
     counts = tuple(counts)
-    total = sum(counts)
+    total = sum(counts[: len(spec.deltas)])
     if total <= 0:
         raise ValueError("counts must contain at least one ball")
     out = []
-    for c in range(spec.color_count):
+    for c, delta in enumerate(spec.deltas):
         if counts[c] == 0:
             continue
-        nxt = tuple(counts[j] + spec.deltas[c][j] for j in range(spec.color_count))
+        nxt = tuple(x + change for x, change in zip(counts, delta))
         out.append((nxt, Fraction(counts[c], total)))
     return tuple(out)
 

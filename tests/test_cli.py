@@ -302,6 +302,33 @@ def test_urn_nested_sizes(capsys):
     assert sum(payload["blockSizes"]) == 8
 
 
+@pytest.mark.parametrize(
+    "argv,sha1",
+    [
+        (("urn", "--model", "a", "--k", "1", "--steps", "30", "--seed", "3", "--path"),
+         "f69c8e7b1af4816ad27366cfaf1be64871cde5dd"),
+        (("urn", "--model", "a", "--k", "3", "--steps", "60", "--seed", "5", "--path"),
+         "a0326f3ee6b633e7ef6153bae91c8f31606477f3"),
+        (("--csv", "urn", "--model", "a", "--k", "2", "--steps", "200", "--seed", "7"),
+         "9b97d47e786fb0047f7f3022763165d3f74e7eae"),
+        (("urn", "--model", "b", "--k", "2", "--steps", "40", "--seed", "11", "--path"),
+         "283406edd688c08c2c09bd38ba52e40874d0dbb0"),
+        (("--csv", "urn", "--model", "b", "--k", "3", "--steps", "200", "--seed", "13"),
+         "94a1113979ca382929d02f4c8450e22d0f7a663a"),
+        (("urn", "--model", "c", "--k", "3", "--steps", "40", "--seed", "17", "--path"),
+         "25b1517155c3dc5981f5aba9bdd515c1d50b2efd"),
+        (("--csv", "urn", "--model", "c", "--k", "1", "--steps", "60", "--seed", "19"),
+         "96cb76615660519db9a9df21ef131e416b806ffc"),
+    ],
+    ids=["a-k1-path", "a-k3-path", "csv-a-k2", "b-k2-path", "csv-b-k3", "c-k3-path", "csv-c-k1"],
+)
+def test_urn_stdout_frozen(capsys, argv, sha1):
+    """The simulator draws one integer per step, so a seed fixes every byte."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
 # ---------------------------------------------------------------------------
 # distribution commands
 # ---------------------------------------------------------------------------
@@ -406,6 +433,55 @@ def test_experiment_compare_with_missing_columns(capsys, extra, theory, needed):
     assert code == 1
     assert out == ""
     assert theory in err and needed in err
+
+
+@pytest.mark.parametrize(
+    "argv,sha1",
+    [
+        (("experiment", "--generator", "urn_a", "--n", "1", "--k", "1", "--replicates", "8",
+          "--seed", "1"), "7a0cd71a0eb7f9ef40fd9a067112f85d4185bb37"),
+        (("experiment", "--generator", "urn_a", "--n", "9", "--k", "2", "--replicates", "1500",
+          "--seed", "2"), "a07778c8b2cb70a8fbb15b8b677af5ab67964b86"),
+        (("--csv", "experiment", "--generator", "urn_a", "--n", "200", "--k", "3",
+          "--replicates", "300", "--seed", "3"), "ad71cac91441b96f8af41fb1389693a876911267"),
+        (("experiment", "--generator", "urn_a", "--n", "200", "--k", "2", "--replicates", "2000",
+          "--seed", "4", "--compare", "urn_a_gaussian"),
+         "f474acffe3e978c4a9bbafac598f058c8aa53900"),
+        (("experiment", "--generator", "ary_tree", "--n", "1", "--k", "1", "--replicates", "8",
+          "--seed", "5"), "acc04dfc6385d8a02716fcffa0418d9ae1065271"),
+        (("experiment", "--generator", "ary_tree", "--n", "9", "--k", "2", "--replicates",
+          "1500", "--seed", "6"), "b1fe058d039d8d3b52fcbe61851276dafacf0419"),
+        (("--csv", "experiment", "--generator", "ary_tree", "--n", "200", "--k", "3",
+          "--replicates", "300", "--seed", "7"), "a13ad07f782d0747c622d694440d1b4685b9e8be"),
+        (("experiment", "--generator", "plane_tree", "--n", "2", "--k", "2", "--replicates", "8",
+          "--seed", "8"), "925b4c1745a1f8db8c3bb31fe2f419fcb791611a"),
+        (("experiment", "--generator", "plane_tree", "--n", "9", "--k", "3", "--replicates",
+          "1500", "--seed", "9"), "322eab3a365644f62beca274077ccbb55d91709e"),
+        (("--csv", "experiment", "--generator", "plane_tree", "--n", "200", "--k", "2",
+          "--replicates", "300", "--seed", "10"), "71a1c57b852ed95cb5b6cbee5118ac5a936414b6"),
+    ],
+    ids=["urn_a-n1", "urn_a-n9", "csv-urn_a-n200", "urn_a-compare", "ary_tree-n1",
+         "ary_tree-n9", "csv-ary_tree-n200", "plane_tree-n2", "plane_tree-n9",
+         "csv-plane_tree-n200"],
+)
+def test_urn_table_experiment_stdout_frozen(capsys, argv, sha1):
+    """The generators stepped from an urn table keep their bytes: same
+    draws, same replacement rule, same columns."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+def test_first_block_mean_is_exact_at_small_n(capsys):
+    """At n = 10 the mean of firstFraction is 0.4, not its limit 1/3: with
+    200000 replicates the limit lies about 100 standard errors away."""
+    code, out, _ = run_cli(
+        capsys, "experiment", "--generator", "urn_c_block", "--n", "10", "--k", "2",
+        "--replicates", "200000", "--seed", "1", "--compare", "first_block_mean",
+    )
+    assert code == 0
+    (entry,) = json.loads(out)["comparison"]["entries"]
+    assert entry["expected"] == 0.4 and entry["ok"]
 
 
 def test_experiment_output_deterministic(capsys):

@@ -157,16 +157,11 @@ def test_ary_tree_exteriors_are_urn_a(k):
     """Under the exterior read-out every ary_tree replacement row is the
     symmetric_urn(k+1) row of its slot: urn A is the exterior projection of
     the slot-class urn."""
-    spec, urn = harness.ary_tree_spec(k), urns.symmetric_urn(k + 1)
+    spec, urn = urns.ary_tree_urn(k), urns.symmetric_urn(k + 1)
     exterior = np.array(spec.readout[: k + 1])
     assert (exterior @ spec.initial).tolist() == list(urn.initial)
     for cls, row in enumerate(spec.deltas):
         assert (exterior @ row).tolist() == list(urn.deltas[cls // 4]), cls
-
-
-def test_balanced_urn_rejects_unequal_growth():
-    with pytest.raises(ValueError, match="same number of balls"):
-        harness.BalancedUrn((1, 1), ((0, 1), (1, 1)), ((1, 0),), 0)
 
 
 def test_run_experiment_rejects_bad_threads():
@@ -476,6 +471,45 @@ def test_stirling_perm_kernel_matches_enumeration(n, k):
 def test_ary_tree_kernel_matches_enumeration(n, arity):
     law = _exact_law(trees.enumerate_ary_trees(n, arity), oracles.ary_tree_stats)
     assert _gof_pvalue("ary_tree", n, arity - 1, law, seed=50 + n + arity) > 1e-3
+
+
+def _urn_law(urn, draws):
+    """Exact law of the read-out columns after ``draws`` draws, by iterating
+    the one-step transition law over the urn states."""
+    states = {urn.initial: Fraction(1)}
+    for _ in range(draws):
+        after: Counter = Counter()
+        for state, p in states.items():
+            for nxt, step in urns.transition_distribution(urn, state):
+                after[nxt] += p * step
+        states = after
+    law: Counter = Counter()
+    for state, p in states.items():
+        law[tuple(float(np.dot(row, state)) for row in urn.readout)] += p
+    return dict(law)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_ary_tree_urn_law_is_enumerated_law(n, k):
+    """The ary_tree table read out after n-1 draws has exactly the law of
+    the rows of all (k+1)-ary increasing trees of order n."""
+    law = _exact_law(trees.enumerate_ary_trees(n, k + 1), oracles.ary_tree_stats)
+    assert _urn_law(urns.ary_tree_urn(k), n - 1) == law
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_plane_tree_urn_law_is_weighted_enumerated_law(n, k):
+    """The plane_tree table read out after n-1 draws has exactly the law of
+    the rows of all plane shapes of order n, each weighted as a k-plane tree."""
+    family = trees.k_plane_family(k)
+    law = _exact_law(
+        trees.enumerate_plane_trees(n),
+        oracles.plane_tree_stats,
+        lambda tree: trees.tree_weight(tree, family),
+    )
+    assert _urn_law(urns.plane_tree_urn(k), n - 1) == law
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -41,6 +41,17 @@ def test_spec_validation():
         urns.UrnSpec("x", ("a",), (-1,), ((0,),))
     with pytest.raises(ValueError):
         urns.UrnSpec("x", ("a", "b"), (1, 1), ((0,),))
+    with pytest.raises(ValueError, match="one entry per state column"):
+        urns.UrnSpec("x", ("a", "b"), (1, 1), ((0,), (0,)))
+    with pytest.raises(ValueError, match="one entry per state column"):
+        urns.UrnSpec("x", ("a",), (1, 1), ((0, 1), (1, 0)), ((1,),))
+    with pytest.raises(ValueError, match="read-out columns"):
+        urns.UrnSpec("x", ("a", "b"), (1, 1), ((0, 1), (1, 0)), ((1, 1),))
+
+
+def test_balanced_urn_rejects_unequal_growth():
+    with pytest.raises(ValueError, match="same number of balls"):
+        urns.UrnSpec("x", ("a", "b"), (1, 1), ((0, 1), (1, 1)))
 
 
 def test_simulate_deterministic_and_consistent():
@@ -56,6 +67,19 @@ def test_simulate_deterministic_and_consistent():
     for before, after in zip(t1.path, t1.path[1:]):
         diff = tuple(a - b for a, b in zip(after, before))
         assert diff in spec.deltas
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_simulate_carries_tally_columns(k):
+    """Only the drawn colours are drawn: the total of the ary_tree table's
+    slot classes grows by k per draw while its left-right tally rides along."""
+    spec = urns.ary_tree_urn(k)
+    drawn = len(spec.deltas)
+    t = urns.simulate(spec, 40, seed=k, record_path=True)
+    for step, (before, after) in enumerate(zip(t.path, t.path[1:])):
+        assert sum(before[:drawn]) == k + 1 + k * step
+        assert tuple(a - b for a, b in zip(after, before)) in spec.deltas
+    assert 1 <= t.counts[drawn] <= 41
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
