@@ -232,7 +232,7 @@ def _cmd_urn(args):
     payload = {"model": args.model, "trajectory": trajectory.to_json_dict()}
     rows = (
         ("color", "count"),
-        list(zip(spec.colors, trajectory.counts)),
+        list(zip(spec.colors, payload["trajectory"]["counts"])),
     )
     return payload, rows, EXIT_OK
 

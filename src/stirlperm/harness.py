@@ -6,14 +6,14 @@ matrix filled in fixed chunks of :data:`REPLICATE_CHUNK` rows.  Every
 generator is a chunk kernel that draws from one stream per chunk, so the
 matrix is byte-identical for any thread count.
 
-``urn_a``, ``ary_tree`` and ``plane_tree`` step balanced urn tables of
-type :class:`stirlperm.urns.UrnSpec`, the type the ``urn`` command
-simulates, and ``stirling_perm`` is an urn over gap classes.  Their kernels
-grow all rows of a chunk together: each step picks a class by one integer
-uniform below the total and changes the class counts by a fixed rule, which
-is exact in law.  Each step draws a full chunk width of integers and row i
-uses the i-th, so a row is the same whatever the number of rows in its
-chunk.
+``urn_a``, ``ary_tree``, ``plane_tree`` and ``stirling_perm`` at k = 1 (urn
+A on two colours) step :class:`stirlperm.urns.UrnSpec` tables, the type the
+``urn`` command simulates; at k > 1 ``stirling_perm`` is an urn over gap
+classes.  Their kernels grow all rows of a chunk together: each step picks a
+class by one integer uniform below the total and changes the class counts by
+a fixed rule, which is exact in law.  Each step draws a full chunk width of
+integers and row i uses the i-th, so a row is the same whatever the number of
+rows in its chunk.
 
 The block-law generators ``urn_b``, ``urn_c_block`` and ``block_sizes`` all
 read the nested Polya urn levels of :mod:`stirlperm.urns` rather than
@@ -42,8 +42,8 @@ from .urns import UrnSpec, _block_levels, ary_tree_urn, plane_tree_urn, sample_b
 from .urns import symmetric_urn, urn_a_covariance
 
 REPLICATE_CHUNK = 1024
-# the balanced-urn engine draws this many steps of a chunk (64 MiB) per call
-STEP_CHUNK = 8192
+# the balanced-urn engine draws this many steps of a chunk (16 MiB) per call
+STEP_CHUNK = 2048
 STICK_DEPTH = 3
 MAX_REPLICATES = 10_000_000
 MAX_ORDER = 100_000_000
@@ -72,6 +72,8 @@ def _urn_chunk(urn_of: Callable[[int], UrnSpec], lag: int, n: int, k: int, count
         draws = rng.integers(0, totals[:, None], size=(len(totals), REPLICATE_CHUNK))
         for u in draws[:, :count]:
             state += np.take(deltas, (u >= cum).sum(axis=0), axis=1)
+        # free this block before the next is drawn: u is a view that keeps it
+        del draws, u
     state[:drawn] = np.diff(cum, axis=0, prepend=0)
     if urn.readout is not None:
         state = np.array(urn.readout, dtype=np.int64) @ state
@@ -121,52 +123,47 @@ def _stirling_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
     the gaps inside block b, in the order the blocks were opened.  A boundary
     gap opens a new block of k-1 inner plateaux; an inner gap grows its block
     by k.  One uniform gap per row picks the class by the class gap counts and
-    the type by its offset inside the class.  At k = 1 no block has an inner
-    gap, every insertion opens a block and class 0 is all there is.
+    the type by its offset inside the class.
     """
+    if k == 1:
+        # every gap is an ascent or a descent and every label opens a block
+        # of one, so (ascents, descents) is urn A on two colours
+        updown = _urn_chunk(lambda _: symmetric_urn(2), 1, n, k, count, rng)
+        return np.column_stack([updown, np.zeros(count), np.full(count, n), np.ones((count, 2))])
     rows = np.arange(count)
-    width = 4 if k > 1 else 1
+    width = 4
     # gaps[:, r, c] = (gaps, ascents, descents) of class c in row r; the
     # rest of a class's gaps are plateaux
     gaps = np.zeros((3, count, width), dtype=np.int64)
     gaps[:, :, 0] = np.array([[2], [1], [1]])
-    if k > 1:
-        gaps[0, :, 1] = k - 1
+    gaps[0, :, 1] = k - 1
     sizes, ascents, descents = gaps.reshape(3, -1)
     blocks = np.ones(count, dtype=np.int64)
-    at = rows  # at k = 1 every gap is in class 0 and the width stays 1
     for t in range(1, n):
         u = rng.integers(0, k * t + 1, size=REPLICATE_CHUNK)[:count]
-        offset = u
-        if k > 1:
-            used = int(blocks.max()) + 1
-            if used == width:
-                gaps = np.concatenate([gaps, np.zeros_like(gaps)], axis=2)
-                sizes, ascents, descents = gaps.reshape(3, -1)
-                width *= 2
-            cum = np.cumsum(gaps[0, :, :used], axis=1)
-            cls = (u[:, None] >= cum).sum(axis=1)
-            at = rows * width + cls
-            size = sizes[at]
-            offset = u - cum.reshape(-1)[rows * used + cls] + size
+        used = int(blocks.max()) + 1
+        if used == width:
+            gaps = np.concatenate([gaps, np.zeros_like(gaps)], axis=2)
+            sizes, ascents, descents = gaps.reshape(3, -1)
+            width *= 2
+        cum = np.cumsum(gaps[0, :, :used], axis=1)
+        cls = (u[:, None] >= cum).sum(axis=1)
+        at = rows * width + cls
+        size = sizes[at]
+        offset = u - cum.reshape(-1)[rows * used + cls] + size
         a, d = ascents[at], descents[at]
         ascent = offset < a
         ascents[at] = a + ~ascent
         descents[at] = d + (ascent | (offset >= a + d))
-        if k > 1:
-            inner = cls > 0
-            sizes[at] = size + np.where(inner, k, 1)
-            opened = rows[~inner]
-            blocks[opened] += 1
-            sizes[opened * width + blocks[opened]] = k - 1
+        inner = cls > 0
+        sizes[at] = size + np.where(inner, k, 1)
+        opened = rows[~inner]
+        blocks[opened] += 1
+        sizes[opened * width + blocks[opened]] = k - 1
     asc = gaps[1].sum(axis=1)
     desc = gaps[2].sum(axis=1)
-    if k == 1:
-        blocks[:] = n
-        first = largest = np.ones(count, dtype=np.int64)
-    else:
-        first = gaps[0, :, 1] + 1
-        largest = gaps[0, :, 1:].max(axis=1) + 1
+    first = gaps[0, :, 1] + 1
+    largest = gaps[0, :, 1:].max(axis=1) + 1
     return np.stack(
         [asc, desc, k * n + 1 - asc - desc, blocks, first, largest], axis=1
     ).astype(np.float64)
@@ -316,13 +313,10 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         lo, hi = bounds[index]
         out[lo:hi] = gen.kernel(spec.n, spec.k, hi - lo, chunk_stream(spec.seed, index))
 
-    # numpy releases the GIL inside the kernels' array steps, but on a
-    # shared 2-core host the second thread gains nothing measurable: the
-    # benchmark's harness.thread_speedup (threads=1 over threads=2 time)
-    # had medians of 0.92 on mc_chunk and 0.89 on mc_replicate over 10
-    # runs each, and in-process runs of urn_a, urn_b, block_sizes and
-    # ary_tree were even too.  Every benchmark workload passes --threads 2,
-    # so the pool stays until a benchmark change drops that argument.
+    # threads overlap the engine's block draws and the beta/binomial levels,
+    # which numpy runs outside the GIL: over 5 alternating 15 s benchmark
+    # pairs on a shared 2-core host a serial fill cut mc_chunk ops/s from
+    # 28.5 to 26.6 (op_p90_s +11%) and gained 4.7% on mc_replicate
     if threads == 1 or len(bounds) == 1:
         for index in range(len(bounds)):
             fill(index)
@@ -439,8 +433,8 @@ def compare(
 ) -> ComparisonReport:
     """Z-score every mean and covariance entry the theory specifies.
 
-    Mean entries use the sample standard error; covariance entries use the
-    delete-one jackknife standard error.
+    Mean entries use the sample standard error, floored at the rounding of
+    a float mean; covariance entries the delete-one jackknife one.
     """
     if not 0 < se_multiplier < math.inf:
         raise ValueError(
@@ -460,17 +454,14 @@ def compare(
     x = (result.matrix[:, idx] - np.asarray(theory.center)) / theory.scale
     entries: list[ComparisonEntry] = []
     if theory.means is not None:
-        sds = x.std(axis=0, ddof=1)
+        sample_se = x.std(axis=0, ddof=1) / math.sqrt(rows)
+        # a float mean of `rows` values can be off by about log2(rows)
+        # roundings, which a constant column's sample se does not cover
+        rounding = rows.bit_length() * math.ulp(1.0)
         for pos, name in enumerate(theory.columns):
-            entries.append(
-                _z_entry(
-                    f"mean[{name}]",
-                    float(x[:, pos].mean()),
-                    float(theory.means[pos]),
-                    float(sds[pos]) / math.sqrt(rows),
-                    se_multiplier,
-                )
-            )
+            observed, expected = float(x[:, pos].mean()), float(theory.means[pos])
+            se = max(float(sample_se[pos]), rounding * max(abs(observed), abs(expected)))
+            entries.append(_z_entry(f"mean[{name}]", observed, expected, se, se_multiplier))
     if theory.covariance is not None:
         cov, se = jackknife_covariance(x)
         for i, ci in enumerate(theory.columns):

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -191,15 +192,22 @@ class UrnTrajectory:
     path: tuple[tuple[int, ...], ...] | None = None
 
     def to_json_dict(self) -> dict:
+        # counts and path keep the raw state; read it out to the colours in
+        # Python ints, since a count may pass 2**63 on the last draw
+        rows = self.spec.readout
+
+        def read(state: tuple[int, ...]) -> list[int]:
+            return list(state) if rows is None else [sum(map(mul, r, state)) for r in rows]
+
         out = {
             "kind": self.spec.kind,
             "colors": list(self.spec.colors),
             "steps": self.steps,
-            "counts": list(self.counts),
+            "counts": read(self.counts),
             "seed": self.seed,
         }
         if self.path is not None:
-            out["path"] = [list(row) for row in self.path]
+            out["path"] = [read(state) for state in self.path]
         return out
 
 

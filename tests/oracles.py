@@ -20,7 +20,9 @@ chunk kernels that the harness's balanced-urn engine replaced, each with
 its replacement rule as index arithmetic.  ``ary_chunk`` and
 ``plane_chunk`` draw the engine's integer stream, so the engine must match
 them byte for byte; ``urn_a_chunk`` draws ``u * total`` floats instead, an
-independent stream for distribution tests.
+independent stream for distribution tests.  ``stirling_k1_chunk`` is the
+gap loop that ``stirling_perm`` ran at k = 1 before it stepped urn A on that
+engine; it draws the engine's integers, so the two must match byte for byte.
 """
 
 from __future__ import annotations
@@ -723,6 +725,26 @@ def plane_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
         leaves -= at_leaf | (at_root & root_leaf)
         root += at_root
     return np.stack([leaves, root], axis=1).astype(np.float64)
+
+
+def stirling_k1_chunk(n: int, count: int, rng) -> np.ndarray:
+    """``stirling_perm`` rows at k = 1, one label at a time.
+
+    Every gap is an ascent or a descent, and label t+1 goes into one of the
+    t+1 gaps, picked by an integer uniform: an ascent gap becomes an ascent
+    and a descent, so the descents grow by one, and a descent gap makes the
+    ascents grow by one.  Every label opens a block of one.
+    """
+    ascents = np.ones(count, dtype=np.int64)
+    descents = np.ones(count, dtype=np.int64)
+    for t in range(1, n):
+        u = rng.integers(0, t + 1, size=harness.REPLICATE_CHUNK)[:count]
+        ascent = u < ascents
+        ascents += ~ascent
+        descents += ascent
+    ones = np.ones(count, dtype=np.int64)
+    plateaux = n + 1 - ascents - descents
+    return np.stack([ascents, descents, plateaux, n * ones, ones, ones], axis=1).astype(np.float64)
 
 
 def stirling_stats(perm) -> tuple[float, ...]:

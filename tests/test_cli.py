@@ -459,10 +459,13 @@ def test_experiment_compare_with_missing_columns(capsys, extra, theory, needed):
           "1500", "--seed", "9"), "322eab3a365644f62beca274077ccbb55d91709e"),
         (("--csv", "experiment", "--generator", "plane_tree", "--n", "200", "--k", "2",
           "--replicates", "300", "--seed", "10"), "71a1c57b852ed95cb5b6cbee5118ac5a936414b6"),
+        # 9000 steps cross draw blocks of 2048 and of 8192 steps
+        (("experiment", "--generator", "urn_a", "--n", "9000", "--k", "2", "--replicates",
+          "1030", "--seed", "18"), "980d9ea17ee830416cb5dbfd55df6dc6f2078b8e"),
     ],
     ids=["urn_a-n1", "urn_a-n9", "csv-urn_a-n200", "urn_a-compare", "ary_tree-n1",
          "ary_tree-n9", "csv-ary_tree-n200", "plane_tree-n2", "plane_tree-n9",
-         "csv-plane_tree-n200"],
+         "csv-plane_tree-n200", "urn_a-n9000"],
 )
 def test_urn_table_experiment_stdout_frozen(capsys, argv, sha1):
     """The generators stepped from an urn table keep their bytes: same
@@ -470,6 +473,47 @@ def test_urn_table_experiment_stdout_frozen(capsys, argv, sha1):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+@pytest.mark.parametrize(
+    "argv,sha1",
+    [
+        (("experiment", "--generator", "stirling_perm", "--n", "40", "--k", "1",
+          "--replicates", "1500", "--seed", "11"), "4c6471adbb379931d161a99f3d75235f0a551929"),
+        (("--csv", "experiment", "--generator", "stirling_perm", "--n", "40", "--k", "1",
+          "--replicates", "1500", "--seed", "12"), "9b2bce9df8343d410e59ea8c09b1da9a4fb0df42"),
+        (("experiment", "--generator", "stirling_perm", "--n", "30", "--k", "2",
+          "--replicates", "1500", "--seed", "13"), "aaf1dd0f7c309aaad1645468fc60fd7862ca47dd"),
+        (("--csv", "experiment", "--generator", "stirling_perm", "--n", "30", "--k", "2",
+          "--replicates", "1500", "--seed", "14"), "79468875f826a881a28b81596265becaf185082c"),
+        (("experiment", "--generator", "stirling_perm", "--n", "20", "--k", "3",
+          "--replicates", "1500", "--seed", "15"), "03fda768e90ac7977c7a5fa7de94ffb3255ac1bc"),
+        (("--csv", "experiment", "--generator", "stirling_perm", "--n", "20", "--k", "3",
+          "--replicates", "1500", "--seed", "16"), "c289776dbe0e952b6da7f03c431a428f1c8a82a1"),
+        (("experiment", "--generator", "stirling_perm", "--n", "5000", "--k", "1",
+          "--replicates", "1030", "--seed", "17"), "91a6be8977ba652ed817be3eef71d01bb9c740ff"),
+    ],
+    ids=["k1", "csv-k1", "k2", "csv-k2", "k3", "csv-k3", "k1-n5000"],
+)
+def test_stirling_perm_experiment_stdout_frozen(capsys, argv, sha1):
+    """stirling_perm keeps its bytes at every k, also at k = 1, where it
+    steps urn A on the balanced-urn engine."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_compare_passes_a_constant_column(capsys, n):
+    """At k = 1 firstFraction is the constant 1/n; its float mean is an ulp
+    off, which the se floor absorbs."""
+    code, out, _ = run_cli(
+        capsys, "experiment", "--generator", "urn_c_block", "--n", str(n), "--k", "1",
+        "--replicates", "200000", "--seed", "1", "--compare", "first_block_mean",
+    )
+    assert code == 0
+    (entry,) = json.loads(out)["comparison"]["entries"]
+    assert entry["ok"] and entry["observed"] != entry["expected"]
 
 
 def test_first_block_mean_is_exact_at_small_n(capsys):

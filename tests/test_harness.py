@@ -3,6 +3,7 @@ errors against a refit oracle, theory comparisons, cross-generator agreement."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -150,6 +151,40 @@ def test_urn_engine_matches_hand_written_kernel(generator, reference, k):
             got = kernel(n, k, count, got_rng)
             assert got.tobytes() == want.tobytes(), (n, count)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_stirling_perm_at_k_one_matches_gap_loop():
+    """At k = 1 stirling_perm steps urn A on the engine, which draws the
+    integers the gap loop drew, so rows and generator state agree byte for
+    byte, across the engine's draw blocks too."""
+    for n in (1, 2, 3, 10, 2100, 5000):
+        for count in (1, 7, harness.REPLICATE_CHUNK):
+            want_rng, got_rng = chunk_stream(10, n), chunk_stream(10, n)
+            want = oracles.stirling_k1_chunk(n, count, want_rng)
+            got = harness._stirling_chunk(n, 1, count, got_rng)
+            assert got.tobytes() == want.tobytes(), (n, count)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_stirling_perm_at_k_one_is_urn_a():
+    """With one seed, (ascents, descents) of stirling_perm at k = 1 and
+    order n are urn A's two colours at order n - 1."""
+    n, reps = 40, 1500
+    perm = run("stirling_perm", n, 1, reps, seed=31)
+    urn = run("urn_a", n - 1, 1, reps, seed=31)
+    assert np.array_equal(perm.matrix[:, :2], urn.matrix)
+
+
+def test_urn_engine_memory_is_bounded():
+    """The engine frees each block of draws before it draws the next, so a
+    chunk of urn_a at n = 10^4 holds one 16 MiB block at a time."""
+    tracemalloc.start()
+    try:
+        run("urn_a", 10_000, 2, harness.REPLICATE_CHUNK, seed=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -314,6 +349,23 @@ def test_compare_flags_mismatch_with_tight_multiplier():
     assert report.max_abs_z > 0
     d = report.to_json_dict()
     assert d["ok"] is False and d["seMultiplier"] == 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_compare_floors_a_constant_column_at_rounding(n):
+    """At k = 1 firstFraction is the constant 1/n, whose float mean is off
+    by an ulp while its sample se is rounding noise: the se floor passes it,
+    and still fails an expected value off by 1e-9 relative."""
+    spec = harness.ExperimentSpec(
+        generator="urn_c_block", n=n, k=1, replicates=200_000, seed=1,
+        statistics=("firstFraction",),
+    )
+    res = harness.run_experiment(spec)
+    theory = harness.THEORIES["first_block_mean"](spec)
+    assert harness.compare(res, theory).ok
+    off = dataclasses.replace(theory, means=(theory.means[0] * (1 + 1e-9),))
+    report = harness.compare(res, off)
+    assert not report.ok and report.max_abs_z > 1e3
 
 
 def test_compare_stick_breaking_mean():

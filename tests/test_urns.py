@@ -82,6 +82,28 @@ def test_simulate_carries_tally_columns(k):
     assert 1 <= t.counts[drawn] <= 41
 
 
+@pytest.mark.parametrize("record_path", [False, True])
+@pytest.mark.parametrize(
+    "spec,start",
+    [(urns.ary_tree_urn(2), [1, 1, 1, 1, 1]), (urns.plane_tree_urn(3), [1, 0])],
+    ids=["ary_tree", "plane_tree"],
+)
+def test_trajectory_json_reads_out_the_table(spec, start, record_path):
+    """A table with a read-out lists its counts and path in its colours;
+    the trajectory itself keeps the raw state."""
+    t = urns.simulate(spec, 12, seed=3, record_path=record_path)
+    out = t.to_json_dict()
+    readout = np.array(spec.readout)
+    assert len(t.counts) == len(spec.initial)
+    assert out["counts"] == (readout @ t.counts).tolist()
+    assert len(out["counts"]) == len(out["colors"])
+    if record_path:
+        assert out["path"] == [(readout @ row).tolist() for row in t.path]
+        assert out["path"][0] == start and out["path"][-1] == out["counts"]
+    else:
+        assert "path" not in out
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_simulate_counts_stay_nonnegative(seed):
