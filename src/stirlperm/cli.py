@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
+from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import bijections as _bij
@@ -43,9 +46,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _word_text(perm: _perms.GenStirlingPerm) -> str:
-    if perm.order <= 9:
-        return perm.compact()
-    return ",".join(map(str, perm.word))
+    text = perm.compact()
+    return text if text is not None else ",".join(map(str, perm.word))
+
+
+def _primed(items: Iterable) -> Iterator:
+    """``items`` with its first item already drawn, so that an error of the
+    first draw (an exceeded cap, an invalid order) is raised here, before
+    anything is written, and not while the output streams."""
+    items = iter(items)
+    for first in items:
+        return itertools.chain((first,), items)
+    return items
 
 
 def _int_list(text: str, option: str) -> tuple[int, ...]:
@@ -102,22 +114,20 @@ def _cmd_count(args):
 
 def _cmd_enumerate(args):
     mult = _multiplicities_for(args)
-    words = [_word_text(p) for p in _perms.enumerate_generalized(mult, cap=args.cap)]
-    payload = {"multiplicities": list(mult), "count": len(words), "words": words}
-    rows = (("word",), [(w,) for w in words])
+    words = _primed(map(_word_text, _perms.enumerate_generalized(mult, cap=args.cap)))
+    count = _perms.count_generalized(mult)
+    payload = {"multiplicities": list(mult), "count": count, "words": words}
+    rows = (("word",), ((w,) for w in words))
     return payload, rows, EXIT_OK
 
 
 def _cmd_sample(args):
     _require(args.count >= 0, "--count must be >= 0")
-    words = []
-    for index in range(args.count):
-        seed = replicate_stream(args.seed, index)
-        if args.bundled:
-            perm = _perms.sample_bundled(args.n, args.k, seed)
-        else:
-            perm = _perms.sample_k_stirling(args.n, args.k, seed)
-        words.append(_word_text(perm))
+    sample = _perms.sample_bundled if args.bundled else _perms.sample_k_stirling
+    words = _primed(
+        _word_text(sample(args.n, args.k, replicate_stream(args.seed, index)))
+        for index in range(args.count)
+    )
     payload = {
         "n": args.n,
         "k": args.k,
@@ -125,7 +135,7 @@ def _cmd_sample(args):
         "seed": args.seed,
         "words": words,
     }
-    rows = (("word",), [(w,) for w in words])
+    rows = (("word",), ((w,) for w in words))
     return payload, rows, EXIT_OK
 
 
@@ -515,9 +525,40 @@ def _flatten(prefix: str, value, rows: list) -> None:
         rows.append((prefix, value))
 
 
-def _render(payload: dict, table, as_csv: bool) -> str:
+# rows or words per write of a streamed output
+_BATCH = 4096
+# stands in for streamed words while the rest of the payload is encoded
+_HOLE = "\0words\0"
+
+
+def _batches(items: Iterable) -> Iterator[list]:
+    items = iter(items)
+    while batch := list(itertools.islice(items, _BATCH)):
+        yield batch
+
+
+def _render(payload: dict, table, as_csv: bool, out) -> None:
+    """Write the payload as indented JSON, or its table as CSV, to ``out``.
+
+    Rows, and a ``words`` entry that is an iterator of strings, are written
+    in batches as they are drawn; the bytes are those of ``json.dumps(payload,
+    indent=2)`` and of the ``csv`` writer with every item in a list.
+    """
     if not as_csv:
-        return json.dumps(payload, indent=2) + "\n"
+        words = payload.get("words")
+        if not isinstance(words, Iterator):
+            out.write(json.dumps(payload, indent=2) + "\n")
+            return
+        head, tail = json.dumps({**payload, "words": _HOLE}, indent=2).split(
+            encode_basestring_ascii(_HOLE)
+        )
+        out.write(head)
+        opening = "["
+        for batch in _batches(words):
+            out.write(opening + "\n    " + ",\n    ".join(map(encode_basestring_ascii, batch)))
+            opening = ","
+        out.write(("[]" if opening == "[" else "\n  ]") + tail + "\n")
+        return
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if table is not None:
@@ -527,8 +568,12 @@ def _render(payload: dict, table, as_csv: bool) -> str:
         _flatten("", payload, flat)
         header, rows = ("key", "value"), flat
     writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    for batch in _batches(rows):
+        writer.writerows(batch)
+        out.write(buffer.getvalue())
+        buffer.seek(0)
+        buffer.truncate()
+    out.write(buffer.getvalue())
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -546,7 +591,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     payload = {"schemaVersion": 1, "command": args.command, **payload}
-    sys.stdout.write(_render(payload, table, args.csv))
+    _render(payload, table, args.csv, sys.stdout)
     return exit_code
 
 

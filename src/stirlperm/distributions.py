@@ -120,17 +120,38 @@ def block_binomial_moment(n: int, k: int, r: int) -> Fraction:
     )
 
 
+def _stirling_remainder(t: float) -> float:
+    """``lgamma(t) - ((t - 1/2) log t - t + log(2 pi) / 2)``, to double
+    precision for ``t >= 50``."""
+    return 1 / (12 * t) - 1 / (360 * t**3) + 1 / (1260 * t**5)
+
+
 def block_binomial_moment_float(n: int, k: int, r: int) -> float:
-    """Floating-point ``E binom(S_n + r, r)`` via log-gamma, for n far beyond
-    the range where exact rational products are practical."""
+    """Floating-point ``E binom(S_n + r, r)``, for n far beyond the range
+    where exact rational products are practical; within about 1e-14
+    relative of the exact value, in O(1) time for ``n >= 50``.
+
+    The moment is ``Gamma(n + a) Gamma(b) / (Gamma(n + b) Gamma(a))`` with
+    ``a = (r + 1)/k``, ``b = 1/k``.  The log of the ratio of the two large
+    gamma values is taken from Stirling's series in a form with no
+    cancellation (their difference of two lgamma values loses about
+    ``log2(n log n)`` bits); below ``n = 50`` the moment is the quotient of
+    the two exact integer products, correctly rounded.
+    """
     if n < 1 or k < 1 or r < 0:
         raise ValueError("need n >= 1, k >= 1, r >= 0")
-    return math.exp(
-        math.lgamma(n + (r + 1) / k)
-        + math.lgamma(1 / k)
-        - math.lgamma(n + 1 / k)
-        - math.lgamma((r + 1) / k)
+    if n < 50:
+        return math.prod(k * j + r + 1 for j in range(n)) / math.prod(k * j + 1 for j in range(n))
+    a, b = (r + 1) / k, 1 / k
+    u, v = n + a, n + b
+    # lgamma(u) - lgamma(v) = (v - 1/2) log(u/v) + (u - v)(log u - 1) + remainders
+    log_ratio = (
+        (v - 0.5) * math.log1p((a - b) / v)
+        + (a - b) * (math.log(u) - 1)
+        + _stirling_remainder(u)
+        - _stirling_remainder(v)
     )
+    return math.exp(log_ratio + math.lgamma(b) - math.lgamma(a))
 
 
 def block_count_mean(n: int, k: int) -> Fraction:

@@ -499,12 +499,18 @@ def _theory_urn_a(spec: ExperimentSpec) -> TheoryTarget:
 
 
 def _theory_urn_b(spec: ExperimentSpec) -> TheoryTarget:
+    """Mean and variance of the block count S_n from its first two binomial
+    moments in floating point, O(1) at any n.  At k = 1 every label opens a
+    block: S_n = n with variance exactly 0, which the float moments, of
+    order n^2, would miss by their rounding."""
     n, k = spec.n, spec.k
-    mean_s = float(_dist.block_count_mean(n, k))
-    m2 = float(_dist.block_binomial_moment(n, k, 2))
-    # E binom(S+2, 2) = (E S^2 + 3 E S + 2) / 2
-    second = 2.0 * m2 - 3.0 * mean_s - 2.0
-    var_s = second - mean_s * mean_s
+    if k == 1:
+        mean_s, var_s = float(n), 0.0
+    else:
+        mean_s = _dist.block_binomial_moment_float(n, k, 1) - 1.0
+        m2 = _dist.block_binomial_moment_float(n, k, 2)
+        # E binom(S+2, 2) = (E S^2 + 3 E S + 2) / 2
+        var_s = 2.0 * m2 - 3.0 * mean_s - 2.0 - mean_s * mean_s
     total = k * n + 1
     return TheoryTarget(
         name="urn_b_blocks",

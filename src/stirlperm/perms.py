@@ -145,8 +145,11 @@ class GenStirlingPerm:
     def _trusted(cls, word: tuple[int, ...], mult: Multiplicities) -> "GenStirlingPerm":
         """Wrap a word that is already known to be valid, skipping validation."""
         perm = object.__new__(cls)
-        object.__setattr__(perm, "word", word)
-        object.__setattr__(perm, "multiplicities", mult)
+        # the frozen __setattr__ is bypassed; writing the instance dict is
+        # the cheapest way, and enumeration pays it once per word
+        fields = perm.__dict__
+        fields["word"] = word
+        fields["multiplicities"] = mult
         return perm
 
     @classmethod
@@ -197,7 +200,7 @@ class GenStirlingPerm:
 
     def compact(self) -> str | None:
         """Space-free string form, available when all labels are single digits."""
-        if self.order > 9:
+        if len(self.multiplicities) > 9:  # the order, without the property call
             return None
         return bytes(self.word).translate(_DIGITS).decode("ascii")
 
@@ -268,6 +271,19 @@ def count_bundled(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The cache of endings in enumerate_generalized.  A state is cached once at
+# most _CACHE_UNSEEN labels are unseen and at most _CACHE_LENGTH symbols are
+# left.  A state with more than _CACHE_ENDINGS endings is cached as None and
+# searched symbol by symbol whenever it recurs.  The cache is emptied before
+# a store once it holds more than _CACHE_TOTAL endings (None counts as one),
+# so it holds at most 2**15 + 64 tuples of at most 16 symbols: a few MB,
+# however many words follow.
+_CACHE_UNSEEN = 3
+_CACHE_LENGTH = 16
+_CACHE_ENDINGS = 64
+_CACHE_TOTAL = 2**15
+
+
 def enumerate_generalized(
     mult: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[GenStirlingPerm]:
@@ -277,12 +293,20 @@ def enumerate_generalized(
     Raises :class:`EnumerationCapError` before the first word when the exact
     count exceeds ``cap``.  Otherwise the words are streamed from one
     depth-first search over prefixes, with the state of :func:`validate_word`
-    (the seen counts and the stack of open labels) and nothing else: memory is
-    O(length + n) however many words follow.  The symbols that may extend a
-    prefix are, in increasing order, the innermost open label and then every
-    unseen label above it; every such prefix completes, so the search never
-    backtracks out of a dead end.  Once no label is unseen, the rest of the
-    word is forced: the remaining copies of the open labels, innermost first.
+    (the seen counts and the stack of open labels).  The symbols that may
+    extend a prefix are, in increasing order, the innermost open label and
+    then every unseen label above it; every such prefix completes, so the
+    search never backtracks out of a dead end.  Once no label is unseen, the
+    rest of the word is forced: the remaining copies of the open labels,
+    innermost first.
+
+    The open labels are exactly the partly seen ones, in increasing order,
+    so the seen counts alone fix how a prefix can end.  Near the end of the
+    word the search therefore caches the endings of each state it leaves,
+    collected from those of its children, and when the state recurs under
+    another prefix it appends each cached ending instead of searching again.
+    The cache is bounded (see ``_CACHE_TOTAL``), so memory is O(length + n)
+    plus a few MB however many words follow.
     """
     mult = check_multiplicities(mult)
     total = count_generalized(mult)
@@ -290,13 +314,37 @@ def enumerate_generalized(
         raise EnumerationCapError(f"{total} permutations exceed cap {cap}")
     n = len(mult)
     padded = (0,) + mult
+    length = sum(mult)
+    trusted = GenStirlingPerm._trusted
+    cache: dict[tuple[int, ...], list[tuple[int, ...]] | None] = {}
+    cached_size = 0
+    # [depth, seen counts, endings so far or None] of each state on the
+    # current path that was not cached when the search reached it
+    collecting: list[list] = []
     seen = [0] * (n + 1)
     stack: list[int] = []
     word: list[int] = []
     unseen = n
     after = 0  # the next symbol at this depth must be larger than ``after``
     while True:
-        if unseen:
+        depth = len(word)
+        endings = None  # of the state at this depth, when known without searching
+        if not unseen:
+            tail: list[int] = []
+            for label in reversed(stack):
+                tail += [label] * (padded[label] - seen[label])
+            endings = [tuple(tail)]
+        elif not after and unseen <= _CACHE_UNSEEN and length - depth <= _CACHE_LENGTH:
+            state = tuple(seen)
+            if state in cache:
+                endings = cache[state]
+            else:
+                collecting.append([depth, state, []])
+        if endings is not None:
+            prefix = tuple(word)
+            for rest in endings:
+                yield trusted(prefix + rest, mult)
+        else:
             top = stack[-1] if stack else 0
             if after < top:
                 x = top
@@ -314,11 +362,24 @@ def enumerate_generalized(
                 word.append(x)
                 after = 0
                 continue
-        else:
-            tail: list[int] = []
-            for label in reversed(stack):
-                tail += [label] * (padded[label] - seen[label])
-            yield GenStirlingPerm._trusted(tuple(word + tail), mult)
+        # leave the state: cache the endings collected for it, if any, and
+        # add its endings to its parent's.  None here means too many (the
+        # state was cached as None, or its collection overflowed), and then
+        # its parent has too many as well.
+        if collecting and collecting[-1][0] == depth:
+            _, state, endings = collecting.pop()
+            if cached_size > _CACHE_TOTAL:
+                cache.clear()
+                cached_size = 0
+            cache[state] = endings
+            cached_size += 1 if endings is None else len(endings)
+        if collecting and collecting[-1][0] == depth - 1 and collecting[-1][2] is not None:
+            parent = collecting[-1]
+            if endings is None or len(parent[2]) + len(endings) > _CACHE_ENDINGS:
+                parent[2] = None
+            else:
+                x = word[-1]
+                parent[2] += [(x,) + rest for rest in endings]
         if not word:
             return
         # backtrack: undo the last symbol and try the next one after it

@@ -9,8 +9,9 @@ sampler that ``perms.sample_generalized`` replaced, and the row kernels the
 harness's chunk kernels replaced (``ROW_KERNELS``), which also use the
 package's statistics.  Their own tests check them against enumeration.
 ``enumerate_by_insertion`` is the gap-insertion-and-sort enumerator that
-the package's streaming depth-first search over prefixes replaced; the two
-must yield the same words in the same order.  Likewise
+the package's streaming depth-first search over prefixes replaced, and
+``enumerate_by_dfs`` is that search as it was before it learned to append
+cached endings; all three must yield the same words in the same order.  Likewise
 ``slot_tree_arrays_by_levels`` and ``bundled_tree_arrays_by_insertion``
 build every tree of one order and sort, as the tree enumerators did before
 they streamed from one lexicographic search over attachment arrays.
@@ -84,6 +85,57 @@ def enumerate_by_insertion(multiplicities) -> list[tuple[int, ...]]:
         words = [w[:g] + run + w[g:] for w in words for g in range(len(w) + 1)]
     words.sort()
     return words
+
+
+def enumerate_by_dfs(multiplicities):
+    """Every generalized Stirling permutation of the multiset in lexicographic
+    order, streamed from a depth-first search over prefixes that appends one
+    symbol at a time, with the state of ``perms.validate_word`` (the seen
+    counts and the stack of open labels).  The symbols that may extend a
+    prefix are, in increasing order, the innermost open label and then every
+    unseen label above it; once no label is unseen, the rest is forced."""
+    n = len(multiplicities)
+    padded = (0,) + tuple(multiplicities)
+    seen = [0] * (n + 1)
+    stack: list[int] = []
+    word: list[int] = []
+    unseen = n
+    after = 0  # the next symbol at this depth must be larger than ``after``
+    while True:
+        if unseen:
+            top = stack[-1] if stack else 0
+            if after < top:
+                x = top
+            else:
+                x = after + 1
+                while x <= n and seen[x]:
+                    x += 1
+            if x <= n:
+                if not seen[x]:
+                    stack.append(x)
+                    unseen -= 1
+                seen[x] += 1
+                if seen[x] == padded[x]:
+                    stack.pop()
+                word.append(x)
+                after = 0
+                continue
+        else:
+            tail: list[int] = []
+            for label in reversed(stack):
+                tail += [label] * (padded[label] - seen[label])
+            yield tuple(word + tail)
+        if not word:
+            return
+        # backtrack: undo the last symbol and try the next one after it
+        x = word.pop()
+        if seen[x] == padded[x]:
+            stack.append(x)
+        seen[x] -= 1
+        if not seen[x]:
+            stack.pop()
+            unseen += 1
+        after = x
 
 
 def direct_stats(word, kmax: int) -> dict:
@@ -420,6 +472,22 @@ def block_binomial_moment_forms(n: int, k: int, r: int) -> tuple[Fraction, Fract
         generalized_binomial(top, n) / generalized_binomial(bottom, n),
         (r + 1) * generalized_binomial(top, n - 1) / generalized_binomial(bottom, n - 1),
     )
+
+
+def block_count_moments(n: int, k: int) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of the block count S_n, from the rational
+    binomial moments ``E binom(S_n + r, r) = prod_{j<n} (kj + r + 1) /
+    (kj + 1)`` for r = 1, 2: the form of the ``urn_b_blocks`` theory before
+    it read the float moments."""
+
+    def moment(r: int) -> Fraction:
+        return Fraction(
+            math.prod(k * j + r + 1 for j in range(n)), math.prod(k * j + 1 for j in range(n))
+        )
+
+    mean = moment(1) - 1
+    # E binom(S+2, 2) = (E S^2 + 3 E S + 2) / 2
+    return mean, 2 * moment(2) - 3 * mean - 2 - mean * mean
 
 
 def martingale_scaling_binomial(n: int, k: int) -> Fraction:

@@ -8,6 +8,8 @@ import hashlib
 import io
 import json
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -73,14 +75,44 @@ def test_enumerate_words(capsys):
         (("enumerate", "--n", "0", "--k", "2"), "e2f41009e652774a9e9c4710fd3130a7de816272"),
         (("--csv", "enumerate", "--n", "4", "--k", "3"),
          "f47878e09b0e0473e810edfdd3f1802f3df19402"),
+        (("enumerate", "--n", "7", "--k", "2"), "5df0b91089801f99e1575286fc847eb560af57c2"),
+        (("--csv", "enumerate", "--n", "6", "--k", "2"),
+         "baca83b45348784c6a91dc6638fdeaa791f8e457"),
     ],
-    ids=["k2-n6", "bundled-k1-n5", "generalized", "order-zero", "csv-k3-n4"],
+    ids=["k2-n6", "bundled-k1-n5", "generalized", "order-zero", "csv-k3-n4", "k2-n7",
+         "csv-k2-n6"],
 )
 def test_enumerate_stdout_frozen(capsys, argv, sha1):
     """Byte-identical to the output of the gap-insertion-and-sort enumerator."""
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+class _ByteCount:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self) -> None:
+        self.written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+
+def test_enumerate_streams_its_words(monkeypatch):
+    """135135 words, 2.97 MB of JSON, are written as they are enumerated:
+    the peak traced memory stays far below the size of the output."""
+    sink = _ByteCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.main(["enumerate", "--n", "7", "--k", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.written == 2973132
+    assert peak < 4 * 2**20
 
 
 def test_enumerate_cap_exceeded(capsys):
@@ -168,6 +200,38 @@ def test_sample_word_does_not_depend_on_count(capsys):
         assert len(runs[-1]) == 8 and len(set(runs[-1])) > 1
         for words in runs:
             assert words == runs[-1][: len(words)]
+
+
+@pytest.mark.parametrize(
+    "argv,sha1",
+    [
+        (("sample", "--n", "5", "--k", "2", "--seed", "17", "--count", "40"),
+         "2cfa5836fc1683c7532b41e0c1960c7ec1d95782"),
+        (("--csv", "sample", "--n", "5", "--k", "2", "--seed", "17", "--count", "40"),
+         "4a0b281fc7c25b366cd86aa5c9fffd2c70c0ada4"),
+        (("sample", "--n", "12", "--k", "1", "--seed", "3", "--count", "7", "--bundled"),
+         "27d75713505bc8622e6cdd78f2d8b487ccd3d8df"),
+        (("--csv", "sample", "--n", "12", "--k", "1", "--seed", "3", "--count", "7", "--bundled"),
+         "1cfb0a47ebc5adf582bd9a70537ee50adc20d72d"),
+        (("sample", "--n", "3", "--k", "2", "--seed", "1", "--count", "5000"),
+         "2984fc74f19ad8954647a4f5b2f43307c964bf1f"),
+        (("--csv", "sample", "--n", "10", "--k", "2", "--seed", "8", "--count", "4097",
+          "--bundled"), "25f12eb70b3b8f92f30ba63539bd8ea3e4fa4278"),
+        (("sample", "--n", "4", "--k", "3", "--seed", "5", "--count", "0"),
+         "7a24df025074136da670a21cd7aef9052939e0d1"),
+        (("--csv", "sample", "--n", "4", "--k", "3", "--seed", "5", "--count", "0"),
+         "f5f166afc2ee9c9ed13de221d98bc078c762c30c"),
+        (("--csv", "sample", "--n", "0", "--k", "2", "--seed", "5", "--count", "2"),
+         "66a4070a5f237f5db21b67cd14eddc53e3afb38a"),
+    ],
+    ids=["k2", "csv-k2", "bundled-order-12", "csv-bundled-order-12", "5000-words",
+         "csv-bundled-4097-words", "no-words", "csv-no-words", "csv-order-zero"],
+)
+def test_sample_stdout_frozen(capsys, argv, sha1):
+    """Byte-identical to the output of the list-building writer."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
 def test_sample_order_zero_is_one_empty_word(capsys):
@@ -401,6 +465,17 @@ def test_experiment_with_comparison(capsys):
     )
     assert payload["comparison"]["ok"] is True
     assert payload["spec"]["replicates"] == 2048
+
+
+def test_urn_b_comparison_at_k_one_and_large_order(capsys):
+    """At k = 1 the block count is n with variance exactly 0, which the
+    theory must state exactly, or the zero sample variance fails it."""
+    payload = run_json(
+        capsys, "experiment", "--generator", "urn_b", "--n", "100000", "--k", "1",
+        "--replicates", "8", "--seed", "2", "--compare", "urn_b_blocks",
+    )
+    assert payload["comparison"]["ok"] is True
+    assert payload["means"] == [0.0, 100001.0]
 
 
 def test_experiment_comparison_failure_exit_code(capsys):

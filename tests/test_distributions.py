@@ -97,6 +97,16 @@ def test_binomial_moment_float_tracks_exact():
         assert approx == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_binomial_moment_float_is_close_on_both_sides_of_the_series(k):
+    """Below n = 50 the quotient of exact products, from n = 50 Stirling's
+    series: both within 1e-13 relative of the exact moment."""
+    for n in (1, 2, 49, 50, 51, 64, 300, 1000, 3000):
+        for r in range(5):
+            exact = float(dist.block_binomial_moment(n, k, r))
+            assert dist.block_binomial_moment_float(n, k, r) == pytest.approx(exact, rel=1e-13)
+
+
 def test_binomial_moment_float_handles_large_n():
     value = dist.block_binomial_moment_float(10**6, 2, 1)
     # grows like n^{1/k} times Gamma(1+1/k)-ratio constants; sanity bounds only

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -322,6 +323,29 @@ def test_compare_urn_b_exact_moments():
     assert report.ok, [e for e in report.entries if not e.ok]
     names = {e.name for e in report.entries}
     assert "mean[white]" in names and "cov[black,white]" in names
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_urn_b_theory_matches_the_exact_moments(k):
+    """The float theory is within 1e-11 relative of the rational one; at
+    k = 1 both are exact, with variance 0."""
+    for n in [*range(1, 61), 99, 100, 101, 777, 2999, 3000]:
+        spec = harness.ExperimentSpec(generator="urn_b", n=n, k=k, replicates=4, seed=0)
+        theory = harness.THEORIES["urn_b_blocks"](spec)
+        mean, var = oracles.block_count_moments(n, k)
+        white = float(mean + 1)
+        assert theory.means == pytest.approx((k * n + 1 - white, white), rel=1e-11, abs=0), n
+        assert theory.covariance[1][1] == pytest.approx(float(var), rel=1e-11, abs=0), n
+        assert theory.covariance[0][1] == -theory.covariance[1][1]
+
+
+def test_urn_b_theory_is_cheap_at_large_n():
+    for k in (2, 3):
+        spec = harness.ExperimentSpec(generator="urn_b", n=10**6, k=k, replicates=4, seed=0)
+        start = time.perf_counter()
+        theory = harness.THEORIES["urn_b_blocks"](spec)
+        assert time.perf_counter() - start < 0.1
+        assert 0 < theory.covariance[1][1] < theory.means[1] ** 2
 
 
 def test_compare_first_block_mean_only():
