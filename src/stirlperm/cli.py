@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
@@ -525,10 +526,8 @@ def _flatten(prefix: str, value, rows: list) -> None:
         rows.append((prefix, value))
 
 
-# rows or words per write of a streamed output
+# rows or items of an iterator per write of a streamed output
 _BATCH = 4096
-# stands in for streamed words while the rest of the payload is encoded
-_HOLE = "\0words\0"
 
 
 def _batches(items: Iterable) -> Iterator[list]:
@@ -537,27 +536,169 @@ def _batches(items: Iterable) -> Iterator[list]:
         yield batch
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# the JSON text of a value of exactly this type; subclasses are looked up
+# with isinstance, in json's order
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _subclass_text(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """The quoted text of a dict key: as in json, an int, float, bool or
+    None key is the string of its value's text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + _SCALAR_TEXT.get(type(key), _subclass_text)(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _joined(items: list, separator: str) -> Optional[str]:
+    """The items' texts joined by ``separator`` when all of them have one
+    scalar type, else None."""
+    text = _SCALAR_TEXT.get(type(items[0]))
+    if text is None or (len(items) > 1 and len(set(map(type, items))) > 1):
+        return None
+    return separator.join(map(text, items))
+
+
+def _level_text(depth: int) -> tuple[str, str, str, str, str]:
+    """The openings, the item separator and the closings of a list or dict
+    at ``depth``, whose items sit at ``depth + 1``."""
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return "[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"
+
+
+_LIST, _DICT, _STREAM = range(3)
+
+
+def _write_json(value, out) -> None:
+    """Write ``value`` to ``out`` as the text of ``json.dumps(value, indent=2)``
+    and a line break.
+
+    The value is walked with a stack, so any depth is written, and a list
+    of items of one scalar type is joined at once.  An iterator is written
+    as a list, in batches of ``_BATCH`` items, each as it is drawn.  All
+    else is built in full and written once, so that an unserialisable object
+    (``TypeError``), a circular reference or an int past the interpreter's
+    int-to-str digit limit (``ValueError``) raises before anything is
+    written, as ``json.dumps`` does.
+    """
+    parts: list[str] = []
+    append = parts.append
+    levels: list[tuple[str, ...]] = []
+    open_ids: set[int] = set()
+    # a frame per open container: (items, kind, separator, closing, id); a
+    # stream's frame is a list [items of its batch, kind, separator,
+    # closing, None, batches, head of its next batch], whose closing is
+    # "[]" until a batch is drawn
+    stack: list = []
+    prefix = ""
+    end = object()
+    while True:
+        text = _SCALAR_TEXT.get(type(value))
+        if text is not None:
+            append(prefix + text(value))
+        else:
+            depth = len(stack)
+            if depth == len(levels):
+                levels.append(_level_text(depth))
+            open_list, open_dict, separator, close_list, close_dict = levels[depth]
+            if isinstance(value, (list, tuple, dict)):
+                is_dict = isinstance(value, dict)
+                if not value:
+                    append(prefix + ("{}" if is_dict else "[]"))
+                elif id(value) in open_ids:
+                    raise ValueError("Circular reference detected")
+                elif is_dict:
+                    open_ids.add(id(value))
+                    items = iter(value.items())
+                    stack.append((items, _DICT, separator, close_dict, id(value)))
+                    key, value = next(items)
+                    key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
+                    prefix += open_dict + key + ": "
+                    continue
+                elif type(value[0]) in _SCALAR_TEXT and (text := _joined(value, separator)):
+                    append(prefix + open_list + text + close_list)
+                else:
+                    open_ids.add(id(value))
+                    items = iter(value)
+                    stack.append((items, _LIST, separator, close_list, id(value)))
+                    value = next(items)
+                    prefix += open_list
+                    continue
+            elif isinstance(value, Iterator):
+                append(prefix)
+                stack.append([iter(()), _STREAM, separator, "[]", None, _batches(value), open_list])
+            else:
+                append(prefix + _subclass_text(value))
+        # the value is written: find the next one
+        while stack:
+            frame = stack[-1]
+            item = next(frame[0], end)
+            if item is not end:
+                if frame[1] is _DICT:
+                    key, value = item
+                    key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
+                    prefix = frame[2] + key + ": "
+                else:
+                    value, prefix = item, frame[2]
+                break
+            if frame[1] is _STREAM:
+                out.write("".join(parts))
+                parts.clear()
+                batch = next(frame[5], None)
+                if batch is not None:
+                    separator, head = frame[2], frame[6]
+                    frame[3], frame[6] = levels[len(stack) - 1][3], separator
+                    if (text := _joined(batch, separator)) is None:
+                        frame[0] = items = iter(batch)
+                        value, prefix = next(items), head
+                        break
+                    append(head + text)
+                    continue
+            stack.pop()
+            append(frame[3])
+            open_ids.discard(frame[4])
+        else:
+            break
+    append("\n")
+    out.write("".join(parts))
+
+
 def _render(payload: dict, table, as_csv: bool, out) -> None:
     """Write the payload as indented JSON, or its table as CSV, to ``out``.
 
-    Rows, and a ``words`` entry that is an iterator of strings, are written
-    in batches as they are drawn; the bytes are those of ``json.dumps(payload,
-    indent=2)`` and of the ``csv`` writer with every item in a list.
+    Rows, and any iterator in the payload, are written in batches as they
+    are drawn; the bytes are those of ``json.dumps(payload, indent=2)`` and
+    of the ``csv`` writer with every iterator a list.
     """
     if not as_csv:
-        words = payload.get("words")
-        if not isinstance(words, Iterator):
-            out.write(json.dumps(payload, indent=2) + "\n")
-            return
-        head, tail = json.dumps({**payload, "words": _HOLE}, indent=2).split(
-            encode_basestring_ascii(_HOLE)
-        )
-        out.write(head)
-        opening = "["
-        for batch in _batches(words):
-            out.write(opening + "\n    " + ",\n    ".join(map(encode_basestring_ascii, batch)))
-            opening = ","
-        out.write(("[]" if opening == "[" else "\n  ]") + tail + "\n")
+        _write_json(payload, out)
         return
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

@@ -84,10 +84,15 @@ def _urn_b_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
     """Triangular two-color urn after n-1 draws.  White minus one has the law
     of the block count of a random k-Stirling permutation of order n, so it
     is read off as the number of nested urn levels; black fills the total
-    kn+1."""
-    blocks = np.zeros(count, dtype=np.int64)
-    for rows, _ in _block_levels(k, n, count, rng):
-        blocks[rows] += 1
+    kn+1.  At k = 1 every label is a block of its own, so the count is n:
+    the level chain would take one numpy step per label and draw nothing
+    (``binomial(m, 0)`` leaves the generator as it is)."""
+    if k == 1:
+        blocks = np.full(count, n, dtype=np.int64)
+    else:
+        blocks = np.zeros(count, dtype=np.int64)
+        for rows, _ in _block_levels(k, n, count, rng):
+            blocks[rows] += 1
     white = blocks + 1
     return np.stack([k * n + 1 - white, white], axis=1).astype(np.float64)
 

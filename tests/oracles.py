@@ -24,6 +24,8 @@ them byte for byte; ``urn_a_chunk`` draws ``u * total`` floats instead, an
 independent stream for distribution tests.  ``stirling_k1_chunk`` is the
 gap loop that ``stirling_perm`` ran at k = 1 before it stepped urn A on that
 engine; it draws the engine's integers, so the two must match byte for byte.
+``urn_b_levels`` steps the package's nested urn levels at any k, as the
+``urn_b`` kernel did at k = 1 before it read off the certain block count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stirlperm import harness, perms, trees
+from stirlperm import harness, perms, trees, urns
 from stirlperm.bijections import BundledNode
 
 
@@ -520,6 +522,18 @@ def urn_b_steps(n: int, k: int, count: int, rng) -> np.ndarray:
         black += k - is_white
         total += k
     return np.stack([black, white], axis=1).astype(np.float64)
+
+
+def urn_b_levels(n: int, k: int, count: int, rng) -> np.ndarray:
+    """``count`` rows (black, white) of the triangular block urn, white
+    being one more than the number of nested urn levels: the ``urn_b``
+    kernel as it ran at every k, k = 1 included, before it took the block
+    count n at k = 1 without stepping the levels."""
+    blocks = np.zeros(count, dtype=np.int64)
+    for rows, _ in urns._block_levels(k, n, count, rng):
+        blocks[rows] += 1
+    white = blocks + 1
+    return np.stack([k * n + 1 - white, white], axis=1).astype(np.float64)
 
 
 def urn_c_steps(n: int, k: int, count: int, rng) -> np.ndarray:

@@ -10,8 +10,11 @@ import json
 import math
 import sys
 import tracemalloc
+from collections.abc import Iterator
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stirlperm import cli
 
@@ -641,3 +644,221 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_bad_choice_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "urn", "--model", "z", "--seed", "1")
     assert code == 64
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+
+class _Float(float):
+    def __repr__(self) -> str:  # json prints float.__repr__, not this
+        return "_Float()"
+
+
+class _Int(int):
+    def __repr__(self) -> str:  # json prints int.__repr__, not this
+        return "_Int()"
+
+
+def _written(value) -> str:
+    """The writer's text without its closing line break."""
+    out = io.StringIO()
+    cli._write_json(value, out)
+    text = out.getvalue()
+    assert text.endswith("\n")
+    return text[:-1]
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers().map(_Int), _FLOATS,
+    _FLOATS.map(_Float), st.text(),  # text draws non-ASCII and control characters
+)
+_KEYS = st.one_of(
+    st.text(), st.integers(), st.integers().map(_Int), _FLOATS, st.booleans(), st.none()
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=6),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=6),
+        st.lists(_FLOATS, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+@example([math.nan, math.inf, -math.inf, _Float(-math.inf), -0.0, 1e300, [True, 1], _Int(7)])
+@example({2: 1, True: [1, True], None: (), -1.5: {}, _Int(3): [], "\u00e9\x00": "\u2603\n"})
+def test_writer_is_json_dumps_with_indent_two(value):
+    assert _written(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: iter([]),
+        lambda: {"words": iter(["1122", "1221"]), "count": 2},
+        lambda: {"a": iter(range(10000)), "b": [iter([])]},
+        lambda: [iter([{"x": 1}, [], 2.5, None] * 2500), iter(["s"] * 4097)],
+    ],
+    ids=["empty", "words", "several-batches", "mixed-batches"],
+)
+def test_writer_streams_an_iterator_as_a_list(make):
+    """An iterator anywhere in the value is written as the list of its items,
+    in batches of 4096, also when a batch mixes types."""
+
+    def listed(v):
+        if isinstance(v, dict):
+            return {key: listed(item) for key, item in v.items()}
+        if isinstance(v, (list, Iterator)):
+            return [listed(item) for item in v]
+        return v
+
+    assert _written(make()) == json.dumps(listed(make()), indent=2)
+
+
+def test_writer_writes_any_depth():
+    """json.dumps recurses once per level and fails at about 1000.  The text
+    of a D-deep list is about 2 D^2 characters, so the test stops at three
+    times the recursion limit (18 MB of text)."""
+    depth = 3000
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    opening = "".join("[\n" + "  " * (level + 1) for level in range(depth - 1))
+    closing = "".join("\n" + "  " * level + "]" for level in reversed(range(depth - 1)))
+    assert _written(value) == opening + "[]" + closing
+
+
+_LOOP: list = [1, 2]
+_LOOP.append({"back": _LOOP})
+
+
+@pytest.mark.parametrize(
+    "value,error",
+    [
+        ([1, {"a": object()}], TypeError),
+        ({(1, 2): 3}, TypeError),
+        (_LOOP, ValueError),
+        ({"count": 10**4300}, ValueError),  # 4301 digits, past the int-to-str limit
+    ],
+    ids=["object", "tuple-key", "circular", "digit-limit"],
+)
+def test_writer_raises_as_json_dumps_before_writing(value, error):
+    with pytest.raises(error) as expected:
+        json.dumps(value, indent=2)
+    out = io.StringIO()
+    with pytest.raises(error) as raised:
+        cli._write_json(value, out)
+    assert str(raised.value) == str(expected.value)
+    assert out.getvalue() == ""
+
+
+@pytest.fixture
+def codec_inputs(capsys, tmp_path):
+    """Input files of every tree codec, from fixed words of order 9."""
+
+    def save(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    ary = run_json(capsys, "decode", "--bijection", "ary", "442775528998136631")["tree"]
+    bundled = run_json(capsys, "decode", "--bijection", "bundled", "4444257777555228899998823336666311")
+    files = {"ary": save("ary.json", ary), "bundled": save("bundled.json", bundled["tree"])}
+    ftree = run_json(capsys, "encode", "--bijection", "ftree", "--input", files["bundled"])
+    files["ftree"] = save("ftree.json", ftree["ftree"])
+    seq = run_json(capsys, "decode", "--bijection", "seq", "--input", files["ary"])
+    files["seq"] = save("seq.json", seq["sequence"])
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "5", "--k", "2"),
+        ("enumerate", "--n", "3", "--k", "2"),
+        ("sample", "--n", "8", "--k", "2", "--seed", "1", "--count", "3"),
+        ("pmf", "--n", "6", "--k", "2"),
+        ("moments", "--n", "6", "--k", "2", "--r", "3"),
+        ("moments", "--k", "2", "--r", "3", "--limit"),
+        ("density", "--k", "2", "--x", "0.5", "--x", "1.5"),
+        ("means", "--n", "6", "--k", "2"),
+        ("covariance", "--which", "urnA", "--q", "3"),
+        ("covariance", "--which", "fixed", "--s", "1,2"),
+        ("covariance", "--which", "tnormal", "--k", "2"),
+        ("verify", "--n", "3", "--k", "2"),
+        ("stats", "442775528998136631"),
+        ("blocks", "442775528998136631"),
+        ("urn", "--model", "b", "--k", "2", "--steps", "8", "--seed", "3", "--path"),
+        ("urn", "--model", "nested", "--k", "2", "--n", "9", "--seed", "3"),
+        ("experiment", "--generator", "urn_a", "--n", "20", "--k", "2", "--replicates", "64",
+         "--seed", "3", "--compare", "urn_a_gaussian"),
+        ("experiment", "--generator", "stirling_perm", "--n", "12", "--k", "2",
+         "--replicates", "64", "--seed", "3"),
+        ("decode", "--bijection", "ary", "442775528998136631"),
+        ("decode", "--bijection", "bundled", "4444257777555228899998823336666311"),
+        ("decode", "--bijection", "seq", "--input", "{ary}"),
+        ("decode", "--bijection", "ftree", "--input", "{ftree}"),
+        ("encode", "--bijection", "ary", "--input", "{ary}"),
+        ("encode", "--bijection", "bundled", "--input", "{bundled}"),
+        ("encode", "--bijection", "seq", "--input", "{seq}"),
+        ("encode", "--bijection", "ftree", "--input", "{bundled}"),
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith(("-", "{")))[:40],
+)
+def test_stdout_is_indented_json_dumps(capsys, codec_inputs, argv):
+    """Every command prints the bytes of ``json.dumps(payload, indent=2)``."""
+    code, out, err = run_cli(capsys, *(a.format(**codec_inputs) for a in argv))
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def _tree_file(capsys, tmp_path, bijection, *sample_flags) -> str:
+    """A tree of order 500 decoded from a fixed sampled word."""
+    word = run_json(capsys, "sample", "--n", "500", "--k", "2", "--seed", "7",
+                    *sample_flags)["words"][0]
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(run_json(capsys, "decode", "--bijection", bijection, word)["tree"]))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv,word,sha1",
+    [
+        (("decode", "--bijection", "seq"), ("ary",),
+         "07b2440ab37fbb8b60be3bcc91280ed2a5a2a5e0"),
+        (("encode", "--bijection", "ftree"), ("bundled", "--bundled"),
+         "ac29a9bcf8f970fec7d1295154f90834dffdbcc9"),
+    ],
+    ids=["decode-seq", "encode-ftree"],
+)
+def test_codec_stdout_frozen(capsys, tmp_path, argv, word, sha1):
+    """Nested codec output keeps the bytes json.dumps(indent=2) gave it."""
+    path = _tree_file(capsys, tmp_path, *word)
+    code, out, _ = run_cli(capsys, *argv, "--input", path)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+def test_output_never_runs_the_pure_python_encoder(capsys, tmp_path, monkeypatch):
+    """json.dumps with an indent runs json's per-level generator encoder;
+    nested and streamed output must not go back to it."""
+    path = _tree_file(capsys, tmp_path, "ary")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
+    seq = run_json(capsys, "decode", "--bijection", "seq", "--input", path)
+    assert len(seq["sequence"]) >= 1
+    words = run_json(capsys, "enumerate", "--n", "3", "--k", "2")["words"]
+    assert len(words) == 15

@@ -494,6 +494,29 @@ def test_urns_at_k_one_are_deterministic(n):
     assert (c.column("firstFraction") == 1 / n).all()
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_urn_b_kernel_matches_the_level_oracle(k):
+    """Rows and the generator state afterwards equal those of the level
+    chain; at k = 1 the kernel skips the chain, whose binomial(m, 0) draws
+    leave the generator as it is."""
+    for n in range(1, 51):
+        fast_rng, slow_rng = np.random.default_rng(n), np.random.default_rng(n)
+        fast = harness._urn_b_chunk(n, k, 37, fast_rng)
+        slow = oracles.urn_b_levels(n, k, 37, slow_rng)
+        assert np.array_equal(fast, slow)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_urn_b_at_k_one_takes_no_level_steps():
+    """At k = 1 the block count is n with certainty; stepping one nested
+    level per label took 9 s at n = 10^5 with 2048 replicates."""
+    spec = harness.ExperimentSpec(generator="urn_b", n=10**5, k=1, replicates=2048, seed=3)
+    start = time.perf_counter()
+    result = harness.run_experiment(spec)
+    assert time.perf_counter() - start < 2.0
+    assert (result.column("white") == 10**5 + 1).all()
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_block_law_generators_read_the_same_levels(k):
     """urn_b, urn_c_block and block_sizes draw the same nested urn levels
