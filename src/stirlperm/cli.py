@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
@@ -46,9 +48,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=1)
+def _label_texts(order: int) -> tuple[str, ...]:
+    """The text of each label 0..order; a run of words of one order builds
+    it once."""
+    return tuple(map(str, range(order + 1)))
+
+
 def _word_text(perm: _perms.GenStirlingPerm) -> str:
     text = perm.compact()
-    return text if text is not None else ",".join(map(str, perm.word))
+    if text is not None:
+        return text
+    labels = _label_texts(perm.order)
+    return ",".join([labels[x] for x in perm.word])
 
 
 def _primed(items: Iterable) -> Iterator:
@@ -737,7 +749,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def cli() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (as ``| head`` does); point stdout
+        # at devnull so that the interpreter's last flush does not raise too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INVALID
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

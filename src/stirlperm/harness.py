@@ -318,10 +318,13 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         lo, hi = bounds[index]
         out[lo:hi] = gen.kernel(spec.n, spec.k, hi - lo, chunk_stream(spec.seed, index))
 
-    # threads overlap the engine's block draws and the beta/binomial levels,
-    # which numpy runs outside the GIL: over 5 alternating 15 s benchmark
-    # pairs on a shared 2-core host a serial fill cut mc_chunk ops/s from
-    # 28.5 to 26.6 (op_p90_s +11%) and gained 4.7% on mc_replicate
+    # threads overlap the beta and binomial levels, which numpy draws outside
+    # the GIL (4 draws, serial against 2 threads: beta 460 vs 250 ms,
+    # binomial with array arguments 104 vs 62 ms); the engine's block draws,
+    # integers with one bound per row, hold it (199 vs 192 ms).  Over 5
+    # alternating 15 s benchmark pairs on a shared 2-core host a serial fill
+    # cut mc_chunk ops/s from 28.5 to 26.6 (op_p90_s +11%) and gained 4.7%
+    # on mc_replicate
     if threads == 1 or len(bounds) == 1:
         for index in range(len(bounds)):
             fill(index)

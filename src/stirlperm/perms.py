@@ -55,8 +55,8 @@ class EnumerationCapError(RuntimeError):
 
 def check_multiplicities(mult: Sequence[int]) -> Multiplicities:
     """Validate a multiplicity vector (all entries positive) and return it as a tuple."""
-    out = tuple(int(m) for m in mult)
-    if any(m < 1 for m in out):
+    out = tuple(map(int, mult))
+    if out and min(out) < 1:
         raise ValueError(f"multiplicities must be positive, got {out}")
     return out
 
@@ -146,7 +146,7 @@ class GenStirlingPerm:
         """Wrap a word that is already known to be valid, skipping validation."""
         perm = object.__new__(cls)
         # the frozen __setattr__ is bypassed; writing the instance dict is
-        # the cheapest way, and enumeration pays it once per word
+        # the cheapest way, and enumeration and sampling pay it once per word
         fields = perm.__dict__
         fields["word"] = word
         fields["multiplicities"] = mult
@@ -467,13 +467,20 @@ def sample_generalized(mult: Sequence[int], seed=None) -> GenStirlingPerm:
     one of ``k_1 + ... + k_{i-1} + 1``.  All n gaps are drawn in one call;
     numpy draws an array of bounds element by element, so the word and the
     generator's state afterwards are those of :class:`PermutationGrower`.
+
+    A run put into a gap of a Stirling permutation leaves it one, so with
+    every gap within its bound the word is valid by construction: the
+    bounds are checked in one comparison and the word is not scanned again.
     """
     mult = check_multiplicities(mult)
-    gaps = as_generator(seed).integers(0, np.cumsum((0,) + mult)[:-1] + 1)
+    bounds = np.cumsum((0,) + mult)[:-1] + 1
+    gaps = as_generator(seed).integers(0, bounds)
+    if not ((gaps >= 0) & (gaps < bounds)).all():
+        raise InvalidPermutationError("a drawn gap is outside the word it goes into")
     word: list[int] = []
     for label, (m, gap) in enumerate(zip(mult, gaps.tolist()), start=1):
         word[gap:gap] = [label] * m
-    return GenStirlingPerm(tuple(word), mult)
+    return GenStirlingPerm._trusted(tuple(word), mult)
 
 
 def sample_k_stirling(n: int, k: int, seed=None) -> GenStirlingPerm:

@@ -8,15 +8,18 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections.abc import Iterator
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stirlperm import cli
+from stirlperm import cli, perms
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +141,16 @@ def test_sample_is_deterministic(capsys):
     assert out_a == out_b
     words = json.loads(out_a)["words"]
     assert len(words) == 3 and len(set(words)) > 1
+    # the sampler does not scan the words it builds, so each printed one is
+    # validated here, up to 12000 symbols
+    for n, k, bundled in ((5, 2, ()), (3000, 1, ()), (3000, 4, ()), (1000, 3, ("--bundled",))):
+        argv = ("sample", "--n", str(n), "--k", str(k), "--seed", "17", "--count", "8", *bundled)
+        words = run_json(capsys, *argv)["words"]
+        mult = perms.bundled_multiplicities(n, k) if bundled else perms.uniform_multiplicities(n, k)
+        assert len(words) == 8
+        for text in words:
+            word = tuple(map(int, text.split(",") if n > 9 else text))
+            assert perms.validate_word(word, mult)
 
 
 @pytest.mark.parametrize(
@@ -235,6 +248,36 @@ def test_sample_stdout_frozen(capsys, argv, sha1):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(10, 500), st.integers(1, 3), st.integers(0, 2**32 - 1)),
+                min_size=1, max_size=4))
+@example([(300, 2, 1), (12, 1, 2), (300, 3, 3)])
+def test_word_text_joins_the_labels(draws):
+    """The label table gives each symbol's text, also when the order changes
+    from one word to the next."""
+    for order, k, seed in draws:
+        perm = perms.sample_k_stirling(order, k, seed)
+        assert cli._word_text(perm) == ",".join(map(str, perm.word))
+
+
+def test_console_entry_point_exits_quietly_on_a_closed_pipe():
+    """The reader closing stdout early (``enumerate ... | head -1``) is exit
+    1 and nothing on stderr, not a traceback."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stirlperm.cli", "enumerate", "--n", "7", "--k", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_sample_order_zero_is_one_empty_word(capsys):

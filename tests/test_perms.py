@@ -283,16 +283,17 @@ def _exactness_cases():
     cases = [
         (f"k-stirling-n{n}-k{k}", (n, k), perms.sample_k_stirling, perms.uniform_multiplicities(n, k))
         for k in (1, 2, 3, 4)
-        for n in (0, 1, 2, 6, 40)
+        for n in (0, 1, 2, 6, 40, 3000)
     ]
     cases += [
         (f"bundled-n{n}-k{k}", (n, k), perms.sample_bundled, perms.bundled_multiplicities(n, k))
         for k in (1, 2, 3)
-        for n in (1, 2, 6, 40)
+        for n in (1, 2, 6, 40, 1000)
     ]
     draw = random.Random(20081)
-    for index in range(5):
-        mult = tuple(draw.randint(1, 6) for _ in range(draw.randint(2, 30)))
+    for index in range(7):
+        labels = draw.randint(2, 30) if index < 5 else draw.randint(500, 2000)
+        mult = tuple(draw.randint(1, 6) for _ in range(labels))
         cases.append((f"generalized-{index}", (mult,), perms.sample_generalized, mult))
     return cases
 
@@ -305,10 +306,12 @@ EXACTNESS_CASES = _exactness_cases()
 )
 def test_sampler_matches_growth_oracle_exactly(args, sampler, mult):
     """Same word, and the shared generator left in the same state, as growing
-    the word one label at a time, for 200 seeds."""
-    for seed in range(200):
+    the word one label at a time, for 200 seeds (10 from 1000 labels on).
+    The sampler does not scan its words, so each is validated here."""
+    for seed in range(200 if len(mult) < 1000 else 10):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         word = sampler(*args, fast)
+        assert perms.validate_word(word.word, mult)
         assert word == oracles.sample_by_growth(mult, slow)
         assert fast.bit_generator.state == slow.bit_generator.state
     # an integer seed is the same stream as its Generator
@@ -334,12 +337,46 @@ def test_generalized_sampler_is_uniform_chi_square():
         (lambda: perms.sample_bundled(0, 0), "n must be >= 1"),
         (lambda: perms.sample_bundled(2, 0), "k must be >= 1"),
         (lambda: perms.sample_generalized((2, 0)), "multiplicities must be positive"),
+        (lambda: perms.sample_generalized((0,)), r"^multiplicities must be positive, got \(0,\)$"),
+        (lambda: perms.sample_generalized(np.array([3, -1, 2])),
+         r"^multiplicities must be positive, got \(3, -1, 2\)$"),
     ],
-    ids=["k-stirling-n", "k-stirling-k", "bundled-n", "bundled-k", "generalized-mult"],
+    ids=["k-stirling-n", "k-stirling-k", "bundled-n", "bundled-k", "generalized-mult",
+         "generalized-only-zero", "generalized-negative-numpy"],
 )
 def test_sampler_argument_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+class _GapsFrom(np.random.Generator):
+    """A generator whose ``integers`` returns fixed gaps, one per label."""
+
+    def __init__(self, gaps):
+        super().__init__(np.random.PCG64(0))
+        self.gaps = np.array(gaps)
+
+    def integers(self, low, high, *args, **kwargs):
+        return self.gaps
+
+
+@pytest.mark.parametrize(
+    "gaps", [(0, 3, 0), (0, 0, -1), (1, 0, 0)], ids=["past-the-end", "negative", "first-label"]
+)
+def test_sampler_rejects_a_gap_outside_its_bound(gaps):
+    """The one check that stands in for scanning the word: at (2, 2, 2) the
+    bounds are 1, 3 and 5."""
+    assert perms.sample_generalized((2, 2, 2), _GapsFrom((0, 2, 4))).word == (1, 1, 2, 2, 3, 3)
+    with pytest.raises(perms.InvalidPermutationError, match="outside the word"):
+        perms.sample_generalized((2, 2, 2), _GapsFrom(gaps))
+
+
+def test_check_multiplicities_returns_python_ints():
+    out = perms.check_multiplicities(np.array([3, 1, 2], dtype=np.int64))
+    assert out == (3, 1, 2) and all(type(m) is int for m in out)
+    assert perms.check_multiplicities(np.arange(1, 4, dtype=np.int32)) == (1, 2, 3)
+    assert perms.check_multiplicities([]) == ()
+    assert perms.check_multiplicities(np.array([], dtype=np.int64)) == ()
 
 
 def test_sample_respects_seed():
