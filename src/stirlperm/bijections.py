@@ -16,6 +16,7 @@ Four codecs, all exact inverses of each other on their domains:
   trees, by the Cartesian tree on labels.  The smallest label becomes the
   root; the part of the sequence to its left goes to the first slot, its
   bundles to the middle slots, the rest of the sequence to the last slot.
+  At k = 0 a sequence is a permutation and its tree is binary.
 * ``f_tree_from_bundled`` / ``bundled_from_f_tree``: k-bundled increasing
   trees <-> modified (k+2)-ary trees whose root has only k slots: the same
   bijection applied to each root bundle, whose tree goes to root slot b.
@@ -350,9 +351,8 @@ def seq_to_ary_tree(seq: Sequence[BundledNode]) -> AryIncreasingTree:
 
 
 def ary_tree_to_seq(tree: AryIncreasingTree) -> tuple[BundledNode, ...]:
-    """Inverse of :func:`seq_to_ary_tree`; needs ``arity >= 3``."""
-    if tree.arity < 3:
-        raise InvalidTreeError("sequence decoding needs arity >= 3")
+    """Inverse of :func:`seq_to_ary_tree`.  A binary tree maps to a sequence
+    of 0-bundle nodes, which is a permutation of its labels."""
     rows = _slots_to_bundles(tree, f_root=False)
     nodes = _build_nodes(rows, range(tree.order, 0, -1))
     return tuple(nodes[u] for u in rows[0][0])

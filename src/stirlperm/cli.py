@@ -102,6 +102,9 @@ def _load_json_input(path: str) -> dict | list:
         raise ValueError(f"cannot read --input {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise ValueError(f"--input {path} is not JSON: {exc}") from exc
+    except RecursionError as exc:
+        # json's reader recurses once per nested list or object
+        raise ValueError(f"--input {path} nests too deeply for json to read") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +601,6 @@ def _joined(items: list, separator: str) -> Optional[str]:
     return separator.join(map(text, items))
 
 
-def _level_text(depth: int) -> tuple[str, str, str, str, str]:
-    """The openings, the item separator and the closings of a list or dict
-    at ``depth``, whose items sit at ``depth + 1``."""
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    return "[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}"
-
-
 _LIST, _DICT, _STREAM = range(3)
 
 
@@ -622,12 +618,15 @@ def _write_json(value, out) -> None:
     """
     parts: list[str] = []
     append = parts.append
-    levels: list[tuple[str, ...]] = []
+    # the line break and indent of each depth; a container builds its
+    # opening and separator from them when it opens, and its closing is the
+    # outer one and a bracket, so the text shares one string per depth
+    levels = ["\n"]
     open_ids: set[int] = set()
-    # a frame per open container: (items, kind, separator, closing, id); a
-    # stream's frame is a list [items of its batch, kind, separator,
-    # closing, None, batches, head of its next batch], whose closing is
-    # "[]" until a batch is drawn
+    # a frame per open container: (items, kind, separator, closing, id),
+    # whose closing is a tuple of strings; a stream's frame is a list
+    # [items of its batch, kind, separator, closing, None, batches, head of
+    # its next batch], whose closing is ("[]",) until a batch is drawn
     stack: list = []
     prefix = ""
     end = object()
@@ -637,9 +636,9 @@ def _write_json(value, out) -> None:
             append(prefix + text(value))
         else:
             depth = len(stack)
-            if depth == len(levels):
-                levels.append(_level_text(depth))
-            open_list, open_dict, separator, close_list, close_dict = levels[depth]
+            if depth + 1 == len(levels):
+                levels.append(levels[depth] + "  ")
+            inner = levels[depth + 1]
             if isinstance(value, (list, tuple, dict)):
                 is_dict = isinstance(value, dict)
                 if not value:
@@ -649,23 +648,25 @@ def _write_json(value, out) -> None:
                 elif is_dict:
                     open_ids.add(id(value))
                     items = iter(value.items())
-                    stack.append((items, _DICT, separator, close_dict, id(value)))
+                    stack.append((items, _DICT, "," + inner, (levels[depth], "}"), id(value)))
                     key, value = next(items)
                     key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
-                    prefix += open_dict + key + ": "
+                    prefix += "{" + inner + key + ": "
                     continue
-                elif type(value[0]) in _SCALAR_TEXT and (text := _joined(value, separator)):
-                    append(prefix + open_list + text + close_list)
+                elif type(value[0]) in _SCALAR_TEXT and (text := _joined(value, "," + inner)):
+                    append(prefix + "[" + inner + text + levels[depth] + "]")
                 else:
                     open_ids.add(id(value))
                     items = iter(value)
-                    stack.append((items, _LIST, separator, close_list, id(value)))
+                    stack.append((items, _LIST, "," + inner, (levels[depth], "]"), id(value)))
                     value = next(items)
-                    prefix += open_list
+                    prefix += "[" + inner
                     continue
             elif isinstance(value, Iterator):
                 append(prefix)
-                stack.append([iter(()), _STREAM, separator, "[]", None, _batches(value), open_list])
+                stack.append(
+                    [iter(()), _STREAM, "," + inner, ("[]",), None, _batches(value), "[" + inner]
+                )
             else:
                 append(prefix + _subclass_text(value))
         # the value is written: find the next one
@@ -686,7 +687,7 @@ def _write_json(value, out) -> None:
                 batch = next(frame[5], None)
                 if batch is not None:
                     separator, head = frame[2], frame[6]
-                    frame[3], frame[6] = levels[len(stack) - 1][3], separator
+                    frame[3], frame[6] = (levels[len(stack) - 1], "]"), separator
                     if (text := _joined(batch, separator)) is None:
                         frame[0] = items = iter(batch)
                         value, prefix = next(items), head
@@ -694,7 +695,7 @@ def _write_json(value, out) -> None:
                     append(head + text)
                     continue
             stack.pop()
-            append(frame[3])
+            parts += frame[3]
             open_ids.discard(frame[4])
         else:
             break

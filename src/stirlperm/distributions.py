@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import as_generator
+from .perms import count_k_stirling
 from .urns import fixed_addition_covariance
 
 
@@ -108,16 +109,14 @@ def block_count_pmf(n: int, k: int) -> PmfTable:
 
 def block_binomial_moment(n: int, k: int, r: int) -> Fraction:
     """Exact binomial moment ``E binom(S_n + r, r)
-    = prod_{j<n} (k*j + r + 1) / prod_{j<n} (k*j + 1)``.
+    = prod_{j<n} (k*j + r + 1) / count_k_stirling(n, k)``.
 
     >>> block_binomial_moment(2, 2, 1)
     Fraction(8, 3)
     """
     if n < 1 or k < 1 or r < 0:
         raise ValueError("need n >= 1, k >= 1, r >= 0")
-    return Fraction(
-        math.prod(k * j + r + 1 for j in range(n)), math.prod(k * j + 1 for j in range(n))
-    )
+    return Fraction(math.prod(k * j + r + 1 for j in range(n)), count_k_stirling(n, k))
 
 
 def _stirling_remainder(t: float) -> float:
@@ -135,13 +134,13 @@ def block_binomial_moment_float(n: int, k: int, r: int) -> float:
     ``a = (r + 1)/k``, ``b = 1/k``.  The log of the ratio of the two large
     gamma values is taken from Stirling's series in a form with no
     cancellation (their difference of two lgamma values loses about
-    ``log2(n log n)`` bits); below ``n = 50`` the moment is the quotient of
-    the two exact integer products, correctly rounded.
+    ``log2(n log n)`` bits); below ``n = 50`` it is the exact
+    :func:`block_binomial_moment`, correctly rounded.
     """
     if n < 1 or k < 1 or r < 0:
         raise ValueError("need n >= 1, k >= 1, r >= 0")
     if n < 50:
-        return math.prod(k * j + r + 1 for j in range(n)) / math.prod(k * j + 1 for j in range(n))
+        return float(block_binomial_moment(n, k, r))
     a, b = (r + 1) / k, 1 / k
     u, v = n + a, n + b
     # lgamma(u) - lgamma(v) = (v - 1/2) log(u/v) + (u - v)(log u - 1) + remainders
@@ -161,12 +160,10 @@ def block_count_mean(n: int, k: int) -> Fraction:
 
 def martingale_scaling(n: int, k: int) -> Fraction:
     """Prefactor ``prod_{1<=j<n} (k*j + 1) / (k*j + 2)`` that turns
-    ``S_n + 1`` into a martingale."""
+    ``S_n + 1`` into a martingale: ``E[c_n (S_n + 1)] = 2``."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    return Fraction(
-        math.prod(k * j + 1 for j in range(1, n)), math.prod(k * j + 2 for j in range(1, n))
-    )
+    return 2 / block_binomial_moment(n, k, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -243,27 +243,23 @@ def count_k_stirling(n: int, k: int) -> int:
     """
     if n < 0 or k < 1:
         raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
-    total = 1
-    for i in range(1, n):
-        total *= k * i + 1
-    return total
+    return count_generalized(uniform_multiplicities(n, k))
 
 
 def count_bundled(n: int, k: int) -> int:
     """Number of k-bundled Stirling permutations: ``prod_{i=1}^{n-1}(i*(k+2)-1)``.
 
-    Defined for ``k >= 0`` (for ``k = 0`` the label 1 disappears from the
-    multiset and the count falls back to a pure product formula).
+    Defined for ``k >= 0``: for ``k = 0`` the label 1 disappears from the
+    multiset, which leaves the 2-Stirling permutations of ``2..n``.
 
     >>> [count_bundled(n, 1) for n in range(1, 6)]
     [1, 2, 10, 80, 880]
     """
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    total = 1
-    for i in range(1, n):
-        total *= i * (k + 2) - 1
-    return total
+    if k == 0:
+        return count_k_stirling(n - 1, 2)
+    return count_generalized(bundled_multiplicities(n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -125,12 +125,10 @@ class DegreeWeightFamily:
         out-degree in a weighted random tree of the given order."""
         if order < 1:
             raise ValueError("order must be >= 1")
-        if self.kind == D_ARY:
-            d = self.arity
-            return Fraction(d - degree, (d - 1) * order + 1)
         if self.kind == RECURSIVE:
             return Fraction(1, order)
-        a = self.alpha
+        # a is alpha for generalizedPlane and minus the arity for dAry
+        a = -1 - self.c1 / self.c2
         return (degree + a) / ((a + 1) * order - 1)
 
 

@@ -41,7 +41,7 @@ and adds one ascent, one descent and ``k-1`` plateaux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
@@ -96,11 +96,8 @@ def symmetric_urn(q: int, initial: Sequence[int] | None = None) -> UrnSpec:
     """Draw-and-discard urn that adds one ball of each of ``q`` colours."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    init = tuple(initial) if initial is not None else (1,) * q
-    deltas = tuple(
-        tuple(1 - (1 if j == c else 0) for j in range(q)) for c in range(q)
-    )
-    return UrnSpec(KIND_SYMMETRIC, tuple(f"color{j+1}" for j in range(q)), init, deltas)
+    urn = fixed_addition_urn((1,) * q, (1,) * q if initial is None else initial)
+    return replace(urn, kind=KIND_SYMMETRIC)
 
 
 def ary_tree_urn(k: int) -> UrnSpec:

@@ -476,16 +476,19 @@ def block_binomial_moment_forms(n: int, k: int, r: int) -> tuple[Fraction, Fract
     )
 
 
+def block_binomial_moment_products(n: int, k: int, r: int) -> tuple[int, int]:
+    """Numerator and denominator of ``E binom(S_n + r, r) = prod_{j<n}
+    (kj + r + 1) / prod_{j<n} (kj + 1)``, each as its own product."""
+    return math.prod(k * j + r + 1 for j in range(n)), math.prod(k * j + 1 for j in range(n))
+
+
 def block_count_moments(n: int, k: int) -> tuple[Fraction, Fraction]:
     """Exact mean and variance of the block count S_n, from the rational
-    binomial moments ``E binom(S_n + r, r) = prod_{j<n} (kj + r + 1) /
-    (kj + 1)`` for r = 1, 2: the form of the ``urn_b_blocks`` theory before
-    it read the float moments."""
+    binomial moments for r = 1, 2: the form of the ``urn_b_blocks`` theory
+    before it read the float moments."""
 
     def moment(r: int) -> Fraction:
-        return Fraction(
-            math.prod(k * j + r + 1 for j in range(n)), math.prod(k * j + 1 for j in range(n))
-        )
+        return Fraction(*block_binomial_moment_products(n, k, r))
 
     mean = moment(1) - 1
     # E binom(S+2, 2) = (E S^2 + 3 E S + 2) / 2
@@ -497,6 +500,49 @@ def martingale_scaling_binomial(n: int, k: int) -> Fraction:
     return generalized_binomial(n - 1 + Fraction(1, k), n - 1) / generalized_binomial(
         n - 1 + Fraction(2, k), n - 1
     )
+
+
+# The family-specific forms that the package replaced by its general ones:
+# the gap-insertion count, the binomial moment, one attachment rule and the
+# fixed-addition urn.
+
+
+def count_k_stirling_product(n: int, k: int) -> int:
+    """``prod_{i=1}^{n-1} (k*i + 1)``."""
+    return math.prod(k * i + 1 for i in range(1, n))
+
+
+def count_bundled_product(n: int, k: int) -> int:
+    """``prod_{i=1}^{n-1} (i*(k+2) - 1)``, also at k = 0."""
+    return math.prod(i * (k + 2) - 1 for i in range(1, n))
+
+
+def martingale_scaling_product(n: int, k: int) -> Fraction:
+    """``prod_{1<=j<n} (k*j + 1) / (k*j + 2)``."""
+    return Fraction(
+        math.prod(k * j + 1 for j in range(1, n)), math.prod(k * j + 2 for j in range(1, n))
+    )
+
+
+def attach_probability_by_kind(family, degree: int, order: int) -> Fraction:
+    """The attachment probability with one rule per family kind: ``(d -
+    degree) / ((d-1) order + 1)`` for d-ary trees, ``1 / order`` for
+    recursive trees, and the alpha form for generalized plane trees."""
+    if family.kind == trees.D_ARY:
+        d = family.arity
+        return Fraction(d - degree, (d - 1) * order + 1)
+    if family.kind == trees.RECURSIVE:
+        return Fraction(1, order)
+    a = family.alpha
+    return (degree + a) / ((a + 1) * order - 1)
+
+
+def symmetric_urn_table(q: int, initial=None) -> urns.UrnSpec:
+    """Urn A written out: drawing colour c discards it and adds one ball of
+    every colour, so its row is all ones but a zero at c."""
+    init = tuple(initial) if initial is not None else (1,) * q
+    deltas = tuple(tuple(int(j != c) for j in range(q)) for c in range(q))
+    return urns.UrnSpec(urns.KIND_SYMMETRIC, tuple(f"color{j+1}" for j in range(q)), init, deltas)
 
 
 def total_weight_binomial(family, n: int) -> Fraction:

@@ -4,6 +4,7 @@ transfer."""
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import pytest
@@ -165,6 +166,19 @@ def test_seq_bijection_roundtrip_and_count(n, m):
         image.add(t)
     assert len(image) == len(seqs)
     assert len(seqs) == perms.count_k_stirling(n, m + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_seq_bijection_at_zero_bundles_is_permutations_and_binary_trees(n):
+    """A sequence of 0-bundle nodes is a permutation of 1..n, and its tree is
+    binary: both directions round-trip on every object of order n."""
+    for tree in trees.enumerate_ary_trees(n, 2):
+        assert bj.seq_to_ary_tree(bj.ary_tree_to_seq(tree)) == tree
+    for labels in itertools.permutations(range(1, n + 1)):
+        seq = tuple(bj.BundledNode(label, ()) for label in labels)
+        tree = bj.seq_to_ary_tree(seq)
+        assert tree.arity == 2
+        assert bj.ary_tree_to_seq(tree) == seq
 
 
 def test_seq_bijection_image_is_all_trees():

@@ -390,6 +390,44 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, argv, text, named):
     assert named in err
 
 
+def test_seq_decode_of_a_binary_tree(capsys, tmp_path):
+    """A binary tree is the image of a permutation, a sequence of 0-bundle
+    nodes."""
+    tree = {"arity": 2, "parent": [0, 1, 1], "slot": [0, 1, 2]}
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps(tree))
+    seq = run_json(capsys, "decode", "--bijection", "seq", "--input", str(tree_file))
+    assert seq["sequence"] == [{"label": v, "bundles": []} for v in (2, 1, 3)]
+    seq_file = tmp_path / "seq.json"
+    seq_file.write_text(json.dumps(seq["sequence"]))
+    back = run_json(capsys, "encode", "--bijection", "seq", "--input", str(seq_file))
+    assert back["tree"] == tree
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_nested_past_the_json_reader_is_one_error_line(
+    capsys, monkeypatch, tmp_path, source
+):
+    """A chain of 400 tree levels is 1200 JSON levels, past the recursion
+    limit of json's reader."""
+    levels = 400
+    text = (
+        "["
+        + "".join('{"label": %d, "bundles": [[' % v for v in range(1, levels))
+        + '{"label": %d, "bundles": [[]]}' % levels
+        + "]]}" * (levels - 1)
+        + "]"
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        path = "-"
+    code, out, err = run_cli(capsys, "encode", "--bijection", "seq", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --input {path} ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # urns
 # ---------------------------------------------------------------------------
@@ -777,6 +815,23 @@ def test_writer_writes_any_depth():
     opening = "".join("[\n" + "  " * (level + 1) for level in range(depth - 1))
     closing = "".join("\n" + "  " * level + "]" for level in reversed(range(depth - 1)))
     assert _written(value) == opening + "[]" + closing
+
+
+def test_writer_peak_memory_at_depth():
+    """The writer keeps one line-break-and-indent string per depth; a
+    3000-deep list (18 MB of text) peaks below 64 MB traced."""
+    value: list = []
+    for _ in range(2999):
+        value = [value]
+    sink = _ByteCount()
+    tracemalloc.start()
+    try:
+        cli._write_json(value, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.written == 2 * 2999 * 3001 + 3
+    assert peak < 64 * 2**20
 
 
 _LOOP: list = [1, 2]

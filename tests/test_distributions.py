@@ -144,6 +144,23 @@ def test_binomial_moment_product_matches_both_binomial_forms(n, r):
         assert dist.block_binomial_moment(n, k, r) == first == second, (n, k, r)
 
 
+def test_moments_match_their_gap_products():
+    """The moment's denominator is the k-Stirling count, the float moment
+    below n = 50 is the exact one rounded, and the martingale prefactor is
+    two over the first moment: each equals the quotient of its own products,
+    to the same Fraction and the same float bits."""
+    for n in range(1, 60):
+        for k in range(1, 6):
+            for r in range(5):
+                top, bottom = oracles.block_binomial_moment_products(n, k, r)
+                exact = dist.block_binomial_moment(n, k, r)
+                assert exact == Fraction(top, bottom)
+                if n < 50:
+                    got = dist.block_binomial_moment_float(n, k, r).hex()
+                    assert got == (top / bottom).hex() == float(exact).hex(), (n, k, r)
+            assert dist.martingale_scaling(n, k) == oracles.martingale_scaling_product(n, k)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 30])
 def test_martingale_scaling_product_matches_binomial_form(n):
     for k in range(1, 5):

@@ -102,6 +102,40 @@ def test_count_bundled_frozen_values():
     assert [perms.count_bundled(n, 2) for n in range(1, 6)] == [1, 3, 21, 231, 3465]
 
 
+def test_count_edges_frozen_values():
+    # at k = 0 label 1 has no copies: the 2-Stirling permutations of 2..n
+    assert [perms.count_bundled(n, 0) for n in range(1, 7)] == [1, 1, 3, 15, 105, 945]
+    assert [perms.count_k_stirling(0, k) for k in range(1, 6)] == [1] * 5
+
+
+@pytest.mark.parametrize(
+    "count,n,k,message",
+    [
+        (perms.count_k_stirling, -1, 2, "need n >= 0 and k >= 1, got n=-1, k=2"),
+        (perms.count_k_stirling, 3, 0, "need n >= 0 and k >= 1, got n=3, k=0"),
+        (perms.count_k_stirling, 0, 0, "need n >= 0 and k >= 1, got n=0, k=0"),
+        (perms.count_bundled, 0, 1, "need n >= 1 and k >= 0, got n=0, k=1"),
+        (perms.count_bundled, -1, 2, "need n >= 1 and k >= 0, got n=-1, k=2"),
+        (perms.count_bundled, 3, -1, "need n >= 1 and k >= 0, got n=3, k=-1"),
+    ],
+)
+def test_count_argument_messages(count, n, k, message):
+    with pytest.raises(ValueError) as raised:
+        count(n, k)
+    assert str(raised.value) == message
+
+
+def test_family_counts_are_the_gap_insertion_product():
+    """Both family counts come from count_generalized; each equals the
+    family's own product formula."""
+    for k in range(1, 6):
+        for n in range(30):
+            assert perms.count_k_stirling(n, k) == oracles.count_k_stirling_product(n, k)
+    for k in range(6):
+        for n in range(1, 30):
+            assert perms.count_bundled(n, k) == oracles.count_bundled_product(n, k), (n, k)
+
+
 @pytest.mark.parametrize("mult", SMALL_MULTISETS)
 def test_count_and_enumeration_match_brute_force(mult):
     words = list(oracles.stirling_words(mult))

@@ -146,6 +146,19 @@ def test_attach_probabilities_sum_to_one(seed):
     assert sum(rec.attach_probability(0, 9) for _ in range(9)) == 1
 
 
+def test_attach_probability_is_the_kind_specific_rule():
+    """One formula serves dAry and generalizedPlane families."""
+    families = [trees.ary_family(d) for d in (2, 3, 4)]
+    families += [trees.k_plane_family(k) for k in (2, 3)]
+    families += [trees.bundled_family(m) for m in (1, 2, 3)]
+    families.append(trees.recursive_family())
+    for fam in families:
+        for order in range(1, 8):
+            for degree in range(order):
+                expected = oracles.attach_probability_by_kind(fam, degree, order)
+                assert fam.attach_probability(degree, order) == expected, (fam, degree, order)
+
+
 def test_tree_weight_zero_outside_support():
     fam = trees.ary_family(2)
     overfull = trees.AryIncreasingTree(3, (0, 1, 1, 1), (0, 1, 2, 3))

@@ -34,6 +34,14 @@ def test_spec_constructors():
     assert c.deltas == ((2, 0), (0, 2))
 
 
+def test_symmetric_urn_is_the_fixed_addition_urn_of_ones():
+    for q in range(2, 6):
+        for initial in (None, (2,) + (0,) * (q - 1), tuple(range(1, q + 1))):
+            spec = urns.symmetric_urn(q, initial)
+            assert spec == oracles.symmetric_urn_table(q, initial)
+            assert spec.kind == urns.KIND_SYMMETRIC
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         urns.symmetric_urn(1)
