@@ -29,13 +29,17 @@ degenerate trees convert in linear time without recursion.
 
 ``verify_stat_transfer`` exhaustively checks the statistic correspondences
 (slot occupancies vs refined ascent/descent/plateau counts, block count vs
-left-right nodes, bundle statistics vs totals).
+left-right nodes, bundle statistics vs totals).  It trusts the trees the
+enumerators hand over, which are valid by construction and carry their
+children index, and it reads that index directly.  It does not trust the
+codecs: every code word goes through the validating ``GenStirlingPerm``
+constructor, since that check is part of what it proves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .perms import (
@@ -65,26 +69,37 @@ from .trees import (
 
 
 def encode_ary_tree(tree: AryIncreasingTree) -> GenStirlingPerm:
-    """Depth-first contour code of a (k+1)-ary increasing tree.
+    """Depth-first contour code of a (k+1)-ary increasing tree, walked over
+    the children index with a stack, so deep trees encode without recursion.
 
     >>> encode_ary_tree(AryIncreasingTree(3, (0, 1), (0, 1))).compact()
     '2211'
     """
     arity = tree.arity
-    k = arity - 1
+    kids = tree._kids
     out: list[int] = []
-    stack: list[tuple[int, int]] = [(1, 1)]
-    while stack:
-        v, s = stack.pop()
-        if 2 <= s <= arity:
-            out.append(v)
+    emit = out.append
+    # (v, s): the walk is at slot s of node v; the stack holds, for each
+    # ancestor, the slot to go on from
+    stack: list[tuple[int, int]] = []
+    v, s = 1, 1
+    while True:
         if s > arity:
+            if not stack:
+                break
+            v, s = stack.pop()
             continue
-        stack.append((v, s + 1))
-        c = tree.child(v, s)
+        if s > 1:
+            emit(v)
+        c = kids[v][s]
+        s += 1
         if c:
-            stack.append((c, 1))
-    return GenStirlingPerm(tuple(out), uniform_multiplicities(tree.order, k))
+            if any(kids[c]):
+                stack.append((v, s))
+                v, s = c, 1
+            else:
+                out += [c] * (arity - 1)  # a leaf: its label between free slots
+    return GenStirlingPerm(tuple(out), uniform_multiplicities(tree.order, arity - 1))
 
 
 def decode_ary_tree(perm: GenStirlingPerm) -> AryIncreasingTree:
@@ -127,6 +142,9 @@ def encode_bundled_tree(tree: BundledIncreasingTree) -> GenStirlingPerm:
     permutation: bundles are separated by the node's label, and each child's
     code is wrapped in a pair of the child's labels.
 
+    The walk reads the children index with a stack of frames, one per node
+    entered, so deep trees encode without recursion.
+
     >>> t = BundledIncreasingTree(2, (0, 1), (0, 1), (0, 1))
     >>> encode_bundled_tree(t).compact()
     '2221'
@@ -135,24 +153,35 @@ def encode_bundled_tree(tree: BundledIncreasingTree) -> GenStirlingPerm:
         raise InvalidTreeError(
             "bundled encoding needs at least two bundles (the root label must appear)"
         )
-    k = tree.bundle_count - 1
+    m = tree.bundle_count
+    groups = tree._groups
+    get = groups.get
+    inner = {p for p, _ in groups}
     out: list[int] = []
-    stack: list[tuple[str, int]] = [("enter", 1)]
-    while stack:
-        op, v = stack.pop()
-        if op == "emit":
-            out.append(v)
-            continue
-        items: list[tuple[str, int]] = []
-        for idx, b in enumerate(tree.bundles_of(v)):
-            if idx:
-                items.append(("emit", v))
-            for u in b:
-                items.append(("emit", u))
-                items.append(("enter", u))
-                items.append(("emit", u))
-        stack.extend(reversed(items))
-    return GenStirlingPerm(tuple(out), bundled_multiplicities(tree.order, k))
+    emit = out.append
+    # (v, b, it): the walk is in bundle b of node v, whose children not yet
+    # visited are left in it; the stack holds the frames of v's ancestors
+    stack: list = []
+    v, b, it = 1, 1, iter(get((1, 1), ()))
+    while True:
+        for u in it:
+            if u in inner:
+                emit(u)
+                stack.append((v, b, it))
+                v, b, it = u, 1, iter(get((u, 1), ()))
+                break
+            out += [u] * (m + 1)  # a leaf: its label around m - 1 separators
+        else:
+            if b < m:
+                emit(v)
+                b += 1
+                it = iter(get((v, b), ()))
+            elif stack:
+                emit(v)
+                v, b, it = stack.pop()
+            else:
+                break
+    return GenStirlingPerm(tuple(out), bundled_multiplicities(tree.order, m - 1))
 
 
 def decode_bundled_tree(perm: GenStirlingPerm) -> BundledIncreasingTree:
@@ -436,7 +465,7 @@ def enumerate_f_trees(n: int, root_slot_count: int) -> Iterator[FIncreasingTree]
     if n < 1 or root_slot_count < 1:
         raise ValueError("need n >= 1 and root_slot_count >= 1")
     k = root_slot_count
-    yield from _enumerate_slot_trees(n, k + 2, k, partial(FIncreasingTree, k))
+    yield from _enumerate_slot_trees(n, k + 2, k, FIncreasingTree)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +525,10 @@ def verify_stat_transfer(n: int, k: int, include_bundled: bool = True) -> StatTr
             }
         )
 
+    # one field per entry of the expected and got tuples below, in order
+    ary_fields = [f"j{kind}[{j}]" for j in range(1, k + 1) for kind in ("Ascents", "Descents")]
+    ary_fields += [f"jPlateaux[{j}]" for j in range(1, k)]
+    ary_fields += ["ascents", "descents", "plateaux", "blocks=leftRight"]
     for tree in enumerate_ary_trees(n, k + 1):
         ary_count += 1
         code = encode_ary_tree(tree)
@@ -503,20 +536,15 @@ def verify_stat_transfer(n: int, k: int, include_bundled: bool = True) -> StatTr
         ts = ary_stats(tree)
         d = ts.interior_by_slot
         ell = ts.exterior_by_slot
-        checks: list[tuple[str, int, int]] = []
-        for j in range(1, k + 1):
-            checks.append((f"jAscents[{j}]", d[j], prof.j_ascent(j)))
-            checks.append((f"jDescents[{j}]", d[j - 1], prof.j_descent(j)))
-        for j in range(1, k):
-            checks.append((f"jPlateaux[{j}]", ell[j], prof.j_plateau(j)))
-        checks.append(("ascents", ell[0], prof.ascents))
-        checks.append(("descents", ell[k], prof.descents))
-        checks.append(("plateaux", sum(ell[1:k]), prof.plateaux))
-        blocks = len(block_spans(code.word))
-        checks.append(("blocks=leftRight", ts.left_right, blocks))
-        for field, expected, got in checks:
-            if expected != got:
-                record("ary", tree.to_json_dict(), code.word, field, expected, got)
+        inner = ell[1:k]
+        expected = (*chain.from_iterable(zip(d[1:], d)), *inner,
+                    ell[0], ell[k], sum(inner), ts.left_right)
+        got = (*chain.from_iterable(zip(prof.j_ascents, prof.j_descents)), *prof.j_plateaux,
+               prof.ascents, prof.descents, prof.plateaux, len(block_spans(code.word)))
+        if expected != got:
+            for field, e, g in zip(ary_fields, expected, got):
+                if e != g:
+                    record("ary", tree.to_json_dict(), code.word, field, e, g)
 
     bundled_count = 0
     if include_bundled:

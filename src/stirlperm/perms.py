@@ -548,37 +548,33 @@ def stat_profile(perm: GenStirlingPerm) -> StatProfile:
     (3, 1)
     """
     w = perm.word
-    length = len(w)
     kmax = perm.max_multiplicity
-    if length == 0:
+    if not w:
         # a_0 = a_1 = 0: single plateau at the border
         return StatProfile(0, 0, 1, (), (), ())
 
+    # one pass: seen[x] counts the copies of x so far, the pair's right
+    # symbol b included, so a's ordinal is seen[a] (one less on a plateau)
     seen = [0] * (perm.order + 1)
-    ordinal = []
-    for x in w:
-        seen[x] += 1
-        ordinal.append(seen[x])
-
     ja = [0] * (kmax + 1)
     jd = [0] * (kmax + 1)
     jp = [0] * (kmax + 1)
-    ascents, descents, plateaux = 1, 1, 0  # borders: ascent at i=0, descent at i=l
-    for i in range(length - 1):
-        a, b = w[i], w[i + 1]
+    a = w[0]
+    seen[a] = 1
+    for b in w[1:]:
+        seen[b] += 1
         if a < b:
-            ascents += 1
-            ja[ordinal[i]] += 1
+            ja[seen[a]] += 1
         elif a > b:
-            descents += 1
-            jd[ordinal[i + 1]] += 1
+            jd[seen[b]] += 1
         else:
-            plateaux += 1
-            jp[ordinal[i]] += 1
+            jp[seen[a] - 1] += 1
+        a = b
+    # borders: an ascent before the word and a descent after it
     return StatProfile(
-        ascents,
-        descents,
-        plateaux,
+        1 + sum(ja),
+        1 + sum(jd),
+        sum(jp),
         tuple(ja[1 : kmax + 1]),
         tuple(jd[1 : kmax + 1]),
         tuple(jp[1:kmax]),

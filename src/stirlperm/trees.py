@@ -23,16 +23,19 @@ its list of free slots, so growth takes linear time.  Enumeration streams
 the trees of one order from one lexicographic search over attachment arrays.
 
 Each tree groups its children once: the validation pass of its constructor
-builds the index that ``child`` and ``bundles_of`` read.
+builds the index that ``child`` and ``bundles_of`` read.  The enumerators
+build trees that are valid by construction, so they write the arrays and
+that index directly, through ``_trusted``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from itertools import product
+from operator import lt
 from typing import Callable, Iterator, Sequence
 
 from ._rng import as_generator
@@ -233,6 +236,15 @@ class _ParentArrayTree:
         for v in range(2, self.order + 1):
             deg[self.parent[v - 1] - 1] += 1
         return deg
+
+    @classmethod
+    def _trusted(cls, **fields):
+        """A tree whose fields and children index are already known to be
+        valid, written without the checks of the constructor."""
+        tree = object.__new__(cls)
+        # the frozen __setattr__ is bypassed, as in GenStirlingPerm._trusted
+        tree.__dict__.update(fields)
+        return tree
 
 
 @dataclass(frozen=True)
@@ -454,24 +466,24 @@ class BundledStatProfile:
 
 
 def bundled_stats(tree: BundledIncreasingTree) -> BundledStatProfile:
-    asc = desc = nonempty = 0
-    empty = 0
+    """Bundle statistics, read off the non-empty bundles of the children
+    index.  The children of a bundle have distinct labels, so a bundle of
+    length l has l - 1 adjacent pairs, each ascending or descending.
+
+    >>> bundled_stats(BundledIncreasingTree(2, (0, 1, 1), (0, 2, 2), (0, 2, 1)))
+    BundledStatProfile(bundle_ascents=2, bundle_descents=2, empty_bundles=4)
+    """
     m = tree.bundle_count
-    for v in range(1, tree.order + 1):
-        bundles = tree.bundles_of(v)
-        for idx, b in enumerate(bundles):
-            if b:
-                nonempty += 1
-                asc += sum(1 for i in range(len(b) - 1) if b[i] < b[i + 1])
-                desc += sum(1 for i in range(len(b) - 1) if b[i] > b[i + 1])
-            else:
-                if v > 1 or 0 < idx < m - 1:
-                    empty += 1
-    root = tree.bundles_of(1)
+    groups = tree._groups
+    rising = sum(sum(map(lt, row, row[1:])) for row in groups.values())
+    pairs = tree.order - 1 - len(groups)
+    first_empty = (1, 1) not in groups
+    last_empty = (1, m) not in groups
     return BundledStatProfile(
-        bundle_ascents=asc + nonempty + (1 if not root[0] else 0),
-        bundle_descents=desc + nonempty + (1 if not root[-1] else 0),
-        empty_bundles=empty,
+        bundle_ascents=rising + len(groups) + first_empty,
+        bundle_descents=pairs - rising + len(groups) + last_empty,
+        # the root's first and last bundles are not counted
+        empty_bundles=tree.order * m - len(groups) - first_empty - (m > 1 and last_empty),
     )
 
 
@@ -587,7 +599,7 @@ def enumerate_ary_trees(n: int, arity: int) -> Iterator[AryIncreasingTree]:
     their (parent, slot) arrays."""
     if arity < 2 or n < 1:
         raise ValueError("need arity >= 2 and n >= 1")
-    yield from _enumerate_slot_trees(n, arity, arity, partial(AryIncreasingTree, arity))
+    yield from _enumerate_slot_trees(n, arity, arity, AryIncreasingTree)
 
 
 def _lex_search(top, group, cap) -> Iterator[tuple[int, ...]]:
@@ -596,7 +608,7 @@ def _lex_search(top, group, cap) -> Iterator[tuple[int, ...]]:
     ``cap[a[i]]`` times.  An iterative depth-first search: the entry at each
     depth holds one unit of its pair's capacity while the search works below
     it, so only the current tuple and its held counts are kept."""
-    a, held, i = [0] * len(top), Counter(), 0
+    a, held, i = [0] * len(top), defaultdict(int), 0
     while i >= 0:
         if i == len(a):
             yield tuple(a)
@@ -616,15 +628,18 @@ def _lex_search(top, group, cap) -> Iterator[tuple[int, ...]]:
 
 
 def _enumerate_slot_trees(
-    n: int, arity: int, root_slots: int, make: Callable[[tuple, tuple], AryIncreasingTree]
+    n: int, arity: int, root_slots: int, cls: type[AryIncreasingTree]
 ) -> Iterator[AryIncreasingTree]:
-    """``make(parent, slot)`` for every order-n slot tree whose root has
-    ``root_slots`` slots and other nodes ``arity``, by sorted arrays: parent
-    arrays that fill no node beyond its slots, then slots used once each."""
+    """Every order-n slot tree of type ``cls`` whose root has ``root_slots``
+    slots and other nodes ``arity``, by sorted arrays: parent arrays that
+    fill no node beyond its slots, then slots used once each."""
     slots = [0, root_slots] + [arity] * n
     for parent in _lex_search(range(1, n), (0,) * n, slots):
         for slot in _lex_search([slots[p] for p in parent], parent, [1] * (arity + 1)):
-            yield make((0,) + parent, (0,) + slot)
+            kids = [[0] * (arity + 1) for _ in range(n + 1)]
+            for v, p, s in zip(range(2, n + 1), parent, slot):
+                kids[p][s] = v
+            yield cls._trusted(arity=arity, parent=(0,) + parent, slot=(0,) + slot, _kids=kids)
 
 
 def enumerate_bundled_trees(n: int, bundle_count: int) -> Iterator[BundledIncreasingTree]:
@@ -635,12 +650,27 @@ def enumerate_bundled_trees(n: int, bundle_count: int) -> Iterator[BundledIncrea
     if bundle_count < 1 or n < 1:
         raise ValueError("need bundle_count >= 1 and n >= 1")
     m = bundle_count
+    # The parent level stays a search: a product over range(1, v) would hold
+    # every range at once, O(n^2) for the first tree of a large order.
     for parent in _lex_search(range(1, n), (0,) * n, [n] * n):
-        for bundle in _lex_search([m] * (n - 1), parent, [n] * (m + 1)):
-            groups = list(zip(parent, bundle))
-            size = Counter(groups)
-            for pos in _lex_search([size[g] for g in groups], groups, [1] * n):
-                yield BundledIncreasingTree(m, (0,) + parent, (0,) + bundle, (0,) + pos)
+        for bundle in product(range(1, m + 1), repeat=n - 1):
+            # group[i]: small id of the (parent, bundle) pair of node i + 2
+            ids: dict[tuple[int, int], int] = {}
+            group = [ids.setdefault(pair, len(ids)) for pair in zip(parent, bundle)]
+            size = [0] * len(ids)
+            for g in group:
+                size[g] += 1
+            for pos in _lex_search([size[g] for g in group], group, [1] * n):
+                rows = [[0] * s for s in size]
+                for v, g, q in zip(range(2, n + 1), group, pos):
+                    rows[g][q - 1] = v
+                yield BundledIncreasingTree._trusted(
+                    bundle_count=m,
+                    parent=(0,) + parent,
+                    bundle=(0,) + bundle,
+                    pos_in_bundle=(0,) + pos,
+                    _groups=dict(zip(ids, map(tuple, rows))),
+                )
 
 
 def enumerate_plane_trees(n: int) -> Iterator[BundledIncreasingTree]:

@@ -26,6 +26,10 @@ gap loop that ``stirling_perm`` ran at k = 1 before it stepped urn A on that
 engine; it draws the engine's integers, so the two must match byte for byte.
 ``urn_b_levels`` steps the package's nested urn levels at any k, as the
 ``urn_b`` kernel did at k = 1 before it read off the certain block count.
+``bundled_stats_by_nodes`` and ``verify_stat_transfer_by_objects`` are the
+bundle statistics and the statistic-transfer check as they were before the
+enumerators handed over trees built without validation and the check read
+the children index directly.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stirlperm import harness, perms, trees, urns
+from stirlperm import bijections, harness, perms, trees, urns
 from stirlperm.bijections import BundledNode
 
 
@@ -405,6 +409,88 @@ def left_right_count(tree) -> int:
             node = tree.parent[node - 1]
         count += ok
     return count
+
+
+def bundled_stats_by_nodes(tree) -> trees.BundledStatProfile:
+    """Bundle statistics by visiting every bundle of every node through
+    ``bundles_of``, as ``trees.bundled_stats`` did before it read only the
+    non-empty bundles of the children index."""
+    asc = desc = nonempty = 0
+    empty = 0
+    m = tree.bundle_count
+    for v in range(1, tree.order + 1):
+        bundles = tree.bundles_of(v)
+        for idx, b in enumerate(bundles):
+            if b:
+                nonempty += 1
+                asc += sum(1 for i in range(len(b) - 1) if b[i] < b[i + 1])
+                desc += sum(1 for i in range(len(b) - 1) if b[i] > b[i + 1])
+            else:
+                if v > 1 or 0 < idx < m - 1:
+                    empty += 1
+    root = tree.bundles_of(1)
+    return trees.BundledStatProfile(
+        bundle_ascents=asc + nonempty + (1 if not root[0] else 0),
+        bundle_descents=desc + nonempty + (1 if not root[-1] else 0),
+        empty_bundles=empty,
+    )
+
+
+def verify_stat_transfer_by_objects(n: int, k: int, include_bundled: bool = True):
+    """``bijections.verify_stat_transfer`` as it ran before it compared
+    tuples: each tree rebuilt by its validating constructor, its code taken
+    from the recursive oracle, and one named check at a time.  The
+    statistics are read through the bindings in ``bijections``, so a test
+    that patches them there patches both routes."""
+    bad: list[dict] = []
+
+    def record(kind, tree, code, field, expected, got) -> None:
+        bad.append({"kind": kind, "tree": tree.to_json_dict(), "word": list(code.word),
+                    "field": field, "expected": expected, "got": got})
+
+    ary_count = 0
+    for t in trees.enumerate_ary_trees(n, k + 1):
+        tree = trees.AryIncreasingTree(t.arity, t.parent, t.slot)
+        ary_count += 1
+        code = perms.GenStirlingPerm(tuple(ary_code(tree)), perms.uniform_multiplicities(n, k))
+        prof = bijections.stat_profile(code)
+        ts = bijections.ary_stats(tree)
+        d = ts.interior_by_slot
+        ell = ts.exterior_by_slot
+        checks: list[tuple[str, int, int]] = []
+        for j in range(1, k + 1):
+            checks.append((f"jAscents[{j}]", d[j], prof.j_ascent(j)))
+            checks.append((f"jDescents[{j}]", d[j - 1], prof.j_descent(j)))
+        for j in range(1, k):
+            checks.append((f"jPlateaux[{j}]", ell[j], prof.j_plateau(j)))
+        checks.append(("ascents", ell[0], prof.ascents))
+        checks.append(("descents", ell[k], prof.descents))
+        checks.append(("plateaux", sum(ell[1:k]), prof.plateaux))
+        blocks = len(block_intervals(code.word))
+        checks.append(("blocks=leftRight", ts.left_right, blocks))
+        for field, expected, got in checks:
+            if expected != got:
+                record("ary", tree, code, field, expected, got)
+
+    bundled_count = 0
+    if include_bundled:
+        for t in trees.enumerate_bundled_trees(n, k + 1):
+            tree = trees.BundledIncreasingTree(t.bundle_count, t.parent, t.bundle, t.pos_in_bundle)
+            bundled_count += 1
+            code = perms.GenStirlingPerm(
+                tuple(bundled_code(tree)), perms.bundled_multiplicities(n, k)
+            )
+            prof = bijections.stat_profile(code)
+            bs = bijections.bundled_stats(tree)
+            for field, expected, got in (
+                ("bundleAscents=ascents", bs.bundle_ascents, prof.ascents),
+                ("bundleDescents=descents", bs.bundle_descents, prof.descents),
+                ("emptyBundles=plateaux", bs.empty_bundles, prof.plateaux),
+            ):
+                if expected != got:
+                    record("bundled", tree, code, field, expected, got)
+
+    return bijections.StatTransferReport(n, k, ary_count, bundled_count, tuple(bad))
 
 
 def urn_exact_distribution(spec, steps: int) -> dict[tuple[int, ...], Fraction]:

@@ -4,6 +4,7 @@ transfer."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import sys
 
@@ -473,3 +474,75 @@ def test_verify_stat_transfer_without_bundled():
     report = bj.verify_stat_transfer(3, 2, include_bundled=False)
     assert report.ok
     assert report.bundled_examined == 0
+
+
+def _shift_ary_stats(original):
+    """``ary_stats`` with one more node in slot 1 of trees whose last node
+    hangs from the root."""
+
+    def shifted(tree):
+        ts = original(tree)
+        if tree.parent[-1] != 1:
+            return ts
+        d = ts.interior_by_slot
+        return dataclasses.replace(ts, interior_by_slot=(d[0] + 1,) + d[1:])
+
+    return shifted
+
+
+def _shift_bundled_stats(original):
+    """``bundled_stats`` with one descent fewer on trees whose last node
+    sits first in its bundle."""
+
+    def shifted(tree):
+        bs = original(tree)
+        if tree.pos_in_bundle[-1] != 1:
+            return bs
+        return dataclasses.replace(bs, bundle_descents=bs.bundle_descents - 1)
+
+    return shifted
+
+
+def _shift_stat_profile(original):
+    """``stat_profile`` with one plateau more, in its first refined count
+    and its total, on words that start with label 1."""
+
+    def shifted(perm):
+        prof = original(perm)
+        if perm.word[0] != 1:
+            return prof
+        jp = prof.j_plateaux
+        jp = (jp[0] + 1,) + jp[1:] if jp else jp
+        return dataclasses.replace(prof, plateaux=prof.plateaux + 1, j_plateaux=jp)
+
+    return shifted
+
+
+SHIFTS = {
+    "ary_stats": _shift_ary_stats,
+    "bundled_stats": _shift_bundled_stats,
+    "stat_profile": _shift_stat_profile,
+}
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (3, 3), (4, 1)])
+@pytest.mark.parametrize("patched", [*sorted(SHIFTS), "all"])
+def test_verify_reports_faults_like_the_object_oracle(monkeypatch, patched, n, k):
+    """With a statistic shifted on some trees, the report lists the same
+    counterexamples, in the same order, as the one-check-at-a-time loop."""
+    for name in SHIFTS if patched == "all" else (patched,):
+        monkeypatch.setattr(bj, name, SHIFTS[name](getattr(bj, name)))
+    report = bj.verify_stat_transfer(n, k)
+    expected = oracles.verify_stat_transfer_by_objects(n, k)
+    assert not report.ok
+    assert report.to_json_dict() == expected.to_json_dict()
+    kinds = {bad["kind"] for bad in report.counterexamples}
+    assert kinds == ({"ary"} if patched == "ary_stats" else
+                     {"bundled"} if patched == "bundled_stats" else {"ary", "bundled"})
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (2, 4)])
+def test_verify_matches_the_object_oracle_when_clean(n, k):
+    report = bj.verify_stat_transfer(n, k)
+    assert report.ok
+    assert report.to_json_dict() == oracles.verify_stat_transfer_by_objects(n, k).to_json_dict()

@@ -542,6 +542,42 @@ def test_verify_small_case(capsys):
     assert payload["counterexamples"] == []
 
 
+# sha256 of the stdout of verify, as JSON and as --csv, frozen when every
+# tree was built through its validating constructor and statistics were
+# read one bundles_of tuple at a time
+FROZEN_VERIFY = {
+    ("--n", "1", "--k", "1"): (
+        "914f7ab44ea4488f797a560f8373ca7f2077f2102530cf5145ef4751a12a0f22",
+        "697fc8add4eb828dbed736bc5a03a13db178b7141d417194727488ecab720f57"),
+    ("--n", "4", "--k", "2"): (
+        "171f50b44fb8a1a65d971717f9ddb2a98d4063994bcb388ce95c7746a5506806",
+        "04db76eb7fe00c2d1b1b608147e7f0a8cc14619e083b79be8526c5b5423b57fd"),
+    ("--n", "5", "--k", "2"): (
+        "394c5bbdd8d7eb21ae530432670b197126a124b7dcb66f667020b0d973c2553a",
+        "1d6e899fc5757874844b9bdbe488cd350c53166d2cd6ce55c1fb01d965b03489"),
+    ("--n", "4", "--k", "3"): (
+        "32c485aaefcfdc31c7c4ef661dc887f7e0f6ea991474a5a9b45dfaf7e5bb034f",
+        "10ce5a85e536c927508f1b33c67230bb07b00a74d7175656bf42ae86f03331ca"),
+    ("--n", "3", "--k", "4"): (
+        "6343a6a5e553167542e0a273b47c769dbf3fba1eef3b962c19a8793651d46122",
+        "1948cf80aca5227ffa8115a2a80dd9b1cacdecef26784f0d8ca4beff3c94851c"),
+    ("--n", "5", "--k", "1"): (
+        "f19d91e68c64332e45a1969e1484ae2b8218bda2d3bc7724e43e90d426bbe01b",
+        "5c46fef01bbc99b116108f214c5d604446a9bffef5ad878c6f1364aca94f2c87"),
+    ("--n", "4", "--k", "2", "--no-bundled"): (
+        "1de64284cd375165098cddc963897e1cc60ccabf529e8fcad841ae9cdd04f273",
+        "6681ad41301d794504022c2b3514efbf60d188874b1a4e1ac876d176ca6ecb13"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(FROZEN_VERIFY), ids=" ".join)
+def test_verify_stdout_frozen(capsys, args):
+    for prefix, sha256 in zip(((), ("--csv",)), FROZEN_VERIFY[args]):
+        code, out, err = run_cli(capsys, *prefix, "verify", *args)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256, prefix
+
+
 def test_experiment_with_comparison(capsys):
     payload = run_json(
         capsys, "experiment", "--generator", "urn_b", "--n", "20", "--k", "2",

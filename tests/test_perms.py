@@ -473,6 +473,42 @@ def test_stat_identities_on_random_permutations(seed, k):
         assert prof.j_descent(j) + prof.j_plateau(j - 1) == n
 
 
+def _histograms(n: int, k: int) -> dict[str, list[int]]:
+    """Counts of k-Stirling permutations of order n by ascents, descents
+    and plateaux, listed from the smallest value that occurs."""
+    counts = {"ascents": Counter(), "descents": Counter(), "plateaux": Counter()}
+    for p in perms.enumerate_k_stirling(n, k):
+        prof = perms.stat_profile(p)
+        for name, counter in counts.items():
+            counter[getattr(prof, name)] += 1
+    return {name: [c[v] for v in range(min(c), max(c) + 1)] for name, c in counts.items()}
+
+
+# second-order Eulerian numbers, and the Eulerian numbers at k = 1
+EULERIAN_ROWS = {
+    (4, 2): [1, 22, 58, 24],
+    (5, 2): [1, 52, 328, 444, 120],
+    (6, 2): [1, 114, 1452, 4400, 3708, 720],
+    (5, 1): [1, 26, 66, 26, 1],
+}
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 2), (5, 1), (4, 3), (3, 4)])
+def test_bona_equidistribution(n, k):
+    """Bona: on Stirling permutations (k = 2) ascents and plateaux are
+    equidistributed, by the second-order Eulerian numbers.  Descents follow
+    ascents for every k, by reflection; at k >= 3 plateaux do not."""
+    hist = _histograms(n, k)
+    assert hist["descents"] == hist["ascents"]
+    assert sum(hist["ascents"]) == perms.count_k_stirling(n, k)
+    if (n, k) in EULERIAN_ROWS:
+        assert hist["ascents"] == EULERIAN_ROWS[n, k]
+    if k == 2:
+        assert hist["plateaux"] == hist["ascents"]
+    if k >= 3:
+        assert hist["plateaux"] != hist["ascents"]
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_reflection_swaps_ascents_and_descents(seed):

@@ -449,6 +449,49 @@ def test_first_tree_of_a_large_order_does_not_recurse(enumerate_trees):
     assert tree.parent[1:] == tuple(sorted(tree.parent[1:]))
 
 
+def _validated(tree):
+    """The same tree through the validating public constructor."""
+    if isinstance(tree, trees.BundledIncreasingTree):
+        return trees.BundledIncreasingTree(
+            tree.bundle_count, tree.parent, tree.bundle, tree.pos_in_bundle
+        )
+    if isinstance(tree, bj.FIncreasingTree):
+        return bj.FIncreasingTree(tree.root_slot_count, tree.parent, tree.slot)
+    return trees.AryIncreasingTree(tree.arity, tree.parent, tree.slot)
+
+
+@pytest.mark.parametrize(
+    "enumerate_trees",
+    [partial(trees.enumerate_ary_trees, arity=a) for a in (2, 3, 4)]
+    + [partial(bj.enumerate_f_trees, root_slot_count=k) for k in (1, 2, 3)]
+    + [partial(trees.enumerate_bundled_trees, bundle_count=m) for m in (1, 2, 3)],
+    ids=["ary2", "ary3", "ary4", "f1", "f2", "f3", "bundled1", "bundled2", "bundled3"],
+)
+def test_enumerated_trees_equal_validated_trees(enumerate_trees):
+    """The enumerators skip validation; each tree they hand over equals the
+    one its constructor builds from the same arrays, children index included."""
+    for n in range(1, 6):
+        for tree in enumerate_trees(n):
+            checked = _validated(tree)
+            assert type(tree) is type(checked) and tree == checked
+            nodes = range(1, n + 1)
+            if isinstance(tree, trees.BundledIncreasingTree):
+                assert [tree.bundles_of(v) for v in nodes] == [checked.bundles_of(v) for v in nodes]
+                assert trees.bundled_stats(tree) == oracles.bundled_stats_by_nodes(checked)
+            else:
+                slots = range(1, tree.arity + 1)
+                assert [tree.child(v, s) for v in nodes for s in slots] == [
+                    checked.child(v, s) for v in nodes for s in slots
+                ]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 4), st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_bundled_stats_matches_node_oracle_on_grown_trees(seed, m, n):
+    tree = trees.grow_bundled_tree(m, n, seed)
+    assert trees.bundled_stats(tree) == oracles.bundled_stats_by_nodes(tree)
+
+
 @pytest.mark.parametrize(
     "grow,support,size",
     [
