@@ -223,6 +223,24 @@ def test_seq_to_ary_rejects_repeated_labels_and_mixed_bundle_counts():
         bj.bundled_node_to_tree(bj.BundledNode(1, ((bj.BundledNode(2, ((),)),), ())))
 
 
+def _node(label, *bundles):
+    return bj.BundledNode(label, tuple(bundles))
+
+
+@pytest.mark.parametrize(
+    "node",
+    [_node(2, (_node(1, ()),)), _node(1, (_node(3, (_node(2, ()),)),))],
+    ids=["at-the-root", "below-the-root"],
+)
+def test_node_forms_must_have_increasing_labels(node):
+    """A child labelled below its owner is refused, not turned into some
+    other valid tree."""
+    with pytest.raises(trees.InvalidTreeError):
+        bj.seq_to_ary_tree((node,))
+    with pytest.raises(trees.InvalidTreeError):
+        bj.bundled_node_to_tree(node)
+
+
 def shape(seq):
     """Top-level labels of a sequence of node forms and the child labels of
     each node by bundle, read with a stack: dataclass ``==`` would recurse
@@ -237,10 +255,15 @@ def shape(seq):
     return tuple(t.label for t in seq), rows
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_seq_codec_matches_cartesian_oracle(n, m):
-    for seq in oracles.bundled_sequences(n, m):
+    if m:
+        seqs = oracles.bundled_sequences(n, m)
+    else:  # sequences of 0-bundle nodes are the permutations of 1..n
+        seqs = (tuple(bj.BundledNode(v, ()) for v in p)
+                for p in itertools.permutations(range(1, n + 1)))
+    for seq in seqs:
         t = bj.seq_to_ary_tree(seq)
         assert (t.arity, t.parent, t.slot) == oracles.seq_to_ary_arrays(seq)
     for t in trees.enumerate_ary_trees(n, m + 2):
@@ -328,7 +351,7 @@ def test_f_tree_roundtrip_on_grown_trees(seed, n):
     assert len(ft.free_slots()) == 2 + 4 * (n - 1) - (n - 1)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_f_tree_codec_matches_cartesian_oracle(n, k):
     for bt in trees.enumerate_bundled_trees(n, k):

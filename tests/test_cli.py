@@ -963,19 +963,66 @@ def _tree_file(capsys, tmp_path, bijection, *sample_flags) -> str:
     return str(path)
 
 
+def _codec_file(capsys, tmp_path, source) -> str:
+    """An input file of order 500 for one codec direction, made from a fixed
+    sampled word: its ary or bundled tree, or the sequence or F-tree that the
+    seq or ftree codec makes of that tree.  ``plane`` is a plane recursive
+    tree (one bundle) with the parent array of a sampled binary tree, and
+    ``ftree-one-slot`` is a sampled ternary tree hung from a one-slot root."""
+    if source in ("ary", "bundled"):
+        return _tree_file(capsys, tmp_path, *{"ary": ("ary",),
+                                               "bundled": ("bundled", "--bundled")}[source])
+    if source in ("seq", "ftree"):
+        bijection, key, tree = {"seq": ("seq", "sequence", "ary"),
+                                "ftree": ("ftree", "ftree", "bundled")}[source]
+        command = "decode" if source == "seq" else "encode"
+        path = _codec_file(capsys, tmp_path, tree)
+        payload = run_json(capsys, command, "--bijection", bijection, "--input", path)[key]
+    else:
+        n, k = (500, 1) if source == "plane" else (499, 2)
+        word = run_json(capsys, "sample", "--n", str(n), "--k", str(k), "--seed", "7")["words"][0]
+        tree = run_json(capsys, "decode", "--bijection", "ary", word)["tree"]
+        if source == "plane":
+            seen = [0] * (n + 1)
+            positions = [0]
+            for p in tree["parent"][1:]:
+                seen[p] += 1
+                positions.append(seen[p])
+            payload = {"bundleCount": 1, "parent": tree["parent"],
+                       "bundle": [0] + [1] * (n - 1), "posInBundle": positions}
+        else:
+            payload = {"rootSlotCount": 1,
+                       "parent": [0, 1] + [p + 1 for p in tree["parent"][1:]],
+                       "slot": [0, 1] + tree["slot"][1:]}
+    path = tmp_path / f"{source}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 @pytest.mark.parametrize(
-    "argv,word,sha1",
+    "argv,source,sha1",
     [
-        (("decode", "--bijection", "seq"), ("ary",),
+        (("decode", "--bijection", "seq"), "ary",
          "07b2440ab37fbb8b60be3bcc91280ed2a5a2a5e0"),
-        (("encode", "--bijection", "ftree"), ("bundled", "--bundled"),
+        (("encode", "--bijection", "ftree"), "bundled",
          "ac29a9bcf8f970fec7d1295154f90834dffdbcc9"),
+        (("encode", "--bijection", "seq"), "seq",
+         "aa0bdf884816f01b5c5e452ad94f7dbb3dc49a6c"),
+        (("decode", "--bijection", "ftree"), "ftree",
+         "800c11443aaf6cdfbf6f9fabc8fbff7f5d85d009"),
+        (("decode", "--bijection", "ftree"), "ftree-one-slot",
+         "de0bff9ca1ff705ca2cd6ee9d4890d3ac8a3de55"),
+        (("encode", "--bijection", "ftree"), "plane",
+         "b1e39b40af1d875e9d45017f3bc93ed73fd82b14"),
     ],
-    ids=["decode-seq", "encode-ftree"],
+    ids=["decode-seq", "encode-ftree", "encode-seq", "decode-ftree",
+         "decode-ftree-one-slot", "encode-ftree-plane"],
 )
-def test_codec_stdout_frozen(capsys, tmp_path, argv, word, sha1):
-    """Nested codec output keeps the bytes json.dumps(indent=2) gave it."""
-    path = _tree_file(capsys, tmp_path, *word)
+def test_codec_stdout_frozen(capsys, tmp_path, argv, source, sha1):
+    """Nested codec output keeps the bytes json.dumps(indent=2) gave it.  The
+    one-slot cases are the paper's special case: ternary increasing trees
+    below a one-slot root <-> plane recursive trees."""
+    path = _codec_file(capsys, tmp_path, source)
     code, out, _ = run_cli(capsys, *argv, "--input", path)
     assert code == 0
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
