@@ -21,11 +21,16 @@ Four codecs, all exact inverses of each other on their domains:
   trees <-> modified (k+2)-ary trees whose root has only k slots: the same
   bijection applied to each root bundle, whose tree goes to root slot b.
 
-The two word decoders read the word once, left to right, with the nesting
-stack that :func:`~stirlperm.perms.validate_word` checks.  The last two
-pairs run on one iterative array bijection over a children table
-(``_bundles_to_slots`` and its inverse ``_slots_to_bundles``).  So deep and
-degenerate trees convert in linear time without recursion.
+Both tree bijections factor through the words: the bundle code of a
+sequence is the contour code of its tree, and the bundle code of a bundled
+tree t is the contour code of ``f_tree_from_bundled(t)``.  So every codec
+is built from one stack walk and one stack pass per word family, each
+started from an owner at the bottom of its stack: root 1, whose k - 1
+occurrences only move it on, or a virtual owner 0 holding a sequence as its
+one bundle.  At k = 1 this is the paper's special case: a plane recursive
+tree on 1..n and the ternary tree on 2..n below a one-slot root share one
+code, a 2-Stirling permutation of 2..n.  No walk or pass recurses, so deep
+and degenerate trees convert in linear time.
 
 ``verify_stat_transfer`` exhaustively checks the statistic correspondences
 (slot occupancies vs refined ascent/descent/plateau counts, block count vs
@@ -54,7 +59,6 @@ from .trees import (
     AryIncreasingTree,
     BundledIncreasingTree,
     InvalidTreeError,
-    _bundled_arrays,
     _enumerate_slot_trees,
     _json_fields,
     ary_stats,
@@ -68,26 +72,23 @@ from .trees import (
 # ---------------------------------------------------------------------------
 
 
-def encode_ary_tree(tree: AryIncreasingTree) -> GenStirlingPerm:
-    """Depth-first contour code of a (k+1)-ary increasing tree, walked over
-    the children index with a stack, so deep trees encode without recursion.
-
-    >>> encode_ary_tree(AryIncreasingTree(3, (0, 1), (0, 1))).compact()
-    '2211'
-    """
+def _contour_walk(tree: AryIncreasingTree) -> list[int]:
+    """Depth-first contour of a slot tree: a node's label is written between
+    each two of its slots, and the walk stops at the root's own slot count."""
     arity = tree.arity
     kids = tree._kids
     out: list[int] = []
     emit = out.append
-    # (v, s): the walk is at slot s of node v; the stack holds, for each
-    # ancestor, the slot to go on from
+    # (v, s): the walk is at slot s of node v, of ``last`` slots; the stack
+    # holds, for each ancestor, the slot to go on from
     stack: list[tuple[int, int]] = []
-    v, s = 1, 1
+    v, s, last = 1, 1, tree._root_slots
     while True:
-        if s > arity:
+        if s > last:
             if not stack:
                 break
             v, s = stack.pop()
+            last = arity if stack else tree._root_slots
             continue
         if s > 1:
             emit(v)
@@ -96,40 +97,59 @@ def encode_ary_tree(tree: AryIncreasingTree) -> GenStirlingPerm:
         if c:
             if any(kids[c]):
                 stack.append((v, s))
-                v, s = c, 1
+                v, s, last = c, 1, arity
             else:
                 out += [c] * (arity - 1)  # a leaf: its label between free slots
-    return GenStirlingPerm(tuple(out), uniform_multiplicities(tree.order, arity - 1))
+    return out
 
 
-def decode_ary_tree(perm: GenStirlingPerm) -> AryIncreasingTree:
-    """Inverse of :func:`encode_ary_tree`, in one stack pass over the word.
+def _contour_pass(word: Sequence[int], n: int, owner: int) -> tuple[list[int], list[int]]:
+    """Inverse of :func:`_contour_walk`: ``(parent, slot)`` of labels 1..n,
+    with ``owner`` (0, or the F-tree root 1) at the bottom of the stack.
 
     The stack holds the labels that no smaller label has followed yet, so
     a label z leaves it when its subtree's code has ended.  z hangs below
-    the label y under it, in the slot after y's occurrences so far, unless
-    the label x that pops z is larger than y: then z is x's slot-1 child.
-    The labels left at the end keep y.  No recursion, so deep trees decode.
+    the label y under it, in y's next slot, unless the label x that pops z
+    is larger than y: then z is x's slot-1 child.  The labels left at the
+    end keep y.
     """
-    k = perm.uniform_k
-    if k is None or perm.order == 0:
-        raise InvalidPermutationError("ary decoding needs a non-empty k-Stirling permutation")
-    n = perm.order
     parent = [0] * (n + 1)
     slot = [0] * (n + 1)
-    seen = [0] * (n + 1)
-    stack = [0]
-    for x in perm.word:
+    nxt = [0] * (n + 1)  # next slot of each label on the stack, 0 before it
+    nxt[owner] = owner  # slot 0 below the virtual owner 0, slot 1 of root 1
+    stack = [owner]
+    for x in word:
         while stack[-1] > x:
             z = stack.pop()
             if x > parent[z]:
                 parent[z], slot[z] = x, 1
-        if not seen[x]:
+        if not nxt[x]:
             y = stack[-1]
-            parent[x], slot[x] = y, seen[y] + 1 if y else 0
+            parent[x], slot[x] = y, nxt[y]
             stack.append(x)
-        seen[x] += 1
-    return AryIncreasingTree(k + 1, tuple(parent[1:]), tuple(slot[1:]))
+            nxt[x] = 1
+        nxt[x] += 1
+    return parent[1:], slot[1:]
+
+
+def encode_ary_tree(tree: AryIncreasingTree) -> GenStirlingPerm:
+    """Depth-first contour code of a (k+1)-ary increasing tree, walked over
+    the children index with a stack, so deep trees encode without recursion.
+
+    >>> encode_ary_tree(AryIncreasingTree(3, (0, 1), (0, 1))).compact()
+    '2211'
+    """
+    return GenStirlingPerm(
+        tuple(_contour_walk(tree)), uniform_multiplicities(tree.order, tree.arity - 1)
+    )
+
+
+def decode_ary_tree(perm: GenStirlingPerm) -> AryIncreasingTree:
+    """Inverse of :func:`encode_ary_tree`."""
+    k = perm.uniform_k
+    if k is None or perm.order == 0:
+        raise InvalidPermutationError("ary decoding needs a non-empty k-Stirling permutation")
+    return AryIncreasingTree(k + 1, *_contour_pass(perm.word, perm.order, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +157,75 @@ def decode_ary_tree(perm: GenStirlingPerm) -> AryIncreasingTree:
 # ---------------------------------------------------------------------------
 
 
+def _bundle_walk(groups: dict, owner: int, m: int) -> list[int]:
+    """Bundle code of the m-bundle nodes below ``owner`` in the children
+    index ``groups`` (``groups[v, b]``: the children of v in bundle b, in
+    order; empty bundles absent).  The owner is root 1, whose m bundles are
+    separated by its label, or a virtual owner 0 with one bundle."""
+    get = groups.get
+    inner = {p for p, _ in groups}
+    out: list[int] = []
+    emit = out.append
+    # (v, b, it): the walk is in bundle b of node v, whose children not yet
+    # visited are left in it; the stack holds the frames of v's ancestors
+    stack: list = []
+    v, b, it = owner, 1, iter(get((owner, 1), ()))
+    while True:
+        for u in it:
+            if u in inner:
+                emit(u)
+                stack.append((v, b, it))
+                v, b, it = u, 1, iter(get((u, 1), ()))
+                break
+            out += [u] * (m + 1)  # a leaf: its label around m - 1 separators
+        else:
+            if b < (m if stack or owner else 1):
+                emit(v)
+                b += 1
+                it = iter(get((v, b), ()))
+            elif stack:
+                emit(v)
+                v, b, it = stack.pop()
+            else:
+                break
+    return out
+
+
+def _bundle_pass(word: Sequence[int], n: int, owner: int, m: int) -> tuple[list[int], ...]:
+    """Inverse of :func:`_bundle_walk`: ``(parent, bundle, pos_in_bundle)``
+    of the m-bundle nodes 1..n, each m + 1 times in the word, with
+    ``owner`` at the bottom of the stack.
+
+    A label's first occurrence makes it the next child of the label on top,
+    in that label's bundle ``seen[top]`` (the occurrences so far, counting
+    one for the owner, whose first bundle opens the word); its last
+    occurrence pops it.
+    """
+    parent = [0] * (n + 1)
+    bundle = [0] * (n + 1)
+    pos_in = [0] * (n + 1)
+    seen = [0] * (n + 1)
+    seen[owner] = 1
+    filled = [0] * (n + 1)  # children of v in its current bundle
+    stack = [owner]
+    for x in word:
+        if seen[x]:
+            filled[x] = 0
+        else:
+            top = stack[-1]
+            filled[top] += 1
+            parent[x], bundle[x], pos_in[x] = top, seen[top], filled[top]
+            stack.append(x)
+        seen[x] += 1
+        if seen[x] > m:
+            stack.pop()
+    return parent[1:], bundle[1:], pos_in[1:]
+
+
 def encode_bundled_tree(tree: BundledIncreasingTree) -> GenStirlingPerm:
     """Code of a (k+1)-bundled increasing tree as a k-bundled Stirling
     permutation: bundles are separated by the node's label, and each child's
     code is wrapped in a pair of the child's labels.
-
-    The walk reads the children index with a stack of frames, one per node
-    entered, so deep trees encode without recursion.
 
     >>> t = BundledIncreasingTree(2, (0, 1), (0, 1), (0, 1))
     >>> encode_bundled_tree(t).compact()
@@ -154,45 +236,12 @@ def encode_bundled_tree(tree: BundledIncreasingTree) -> GenStirlingPerm:
             "bundled encoding needs at least two bundles (the root label must appear)"
         )
     m = tree.bundle_count
-    groups = tree._groups
-    get = groups.get
-    inner = {p for p, _ in groups}
-    out: list[int] = []
-    emit = out.append
-    # (v, b, it): the walk is in bundle b of node v, whose children not yet
-    # visited are left in it; the stack holds the frames of v's ancestors
-    stack: list = []
-    v, b, it = 1, 1, iter(get((1, 1), ()))
-    while True:
-        for u in it:
-            if u in inner:
-                emit(u)
-                stack.append((v, b, it))
-                v, b, it = u, 1, iter(get((u, 1), ()))
-                break
-            out += [u] * (m + 1)  # a leaf: its label around m - 1 separators
-        else:
-            if b < m:
-                emit(v)
-                b += 1
-                it = iter(get((v, b), ()))
-            elif stack:
-                emit(v)
-                v, b, it = stack.pop()
-            else:
-                break
-    return GenStirlingPerm(tuple(out), bundled_multiplicities(tree.order, m - 1))
+    word = _bundle_walk(tree._groups, 1, m)
+    return GenStirlingPerm(tuple(word), bundled_multiplicities(tree.order, m - 1))
 
 
 def decode_bundled_tree(perm: GenStirlingPerm) -> BundledIncreasingTree:
-    """Inverse of :func:`encode_bundled_tree`, in one stack pass over the
-    word with the root at the bottom of the stack.
-
-    A label's first occurrence makes it the next child of the label on top,
-    in that label's bundle ``seen[top]`` (the occurrences so far, counting
-    one for the root, whose first bundle opens the word); its last
-    occurrence pops it.
-    """
+    """Inverse of :func:`encode_bundled_tree`."""
     mult = perm.multiplicities
     if not mult or mult[0] < 1:
         raise InvalidPermutationError("bundled decoding needs label 1 present")
@@ -201,26 +250,7 @@ def decode_bundled_tree(perm: GenStirlingPerm) -> BundledIncreasingTree:
         raise InvalidPermutationError(
             f"not a {k}-bundled multiset: expected (k, k+2, ..., k+2), got {mult}"
         )
-    n = perm.order
-    parent = [0] * (n + 1)
-    bundle = [0] * (n + 1)
-    pos_in = [0] * (n + 1)
-    seen = [0] * (n + 1)
-    seen[1] = 1
-    filled = [0] * (n + 1)  # children of v in its current bundle
-    stack = [1]
-    for x in perm.word:
-        if seen[x]:
-            filled[x] = 0
-        else:
-            top = stack[-1]
-            filled[top] += 1
-            parent[x], bundle[x], pos_in[x] = top, seen[top], filled[top]
-            stack.append(x)
-        seen[x] += 1
-        if seen[x] == k + 2:
-            stack.pop()
-    return BundledIncreasingTree(k + 1, tuple(parent[1:]), tuple(bundle[1:]), tuple(pos_in[1:]))
+    return BundledIncreasingTree(k + 1, *_bundle_pass(perm.word, perm.order, 1, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +285,18 @@ class BundledNode:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BundledNode":
-        label, bundles = _json_fields(data, label="an int", bundles="a list of lists")
-        return cls(label, tuple(tuple(cls.from_json_dict(c) for c in b) for b in bundles))
+        """Read a node form without recursion: check the dicts in preorder,
+        then build them in reverse, each node popping its children."""
+        items = []
+        stack = [data]
+        while stack:
+            label, bundles = _json_fields(stack.pop(), label="an int", bundles="a list of lists")
+            items.append((label, bundles))
+            stack.extend(reversed([c for b in bundles for c in b]))
+        built: list[BundledNode] = []
+        for label, bundles in reversed(items):
+            built.append(cls(label, tuple(tuple(built.pop() for _ in b) for b in bundles)))
+        return built[0]
 
 
 def _walk(roots: Iterable[BundledNode]) -> Iterator[BundledNode]:
@@ -265,126 +305,84 @@ def _walk(roots: Iterable[BundledNode]) -> Iterator[BundledNode]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(c for b in node.bundles for c in b)
+        for b in node.bundles:
+            stack += b
 
 
-def _node_rows(roots: tuple[BundledNode, ...]) -> tuple[list, int]:
-    """Children table of node forms whose labels partition 1..n, and their
-    common bundle count: ``rows[v][b-1]`` lists the children of v in bundle
-    b, and ``rows[0]`` has one bundle, the labels of ``roots``."""
+def _node_groups(roots: tuple[BundledNode, ...]) -> tuple[dict, int, int]:
+    """Children index of node forms whose labels partition 1..n and increase
+    from each node to its children, with their common bundle count and n:
+    ``groups[v, b]`` lists the children of v in bundle b (empty bundles
+    absent), and ``groups[0, 1]`` the labels of ``roots``."""
     if not roots:
         raise InvalidTreeError("sequence must be non-empty")
     m = roots[0].bundle_count
-    table: dict[int, list[list[int]]] = {}
+    groups = {(0, 1): tuple([t.label for t in roots])}
+    labels: set[int] = set()
     for node in _walk(roots):
-        if node.bundle_count != m:
-            raise InvalidTreeError(f"mixed bundle counts: {m} and {node.bundle_count}")
-        if node.label in table:
-            raise InvalidTreeError(f"label {node.label} appears twice")
-        table[node.label] = [[c.label for c in b] for b in node.bundles]
-    n = len(table)
-    if table.keys() != set(range(1, n + 1)):
+        v, bundles = node.label, node.bundles
+        if len(bundles) != m:
+            raise InvalidTreeError(f"mixed bundle counts: {m} and {len(bundles)}")
+        if v in labels:
+            raise InvalidTreeError(f"label {v} appears twice")
+        labels.add(v)
+        for b, children in enumerate(bundles, start=1):
+            if children:
+                row = groups[v, b] = tuple([c.label for c in children])
+                if min(row) <= v:
+                    raise InvalidTreeError(f"node {min(row)} needs a smaller parent, got {v}")
+    n = len(labels)
+    if labels != set(range(1, n + 1)):
         raise InvalidTreeError("labels must partition 1..n")
-    return [[[t.label for t in roots]]] + [table[v] for v in range(1, n + 1)], m
+    return groups, m, n
 
 
-def _build_nodes(rows, labels: Iterable[int]) -> dict[int, BundledNode]:
-    """Node forms of ``labels`` over the children table ``rows``.  The labels
-    come in decreasing order, so every child is built before its owner."""
+def _build_nodes(groups: dict, m: int, labels: Iterable[int]) -> dict[int, BundledNode]:
+    """Node forms of ``labels`` over the children index ``groups`` of
+    m-bundle nodes.  The labels come in decreasing order, so every child is
+    built before its owner."""
+    get = groups.get
+    bundles = range(1, m + 1)
     nodes: dict[int, BundledNode] = {}
     for v in labels:
-        nodes[v] = BundledNode(v, tuple(tuple(nodes[u] for u in b) for b in rows[v]))
+        nodes[v] = BundledNode(v, tuple([tuple([nodes[u] for u in get((v, b), ())])
+                                         for b in bundles]))
     return nodes
 
 
 def bundled_subtree_node(tree: BundledIncreasingTree, root: int = 1) -> BundledNode:
     """View the subtree of ``tree`` rooted at ``root`` as a :class:`BundledNode`."""
-    rows = {}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        rows[v] = tree.bundles_of(v)
-        stack.extend(u for b in rows[v] for u in b)
-    return _build_nodes(rows, sorted(rows, reverse=True))[root]
+    return _build_nodes(tree._groups, tree.bundle_count, range(tree.order, root - 1, -1))[root]
 
 
 def bundled_node_to_tree(node: BundledNode) -> BundledIncreasingTree:
-    """Convert a node form whose labels are exactly 1..n back to array form."""
-    rows, m = _node_rows((node,))
-    return BundledIncreasingTree(m, *_bundled_arrays(rows[1:]))
-
-
-def _bundle_slot(v: int, b: int, f_root: bool) -> int:
-    """Slot of v that holds the Cartesian tree of v's bundle b: slot 0 of a
-    sequence's virtual owner 0, slot b of an F-tree root, else slot b+1."""
-    return 0 if v == 0 else b if v == 1 and f_root else b + 1
-
-
-def _bundles_to_slots(rows, m: int, f_root: bool) -> tuple[list[int], list[int]]:
-    """``(parent, slot)`` of the (m+2)-ary tree that the sequence bijection
-    makes of the children table ``rows`` (``rows[v][b-1]``: the children of v
-    in bundle b, in order; ``rows[0]``: the bundles of the virtual owner 0).
-
-    Each bundle becomes its Cartesian tree by label, built with one stack:
-    the labels larger than u are popped, the last one popped becomes u's
-    slot-1 child, and u becomes the slot-(m+2) child of the new top.
-    """
-    parent = [0] * len(rows)
-    slot = [0] * len(rows)
-    for v, row in enumerate(rows):
-        for b, children in enumerate(row, start=1):
-            stack: list[int] = []
-            for u in children:
-                popped = 0
-                while stack and stack[-1] > u:
-                    popped = stack.pop()
-                if popped:
-                    parent[popped], slot[popped] = u, 1
-                if stack:
-                    parent[u], slot[u] = stack[-1], m + 2
-                stack.append(u)
-            if stack:
-                parent[stack[0]], slot[stack[0]] = v, _bundle_slot(v, b, f_root)
-    return parent[1:], slot[1:]
-
-
-def _slots_to_bundles(tree: AryIncreasingTree, f_root: bool) -> list[list[list[int]]]:
-    """Inverse of :func:`_bundles_to_slots`: the children table of ``tree``.
-
-    A node in a middle slot, or in any slot of an F-tree root, starts a
-    bundle; the root of a sequence's tree starts the one bundle of the
-    virtual owner 0.  The nodes below it through slots 1 and m+2 join that
-    bundle in their in-order, found with an explicit stack.
-    """
-    m = tree.arity - 2
-    rows = [[] if f_root else [[]]] + [[[] for _ in range(m)] for _ in range(tree.order)]
-    for v, row in enumerate(rows):
-        for b, bundle in enumerate(row, start=1):
-            u = tree.child(v, _bundle_slot(v, b, f_root)) if v else 1
-            stack: list[int] = []
-            while stack or u:
-                while u:
-                    stack.append(u)
-                    u = tree.child(u, 1)
-                u = stack.pop()
-                bundle.append(u)
-                u = tree.child(u, m + 2)
-    return rows
+    """Convert a node form whose labels are exactly 1..n back to array form,
+    by decoding its bundle code."""
+    groups, m, n = _node_groups((node,))
+    return BundledIncreasingTree(m, *_bundle_pass(_bundle_walk(groups, 1, m), n, 1, m))
 
 
 def seq_to_ary_tree(seq: Sequence[BundledNode]) -> AryIncreasingTree:
     """Map a sequence of k-bundled increasing trees (labels partitioning 1..n)
-    to a (k+2)-ary increasing tree of order n."""
-    rows, m = _node_rows(tuple(seq))
-    return AryIncreasingTree(m + 2, *_bundles_to_slots(rows, m, f_root=False))
+    to a (k+2)-ary increasing tree of order n: the tree whose contour code
+    is the bundle code of the sequence."""
+    groups, m, n = _node_groups(tuple(seq))
+    return AryIncreasingTree(m + 2, *_contour_pass(_bundle_walk(groups, 0, m), n, 0))
 
 
 def ary_tree_to_seq(tree: AryIncreasingTree) -> tuple[BundledNode, ...]:
     """Inverse of :func:`seq_to_ary_tree`.  A binary tree maps to a sequence
     of 0-bundle nodes, which is a permutation of its labels."""
-    rows = _slots_to_bundles(tree, f_root=False)
-    nodes = _build_nodes(rows, range(tree.order, 0, -1))
-    return tuple(nodes[u] for u in rows[0][0])
+    n, m = tree.order, tree.arity - 2
+    word = _contour_walk(tree)
+    parent, bundle, _ = _bundle_pass(word, n, 0, m)
+    groups: dict[tuple[int, int], list[int]] = {}
+    # a label's first occurrence is where it joins its bundle, so labels in
+    # that order fill each bundle in position order
+    for x in dict.fromkeys(word):
+        groups.setdefault((parent[x - 1], bundle[x - 1]), []).append(x)
+    nodes = _build_nodes(groups, m, range(n, 0, -1))
+    return tuple(nodes[u] for u in groups[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +428,17 @@ class FIncreasingTree(AryIncreasingTree):
 
 
 def f_tree_from_bundled(tree: BundledIncreasingTree) -> FIncreasingTree:
-    """Apply the sequence bijection to each root bundle of a k-bundled tree,
-    producing the modified (k+2)-ary tree whose root has k slots."""
+    """The modified (k+2)-ary tree whose root has k slots, of a k-bundled
+    tree: the F-tree whose contour code is the tree's bundle code.  Root
+    bundle b goes to root slot b as the tree of its sequence."""
     k = tree.bundle_count
-    rows = [()] + [tree.bundles_of(v) for v in range(1, tree.order + 1)]
-    return FIncreasingTree(k, *_bundles_to_slots(rows, k, f_root=True))
+    return FIncreasingTree(k, *_contour_pass(_bundle_walk(tree._groups, 1, k), tree.order, 1))
 
 
 def bundled_from_f_tree(ftree: FIncreasingTree) -> BundledIncreasingTree:
     """Inverse of :func:`f_tree_from_bundled`."""
-    rows = _slots_to_bundles(ftree, f_root=True)
-    return BundledIncreasingTree(ftree.root_slot_count, *_bundled_arrays(rows[1:]))
+    k = ftree.root_slot_count
+    return BundledIncreasingTree(k, *_bundle_pass(_contour_walk(ftree), ftree.order, 1, k))
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,19 @@ def test_bundled_node_json_roundtrip():
     assert sorted(node.labels()) == [1, 2, 3]
 
 
+def test_bundled_node_json_reads_deep_chains():
+    """A 3000-deep chain loads without recursion; its shape is read with the
+    stack reader ``shape``, since ``==`` on node forms recurses."""
+    n = 3000
+    assert sys.getrecursionlimit() < 3 * n
+    data = {"label": n, "bundles": [[], []]}
+    for v in range(n - 1, 0, -1):
+        data = {"label": v, "bundles": [[], [data]]}
+    node = bj.BundledNode.from_json_dict(data)
+    rows = {v: ((), (v + 1,) if v < n else ()) for v in range(1, n + 1)}
+    assert shape((node,)) == ((1,), rows)
+
+
 def test_seq_to_ary_rejects_bad_sequences():
     with pytest.raises(trees.InvalidTreeError):
         bj.seq_to_ary_tree(())
