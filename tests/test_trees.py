@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import re
 import tracemalloc
 from collections import Counter
@@ -490,6 +491,36 @@ def test_enumerated_trees_equal_validated_trees(enumerate_trees):
 def test_bundled_stats_matches_node_oracle_on_grown_trees(seed, m, n):
     tree = trees.grow_bundled_tree(m, n, seed)
     assert trees.bundled_stats(tree) == oracles.bundled_stats_by_nodes(tree)
+
+
+# sha256 over the JSON of grow_plane_tree(family, n, seed), one line per
+# tree, for n in 1, 2, 3, 10, 200 and seeds 0..19 (k-plane 2 and bundled 1
+# are one family)
+FROZEN_PLANE_GROWTH = {
+    "k-plane-2": (trees.k_plane_family(2),
+                  "00f4c43443ac5451edac3b9556591a8db78fb1c7d940d124e245766879302f14"),
+    "k-plane-3": (trees.k_plane_family(3),
+                  "f59a4323853275f9d9a58af2074a2fc4140989feeef5d9e60722b3a964a7922b"),
+    "k-plane-5": (trees.k_plane_family(5),
+                  "032ae68991a5bef988ef0007f188fdaeae02a2fb4885177f8662f19be2e357e9"),
+    "bundled-1": (trees.bundled_family(1),
+                  "00f4c43443ac5451edac3b9556591a8db78fb1c7d940d124e245766879302f14"),
+    "bundled-3": (trees.bundled_family(3),
+                  "ac1d09516febb687bb3beedd87aa8886e2b6d4cdf72e00fab19ac99d0f543f02"),
+    "recursive": (trees.recursive_family(),
+                  "28359b1faf2606fe622a4f808d5abc73bd676c10bb161d9b404333b094ad2325"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FROZEN_PLANE_GROWTH))
+def test_grow_plane_tree_output_frozen(family):
+    fam, expected = FROZEN_PLANE_GROWTH[family]
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 10, 200):
+        for seed in range(20):
+            tree = trees.grow_plane_tree(fam, n, seed)
+            digest.update(json.dumps(tree.to_json_dict()).encode() + b"\n")
+    assert digest.hexdigest() == expected
 
 
 @pytest.mark.parametrize(
