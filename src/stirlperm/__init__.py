@@ -41,9 +41,7 @@ from .trees import (
     enumerate_ary_trees,
     enumerate_bundled_trees,
     grow_ary_tree,
-    grow_bundled_tree,
     grow_plane_tree,
-    grow_random,
     k_plane_family,
     plane_recursive_family,
     recursive_family,

@@ -258,13 +258,29 @@ def decode_bundled_tree(perm: GenStirlingPerm) -> BundledIncreasingTree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BundledNode:
     """A bundled increasing tree over an arbitrary label set: ``bundles`` is a
-    tuple of ``bundle_count`` ordered tuples of subtrees."""
+    tuple of ``bundle_count`` ordered tuples of subtrees.
+
+    ``==`` and ``hash`` read the node form with a stack, so they work at any
+    depth."""
 
     label: int
     bundles: tuple[tuple["BundledNode", ...], ...]
+
+    def _key(self) -> tuple:
+        # the label and bundle lengths of each node in the order of _walk,
+        # which those lengths fix: equal keys are equal node forms
+        return tuple([(node.label, tuple(map(len, node.bundles))) for node in _walk((self,))])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def bundle_count(self) -> int:

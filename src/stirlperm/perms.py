@@ -268,13 +268,12 @@ def count_bundled(n: int, k: int) -> int:
 
 
 # The cache of endings in enumerate_generalized.  A state is cached once at
-# most _CACHE_UNSEEN labels are unseen and at most _CACHE_LENGTH symbols are
-# left.  A state with more than _CACHE_ENDINGS endings is cached as None and
+# most _CACHE_LENGTH symbols are left, however many labels are still unseen.
+# A state with more than _CACHE_ENDINGS endings is cached as None and
 # searched symbol by symbol whenever it recurs.  The cache is emptied before
 # a store once it holds more than _CACHE_TOTAL endings (None counts as one),
 # so it holds at most 2**15 + 64 tuples of at most 16 symbols: a few MB,
 # however many words follow.
-_CACHE_UNSEEN = 3
 _CACHE_LENGTH = 16
 _CACHE_ENDINGS = 64
 _CACHE_TOTAL = 2**15
@@ -330,7 +329,7 @@ def enumerate_generalized(
             for label in reversed(stack):
                 tail += [label] * (padded[label] - seen[label])
             endings = [tuple(tail)]
-        elif not after and unseen <= _CACHE_UNSEEN and length - depth <= _CACHE_LENGTH:
+        elif not after and length - depth <= _CACHE_LENGTH:
             state = tuple(seen)
             if state in cache:
                 endings = cache[state]
@@ -404,6 +403,10 @@ def enumerate_bundled(
 # ---------------------------------------------------------------------------
 # uniform sampling / growth
 # ---------------------------------------------------------------------------
+
+# PermutationGrower draws the words of sample_generalized one label at a
+# time; it and its two constructors stay while bench/tracer.py traces them
+# by name.
 
 
 class PermutationGrower:

@@ -14,13 +14,15 @@ Three concrete shapes appear throughout:
   ``c_2 = 0`` exponential limit).  The total weight of order-n trees is
   ``phi_0 prod_{1<=j<n} (c_1 j + c_2)``.
 
-Weighted plane trees and uniform bundled trees grow through one grower: a
-node of out-degree d is picked with weight ``a + b*d``, then one of its
-``m + d`` bundle gaps uniformly (``m = 1``, ``a/b = alpha`` for plane trees;
-``a = m``, ``b = 1`` for m-bundled trees).  The node is drawn from a token
-list in which it appears ``a + b*d`` times, as ``grow_ary_tree`` draws from
-its list of free slots, so growth takes linear time.  Enumeration streams
-the trees of one order from one lexicographic search over attachment arrays.
+Weighted plane trees grow by picking a node of out-degree d with weight
+``a + b*d`` (``a/b = alpha``), then one of its ``d + 1`` child gaps
+uniformly.  The node is drawn from a token list in which it appears
+``a + b*d`` times, as ``grow_ary_tree`` draws from its list of free slots,
+so growth takes linear time.  Uniform bundled trees have no grower of
+their own: the bundle code is a bijection, so for m >= 2 a uniform
+m-bundled tree is ``decode_bundled_tree(sample_bundled(n, m - 1))``, and for
+m = 1 it is ``grow_plane_tree(plane_recursive_family(), n)``.  Enumeration streams the trees of one order from one
+lexicographic search over attachment arrays.
 
 Each tree groups its children once: the validation pass of its constructor
 builds the index that ``child`` and ``bundles_of`` read.  The enumerators
@@ -491,6 +493,11 @@ def bundled_stats(tree: BundledIncreasingTree) -> BundledStatProfile:
 # random growth
 # ---------------------------------------------------------------------------
 
+# grow_ary_tree draws the law of decode_ary_tree(sample_k_stirling(n, arity - 1));
+# it and grow_plane_tree stay while bench/tracer.py traces them by name.
+# grow_plane_tree also grows weighted families that have no word codec, such
+# as recursive_family().
+
 
 def grow_ary_tree(arity: int, n: int, seed=None) -> AryIncreasingTree:
     """Grow an ary increasing tree by attaching each new node to a uniformly
@@ -512,50 +519,14 @@ def grow_ary_tree(arity: int, n: int, seed=None) -> AryIncreasingTree:
     return AryIncreasingTree(arity, tuple(parent), tuple(slot))
 
 
-def _grow_bundles(m: int, a: int, b: int, n: int, rng) -> list[list[list[int]]]:
-    """Grow an increasing tree of order n whose nodes carry ``m`` ordered
-    bundles: each new node picks a node v with weight ``a + b*deg(v)``, then
-    one of the ``m + deg(v)`` gaps of v's bundles uniformly.  The node is a
-    uniform entry of a token list in which v appears ``a + b*deg(v)``
-    times.  Returns ``bundles[v-1][j]``, the children of v in bundle j+1."""
-    bundles: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(n)]
-    tokens = [0] * a
-    for v in range(2, n + 1):
-        node = tokens[int(rng.integers(0, len(tokens)))]
-        row = bundles[node]
-        gap = int(rng.integers(0, m + sum(map(len, row))))
-        for seq in row:
-            if gap <= len(seq):
-                seq.insert(gap, v)
-                break
-            gap -= len(seq) + 1
-        tokens += [node] * b + [v - 1] * a
-    return bundles
-
-
-def _bundled_arrays(bundles) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """``(parent, bundle, pos_in_bundle)`` arrays of the tree whose node v
-    has the children ``bundles[v-1][j]`` in bundle j+1."""
-    n = len(bundles)
-    parent = [0] * n
-    bundle = [0] * n
-    pos = [0] * n
-    for p, row in enumerate(bundles, start=1):
-        for b, seq in enumerate(row, start=1):
-            for j, c in enumerate(seq, start=1):
-                parent[c - 1] = p
-                bundle[c - 1] = b
-                pos[c - 1] = j
-    return tuple(parent), tuple(bundle), tuple(pos)
-
-
 def grow_plane_tree(family: DegreeWeightFamily, n: int, seed=None) -> BundledIncreasingTree:
     """Grow a weighted random plane tree of the family (one bundle per node).
 
     The attachment node is drawn with probability proportional to
     ``phi_{d+1}/phi_d``, realized through integer weights ``a + b*deg`` with
     ``alpha = a/b``; the child gap is uniform.  For ``recursive`` families
-    the node is uniform.
+    the node is uniform.  The node is a uniform entry of a token list in
+    which a node of out-degree d appears ``a + b*d`` times.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -567,26 +538,21 @@ def grow_plane_tree(family: DegreeWeightFamily, n: int, seed=None) -> BundledInc
     else:
         alpha = family.alpha
         a, b = alpha.numerator, alpha.denominator
-    return BundledIncreasingTree(1, *_bundled_arrays(_grow_bundles(1, a, b, n, rng)))
-
-
-def grow_bundled_tree(bundle_count: int, n: int, seed=None) -> BundledIncreasingTree:
-    """Grow a uniformly random bundled increasing tree: each step picks one of
-    the ``(m+1)*order - 1`` insertion positions uniformly, that is a node v
-    with weight ``m + deg(v)`` and then one of its bundle gaps."""
-    if bundle_count < 1 or n < 1:
-        raise ValueError("need bundle_count >= 1 and n >= 1")
-    m = bundle_count
-    bundles = _grow_bundles(m, m, 1, n, as_generator(seed))
-    return BundledIncreasingTree(m, *_bundled_arrays(bundles))
-
-
-def grow_random(family: DegreeWeightFamily, n: int, seed=None):
-    """Grow a random order-n tree of the family (ary trees for ``dAry``,
-    plane shapes otherwise)."""
-    if family.kind == D_ARY:
-        return grow_ary_tree(family.arity, n, seed)
-    return grow_plane_tree(family, n, seed)
+    # kids[v-1]: the children of node v, in order
+    kids: list[list[int]] = [[] for _ in range(n)]
+    tokens = [0] * a
+    for v in range(2, n + 1):
+        node = tokens[int(rng.integers(0, len(tokens)))]
+        row = kids[node]
+        row.insert(int(rng.integers(0, len(row) + 1)), v)
+        tokens += [node] * b + [v - 1] * a
+    parent = [0] * n
+    pos = [0] * n
+    for p, row in enumerate(kids, start=1):
+        for j, c in enumerate(row, start=1):
+            parent[c - 1] = p
+            pos[c - 1] = j
+    return BundledIncreasingTree(1, tuple(parent), (0,) + (1,) * (n - 1), tuple(pos))
 
 
 # ---------------------------------------------------------------------------

@@ -821,15 +821,18 @@ def bundled_tree_arrays_by_insertion(n: int, m: int) -> list[tuple]:
                         new_row = row[:b] + (seq[:gap] + (v,) + seq[gap:],) + row[b + 1 :]
                         nxt.append(state[: node - 1] + (new_row,) + state[node:] + (((),) * m,))
         states = nxt
-    arrays = []
-    for state in states:
-        parent, bundle, pos = {1: 0}, {1: 0}, {1: 0}
-        for p, row in enumerate(state, start=1):
-            for b, seq in enumerate(row, start=1):
-                for q, c in enumerate(seq, start=1):
-                    parent[c], bundle[c], pos[c] = p, b, q
-        arrays.append(_arrays(parent, bundle, pos))
-    return sorted(arrays)
+    return sorted(map(_bundles_arrays, states))
+
+
+def _bundles_arrays(rows) -> tuple:
+    """``(parent, bundle, pos_in_bundle)`` of the tree whose node v has the
+    children ``rows[v-1][j]`` in bundle j+1."""
+    parent, bundle, pos = {1: 0}, {1: 0}, {1: 0}
+    for p, row in enumerate(rows, start=1):
+        for b, seq in enumerate(row, start=1):
+            for q, c in enumerate(seq, start=1):
+                parent[c], bundle[c], pos[c] = p, b, q
+    return _arrays(parent, bundle, pos)
 
 
 def grow_bundles_scan(m: int, a: int, b: int, n: int, rng) -> list[list[list[int]]]:
@@ -856,6 +859,15 @@ def grow_bundles_scan(m: int, a: int, b: int, n: int, rng) -> list[list[list[int
             gap -= len(seq) + 1
         weight[node] += b
     return bundles
+
+
+def grow_bundled_tree_scan(m: int, n: int, seed) -> trees.BundledIncreasingTree:
+    """A uniformly random m-bundled tree of order n, grown by
+    :func:`grow_bundles_scan` with node weights ``m + deg(v)``: each step
+    takes one of the ``(m+1)*order - 1`` insertion positions uniformly.  It
+    shares no code with the bundle codec, so the codec can be tested on it."""
+    bundles = grow_bundles_scan(m, m, 1, n, np.random.default_rng(seed))
+    return trees.BundledIncreasingTree(m, *_bundles_arrays(bundles))
 
 
 def urn_a_chunk(n: int, k: int, count: int, rng) -> np.ndarray:

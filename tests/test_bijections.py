@@ -142,7 +142,7 @@ def test_bundled_code_is_contour_code_of_f_tree(m, count):
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 40))
 @settings(max_examples=50, deadline=None)
 def test_bundled_roundtrip_on_grown_trees(seed, n):
-    t = trees.grow_bundled_tree(3, n, seed)
+    t = oracles.grow_bundled_tree_scan(3, n, seed)
     assert bj.decode_bundled_tree(bj.encode_bundled_tree(t)) == t
 
 
@@ -204,17 +204,38 @@ def test_bundled_node_json_roundtrip():
     assert sorted(node.labels()) == [1, 2, 3]
 
 
+def _deep_chain_json(n: int, last: int, bundle: int) -> dict:
+    """JSON of a chain 1 - 2 - ... - (n-1) through second bundles, whose
+    last node, labelled ``last``, sits in bundle ``bundle`` of node n-1."""
+    data = {"label": last, "bundles": [[], []]}
+    bundles = [[], []]
+    bundles[bundle - 1].append(data)
+    data = {"label": n - 1, "bundles": bundles}
+    for v in range(n - 2, 0, -1):
+        data = {"label": v, "bundles": [[], [data]]}
+    return data
+
+
 def test_bundled_node_json_reads_deep_chains():
-    """A 3000-deep chain loads without recursion; its shape is read with the
-    stack reader ``shape``, since ``==`` on node forms recurses."""
+    """A 3000-deep chain loads without recursion, and ``==`` and ``hash``
+    read it with a stack too."""
     n = 3000
     assert sys.getrecursionlimit() < 3 * n
-    data = {"label": n, "bundles": [[], []]}
-    for v in range(n - 1, 0, -1):
-        data = {"label": v, "bundles": [[], [data]]}
-    node = bj.BundledNode.from_json_dict(data)
+    node = bj.BundledNode.from_json_dict(_deep_chain_json(n, n, 2))
     rows = {v: ((), (v + 1,) if v < n else ()) for v in range(1, n + 1)}
     assert shape((node,)) == ((1,), rows)
+    same = bj.BundledNode.from_json_dict(_deep_chain_json(n, n, 2))
+    assert same is not node
+    assert same == node
+    assert not same != node
+    assert hash(same) == hash(node)
+    assert len({node, same}) == 1
+    relabelled = bj.BundledNode.from_json_dict(_deep_chain_json(n, n + 1, 2))
+    assert relabelled != node
+    assert not relabelled == node
+    moved = bj.BundledNode.from_json_dict(_deep_chain_json(n, n, 1))
+    assert moved != node
+    assert node != (node.label, node.bundles)
 
 
 def test_seq_to_ary_rejects_bad_sequences():
@@ -354,7 +375,7 @@ def test_f_tree_json_roundtrip_and_validation():
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 25))
 @settings(max_examples=40, deadline=None)
 def test_f_tree_roundtrip_on_grown_trees(seed, n):
-    bt = trees.grow_bundled_tree(2, n, seed)
+    bt = oracles.grow_bundled_tree_scan(2, n, seed)
     ft = bj.f_tree_from_bundled(bt)
     assert bj.bundled_from_f_tree(ft) == bt
     attached = {(ft.parent[u - 1], ft.slot[u - 1]): u for u in range(2, n + 1)}
@@ -382,7 +403,7 @@ def test_codecs_match_cartesian_oracle_on_grown_trees(seed, n, m):
     seq = bj.ary_tree_to_seq(at)
     assert shape(seq) == shape(oracles.ary_to_seq(at))
     assert bj.seq_to_ary_tree(seq) == at
-    bt = trees.grow_bundled_tree(m, n, seed)
+    bt = oracles.grow_bundled_tree_scan(m, n, seed)
     whole = (bj.bundled_subtree_node(bt),)
     assert shape(whole) == shape((oracles.bundled_node(bt),))
     t = bj.seq_to_ary_tree(whole)
@@ -449,7 +470,7 @@ def test_word_decoders_match_segment_oracles(n, k):
 def test_word_decoders_match_segment_oracles_on_grown_trees(seed, n, k):
     at = trees.grow_ary_tree(k + 1, n, seed)
     assert_decoders_match_segment_oracles(bj.encode_ary_tree(at))
-    bt = trees.grow_bundled_tree(k + 1, n, seed)
+    bt = oracles.grow_bundled_tree_scan(k + 1, n, seed)
     assert_decoders_match_segment_oracles(bj.encode_bundled_tree(bt))
 
 

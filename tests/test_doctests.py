@@ -1,6 +1,9 @@
-"""Run every docstring example in the package."""
+"""Run every docstring example in the package, and the README's Python
+examples."""
 
 import doctest
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +32,15 @@ def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0, f"{result.failed} doctest failures in {module.__name__}"
     assert result.attempted > 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of README.md runs, in order, in one namespace."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

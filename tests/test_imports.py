@@ -120,8 +120,8 @@ def test_public_names_are_unchanged():
         "distributions", "encode_ary_tree", "encode_bundled_tree", "enumerate_ary_trees",
         "enumerate_bundled", "enumerate_bundled_trees", "enumerate_generalized",
         "enumerate_k_stirling", "f_tree_from_bundled", "fixed_addition_covariance",
-        "fixed_addition_urn", "grow_ary_tree", "grow_bundled_tree", "grow_plane_tree",
-        "grow_random", "harness", "jackknife_covariance", "k_plane_family", "ks_two_sample",
+        "fixed_addition_urn", "grow_ary_tree", "grow_plane_tree", "harness",
+        "jackknife_covariance", "k_plane_family", "ks_two_sample",
         "martingale_scaling", "mean_profile", "nested_block_urns", "perms",
         "plane_recursive_family", "polya_urn", "rational_binomial", "recursive_family",
         "run_experiment", "sample_block_size_stats", "sample_bundled", "sample_generalized",

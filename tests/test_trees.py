@@ -489,7 +489,7 @@ def test_enumerated_trees_equal_validated_trees(enumerate_trees):
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 4), st.integers(1, 60))
 @settings(max_examples=80, deadline=None)
 def test_bundled_stats_matches_node_oracle_on_grown_trees(seed, m, n):
-    tree = trees.grow_bundled_tree(m, n, seed)
+    tree = oracles.grow_bundled_tree_scan(m, n, seed)
     assert trees.bundled_stats(tree) == oracles.bundled_stats_by_nodes(tree)
 
 
@@ -523,12 +523,21 @@ def test_grow_plane_tree_output_frozen(family):
     assert digest.hexdigest() == expected
 
 
+def _decoded_bundled_tree(m: int, n: int, seed) -> trees.BundledIncreasingTree:
+    """A uniform m-bundled tree (m >= 2): the tree of a uniform bundled word."""
+    return bj.decode_bundled_tree(perms.sample_bundled(n, m - 1, seed))
+
+
 @pytest.mark.parametrize(
     "grow,support,size",
     [
-        (partial(trees.grow_bundled_tree, 1, 3), partial(trees.enumerate_bundled_trees, 3, 1), 3),
-        (partial(trees.grow_bundled_tree, 2, 3), partial(trees.enumerate_bundled_trees, 3, 2), 10),
-        (partial(trees.grow_bundled_tree, 3, 3), partial(trees.enumerate_bundled_trees, 3, 3), 21),
+        (
+            partial(trees.grow_plane_tree, trees.plane_recursive_family(), 3),
+            partial(trees.enumerate_bundled_trees, 3, 1),
+            3,
+        ),
+        (partial(_decoded_bundled_tree, 2, 3), partial(trees.enumerate_bundled_trees, 3, 2), 10),
+        (partial(_decoded_bundled_tree, 3, 3), partial(trees.enumerate_bundled_trees, 3, 3), 21),
         (
             partial(trees.grow_plane_tree, trees.plane_recursive_family(), 4),
             partial(trees.enumerate_plane_trees, 4),
@@ -565,9 +574,8 @@ def test_grow_plane_tree_weight_proportional_chi_square():
     [
         (partial(trees.grow_plane_tree, trees.k_plane_family(2)), 1, 1, 1),
         (partial(trees.grow_plane_tree, trees.k_plane_family(3)), 1, 1, 2),
-        (partial(trees.grow_bundled_tree, 2), 2, 2, 1),
     ],
-    ids=["plane-2", "plane-3", "bundled-2"],
+    ids=["plane-2", "plane-3"],
 )
 def test_token_growth_matches_weight_scan_oracle(grow, m, a, b):
     """The token-list grower and the cumulative weight scan give the same
@@ -590,13 +598,7 @@ def test_token_growth_matches_weight_scan_oracle(grow, m, a, b):
     assert pvalue > 1e-3
 
 
-def test_grow_random_dispatch():
-    assert isinstance(
-        trees.grow_random(trees.ary_family(3), 5, 1), trees.AryIncreasingTree
-    )
-    assert isinstance(
-        trees.grow_random(trees.k_plane_family(2), 5, 1), trees.BundledIncreasingTree
-    )
+def test_grow_plane_tree_rejects_dary_families():
     with pytest.raises(ValueError):
         trees.grow_plane_tree(trees.ary_family(3), 5, 1)
 
@@ -606,6 +608,6 @@ def test_grow_random_dispatch():
 def test_grown_trees_are_well_formed(seed, n):
     t = trees.grow_ary_tree(3, n, seed)
     assert t.order == n
-    b = trees.grow_bundled_tree(2, n, seed)
+    b = oracles.grow_bundled_tree_scan(2, n, seed)
     assert b.order == n
     assert sum(len(bun) for bun in b.bundles_of(1)) >= 1 or n == 1
