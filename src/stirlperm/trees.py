@@ -21,8 +21,9 @@ uniformly.  The node is drawn from a token list in which it appears
 so growth takes linear time.  Uniform bundled trees have no grower of
 their own: the bundle code is a bijection, so for m >= 2 a uniform
 m-bundled tree is ``decode_bundled_tree(sample_bundled(n, m - 1))``, and for
-m = 1 it is ``grow_plane_tree(plane_recursive_family(), n)``.  Enumeration streams the trees of one order from one
-lexicographic search over attachment arrays.
+m = 1 it is ``grow_plane_tree(plane_recursive_family(), n)``.  Enumeration
+streams the trees of one order from one lexicographic search over
+attachment arrays.
 
 Each tree groups its children once: the validation pass of its constructor
 builds the index that ``child`` and ``bundles_of`` read.  The enumerators
