@@ -32,6 +32,14 @@ tree on 1..n and the ternary tree on 2..n below a one-slot root share one
 code, a 2-Stirling permutation of 2..n.  No walk or pass recurses, so deep
 and degenerate trees convert in linear time.
 
+Every decoder builds a tree that is valid by construction, so it hands it
+over through the trees' ``_from_valid``: the children index is built once
+and none of the constructor's checks run.  The encoders still validate
+their words.  ``seq_to_ary_tree`` reads :class:`BundledNode` forms or their
+JSON dicts; dicts are checked field by field in preorder, as
+``BundledNode.from_json_dict`` checks them, and then read in place, so
+``encode --bijection seq`` builds no node objects.
+
 ``verify_stat_transfer`` exhaustively checks the statistic correspondences
 (slot occupancies vs refined ascent/descent/plateau counts, block count vs
 left-right nodes, bundle statistics vs totals).  It trusts the trees the
@@ -45,7 +53,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perms import (
     GenStirlingPerm,
@@ -149,7 +158,7 @@ def decode_ary_tree(perm: GenStirlingPerm) -> AryIncreasingTree:
     k = perm.uniform_k
     if k is None or perm.order == 0:
         raise InvalidPermutationError("ary decoding needs a non-empty k-Stirling permutation")
-    return AryIncreasingTree(k + 1, *_contour_pass(perm.word, perm.order, 0))
+    return AryIncreasingTree._from_valid(k + 1, *_contour_pass(perm.word, perm.order, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +259,7 @@ def decode_bundled_tree(perm: GenStirlingPerm) -> BundledIncreasingTree:
         raise InvalidPermutationError(
             f"not a {k}-bundled multiset: expected (k, k+2, ..., k+2), got {mult}"
         )
-    return BundledIncreasingTree(k + 1, *_bundle_pass(perm.word, perm.order, 1, k + 1))
+    return BundledIncreasingTree._from_valid(k + 1, *_bundle_pass(perm.word, perm.order, 1, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +281,7 @@ class BundledNode:
     def _key(self) -> tuple:
         # the label and bundle lengths of each node in the order of _walk,
         # which those lengths fix: equal keys are equal node forms
-        return tuple([(node.label, tuple(map(len, node.bundles))) for node in _walk((self,))])
+        return tuple([(label, tuple(map(len, bundles))) for label, bundles in _walk((self,))])
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -287,7 +296,7 @@ class BundledNode:
         return len(self.bundles)
 
     def labels(self) -> set[int]:
-        return {node.label for node in _walk((self,))}
+        return {label for label, _ in _walk((self,))}
 
     def min_label(self) -> int:
         # increasing trees: the root carries the smallest label of the subtree
@@ -303,40 +312,56 @@ class BundledNode:
     def from_json_dict(cls, data: dict) -> "BundledNode":
         """Read a node form without recursion: check the dicts in preorder,
         then build them in reverse, each node popping its children."""
-        items = []
-        stack = [data]
-        while stack:
-            label, bundles = _json_fields(stack.pop(), label="an int", bundles="a list of lists")
-            items.append((label, bundles))
-            stack.extend(reversed([c for b in bundles for c in b]))
         built: list[BundledNode] = []
-        for label, bundles in reversed(items):
+        for label, bundles in reversed(_json_node_fields((data,))):
             built.append(cls(label, tuple(tuple(built.pop() for _ in b) for b in bundles)))
         return built[0]
 
 
-def _walk(roots: Iterable[BundledNode]) -> Iterator[BundledNode]:
-    """Every node of the node forms ``roots``, depth first with a stack."""
+def _json_node_fields(roots: Sequence) -> list[tuple[int, list]]:
+    """``(label, bundles)`` of every dict of the JSON node forms ``roots``,
+    in preorder, one root after another.  Each must be an object with an
+    int ``label`` and a list of lists ``bundles``."""
+    items = []
+    stack = list(reversed(roots))
+    while stack:
+        label, bundles = _json_fields(stack.pop(), label="an int", bundles="a list of lists")
+        items.append((label, bundles))
+        stack.extend(reversed([c for b in bundles for c in b]))
+    return items
+
+
+def _walk(roots: Iterable, read: Callable = attrgetter("label", "bundles")) -> Iterator[tuple]:
+    """``(label, bundles)`` of every node of the node forms ``roots``, depth
+    first with a stack; ``read`` takes them from a node."""
     stack = list(roots)
     while stack:
-        node = stack.pop()
-        yield node
-        for b in node.bundles:
+        label, bundles = read(stack.pop())
+        yield label, bundles
+        for b in bundles:
             stack += b
 
 
-def _node_groups(roots: tuple[BundledNode, ...]) -> tuple[dict, int, int]:
+def _node_groups(roots: tuple) -> tuple[dict, int, int]:
     """Children index of node forms whose labels partition 1..n and increase
     from each node to its children, with their common bundle count and n:
     ``groups[v, b]`` lists the children of v in bundle b (empty bundles
-    absent), and ``groups[0, 1]`` the labels of ``roots``."""
+    absent), and ``groups[0, 1]`` the labels of ``roots``.
+
+    The node forms are :class:`BundledNode` objects, or JSON dicts, which
+    are first checked in preorder as :meth:`BundledNode.from_json_dict`
+    checks them and then read in place."""
     if not roots:
         raise InvalidTreeError("sequence must be non-empty")
-    m = roots[0].bundle_count
-    groups = {(0, 1): tuple([t.label for t in roots])}
+    if all(isinstance(root, BundledNode) for root in roots):
+        label_of, read = attrgetter("label"), attrgetter("label", "bundles")
+    else:
+        _json_node_fields(roots)
+        label_of, read = itemgetter("label"), itemgetter("label", "bundles")
+    m = len(read(roots[0])[1])
+    groups = {(0, 1): tuple(map(label_of, roots))}
     labels: set[int] = set()
-    for node in _walk(roots):
-        v, bundles = node.label, node.bundles
+    for v, bundles in _walk(roots, read):
         if len(bundles) != m:
             raise InvalidTreeError(f"mixed bundle counts: {m} and {len(bundles)}")
         if v in labels:
@@ -344,7 +369,7 @@ def _node_groups(roots: tuple[BundledNode, ...]) -> tuple[dict, int, int]:
         labels.add(v)
         for b, children in enumerate(bundles, start=1):
             if children:
-                row = groups[v, b] = tuple([c.label for c in children])
+                row = groups[v, b] = tuple(map(label_of, children))
                 if min(row) <= v:
                     raise InvalidTreeError(f"node {min(row)} needs a smaller parent, got {v}")
     n = len(labels)
@@ -375,15 +400,16 @@ def bundled_node_to_tree(node: BundledNode) -> BundledIncreasingTree:
     """Convert a node form whose labels are exactly 1..n back to array form,
     by decoding its bundle code."""
     groups, m, n = _node_groups((node,))
-    return BundledIncreasingTree(m, *_bundle_pass(_bundle_walk(groups, 1, m), n, 1, m))
+    return BundledIncreasingTree._from_valid(m, *_bundle_pass(_bundle_walk(groups, 1, m), n, 1, m))
 
 
-def seq_to_ary_tree(seq: Sequence[BundledNode]) -> AryIncreasingTree:
+def seq_to_ary_tree(seq: Sequence[BundledNode | dict]) -> AryIncreasingTree:
     """Map a sequence of k-bundled increasing trees (labels partitioning 1..n)
     to a (k+2)-ary increasing tree of order n: the tree whose contour code
-    is the bundle code of the sequence."""
+    is the bundle code of the sequence.  The trees are :class:`BundledNode`
+    forms, or their JSON dicts, which are read in place."""
     groups, m, n = _node_groups(tuple(seq))
-    return AryIncreasingTree(m + 2, *_contour_pass(_bundle_walk(groups, 0, m), n, 0))
+    return AryIncreasingTree._from_valid(m + 2, *_contour_pass(_bundle_walk(groups, 0, m), n, 0))
 
 
 def ary_tree_to_seq(tree: AryIncreasingTree) -> tuple[BundledNode, ...]:
@@ -448,13 +474,15 @@ def f_tree_from_bundled(tree: BundledIncreasingTree) -> FIncreasingTree:
     tree: the F-tree whose contour code is the tree's bundle code.  Root
     bundle b goes to root slot b as the tree of its sequence."""
     k = tree.bundle_count
-    return FIncreasingTree(k, *_contour_pass(_bundle_walk(tree._groups, 1, k), tree.order, 1))
+    word = _bundle_walk(tree._groups, 1, k)
+    return FIncreasingTree._from_valid(k + 2, *_contour_pass(word, tree.order, 1))
 
 
 def bundled_from_f_tree(ftree: FIncreasingTree) -> BundledIncreasingTree:
     """Inverse of :func:`f_tree_from_bundled`."""
     k = ftree.root_slot_count
-    return BundledIncreasingTree(k, *_bundle_pass(_contour_walk(ftree), ftree.order, 1, k))
+    word = _contour_walk(ftree)
+    return BundledIncreasingTree._from_valid(k, *_bundle_pass(word, ftree.order, 1, k))
 
 
 # ---------------------------------------------------------------------------

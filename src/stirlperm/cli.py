@@ -201,8 +201,8 @@ def _cmd_encode(args):
     else:  # seq
         items = data.get("sequence") if isinstance(data, dict) else data
         _require(isinstance(items, list), "expected a JSON list of trees, or one under 'sequence'")
-        seq = [_bij.BundledNode.from_json_dict(item) for item in items]
-        tree = _bij.seq_to_ary_tree(seq)
+        # the dicts are read in place, without BundledNode objects
+        tree = _bij.seq_to_ary_tree(items)
         payload = {"bijection": "seq", "tree": tree.to_json_dict()}
     return payload, None, EXIT_OK
 
@@ -730,10 +730,17 @@ def _render(payload: dict, table, as_csv: bool, out) -> None:
     out.write(buffer.getvalue())
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process.  Parsing leaves a parser as it was (an
+    appended option starts a new list), and what ``build_parser`` reads is
+    fixed, so a run of ``main`` calls builds it once."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -69,9 +69,14 @@ def uniform_multiplicities(n: int, k: int) -> Multiplicities:
 
 
 def bundled_multiplicities(n: int, k: int) -> Multiplicities:
-    """Multiset of a k-bundled Stirling permutation: (k, k+2, ..., k+2)."""
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    """Multiset of a k-bundled Stirling permutation: (k, k+2, ..., k+2).
+
+    k = 0 is rejected: label 1 would have no occurrence (see
+    :func:`count_bundled`)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     return (k,) + (k + 2,) * (n - 1)
 
 
@@ -153,9 +158,10 @@ class GenStirlingPerm:
         return perm
 
     @classmethod
-    def from_word(cls, word: Iterable[int]) -> "GenStirlingPerm":
-        """Build from a bare word; the multiset is inferred from symbol counts."""
-        w = tuple(int(x) for x in word)
+    def from_word(cls, word: Iterable) -> "GenStirlingPerm":
+        """Build from a bare word, each symbol converted by ``int``; the
+        multiset is inferred from symbol counts."""
+        w = tuple(map(int, word))
         n = max(w, default=0)
         counts = [0] * n
         for x in w:
@@ -171,11 +177,10 @@ class GenStirlingPerm:
         if not text:
             return cls((), ())
         if "," in text or " " in text:
-            parts = text.replace(",", " ").split()
-            return cls.from_word(int(p) for p in parts)
+            return cls.from_word(text.replace(",", " ").split())
         if not text.isdigit():
             raise InvalidPermutationError(f"cannot parse permutation {text!r}")
-        return cls.from_word(int(c) for c in text)
+        return cls.from_word(text)
 
     @property
     def order(self) -> int:
@@ -491,10 +496,6 @@ def sample_k_stirling(n: int, k: int, seed=None) -> GenStirlingPerm:
 
 
 def sample_bundled(n: int, k: int, seed=None) -> GenStirlingPerm:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return sample_generalized(bundled_multiplicities(n, k), seed)
 
 

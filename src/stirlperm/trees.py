@@ -25,10 +25,14 @@ m = 1 it is ``grow_plane_tree(plane_recursive_family(), n)``.  Enumeration
 streams the trees of one order from one lexicographic search over
 attachment arrays.
 
-Each tree groups its children once: the validation pass of its constructor
-builds the index that ``child`` and ``bundles_of`` read.  The enumerators
-build trees that are valid by construction, so they write the arrays and
-that index directly, through ``_trusted``.
+Each tree groups its children once, into the index that ``child`` and
+``bundles_of`` read.  One builder per shape writes that index
+(``_slot_index``, ``_bundle_index``); the constructor runs its checks and
+then that builder.  Trees that are valid by construction skip the checks:
+the codec decoders hand theirs over through ``_from_valid``, which runs
+the builder alone, and the enumerators write arrays and index directly
+through ``_trusted``.  JSON fields are checked once, where they are read;
+a list whose items all have the expected type passes at C speed.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product, repeat
 from operator import lt
 from typing import Callable, Iterator, Sequence
 
@@ -200,15 +204,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_list_of(check: Callable) -> Callable:
-    return lambda value: isinstance(value, list) and all(map(check, value))
+def _is_list_of(check: Callable, exact: type) -> Callable:
+    # a list whose items all have the type ``exact`` passes at C speed; any
+    # other item type sends the list through ``check`` item by item
+    return lambda value: isinstance(value, list) and (
+        set(map(type, value)) <= {exact} or all(map(check, value))
+    )
 
 
 # what a JSON field must hold, keyed by its wording in the error message
 _JSON_KINDS = {
     "an int": _is_int,
-    "a list of ints": _is_list_of(_is_int),
-    "a list of lists": _is_list_of(lambda item: isinstance(item, list)),
+    "a list of ints": _is_list_of(_is_int, int),
+    "a list of lists": _is_list_of(lambda item: isinstance(item, list), list),
 }
 
 
@@ -250,6 +258,35 @@ class _ParentArrayTree:
         return tree
 
 
+def _slot_index(arity: int, parent: Sequence[int], slot: Sequence[int]) -> list[list[int]]:
+    """``kids[v][s]``: the child of node v in slot s, or 0 for a free slot
+    (row 0 unused), of slot arrays already known to be valid."""
+    n = len(parent)
+    kids = list(map(list.copy, repeat([0] * (arity + 1), n + 1)))
+    for v, p, s in zip(range(2, n + 1), islice(parent, 1, None), islice(slot, 1, None)):
+        kids[p][s] = v
+    return kids
+
+
+def _bundle_index(parent: Sequence[int], bundle: Sequence[int], pos: Sequence[int]) -> dict:
+    """``groups[p, b]``: the children of node p in bundle b, in position
+    order (empty bundles absent), of bundle arrays whose parents and bundles
+    are in range.  A bundle whose positions are not ``1..len`` gets a row
+    holding a 0."""
+    n = len(parent)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v, p, b in zip(range(2, n + 1), islice(parent, 1, None), islice(bundle, 1, None)):
+        groups.setdefault((p, b), []).append(v)
+    for pair, kids in groups.items():
+        row = [0] * len(kids)
+        for v in kids:
+            q = pos[v - 1]
+            if 0 < q <= len(row):
+                row[q - 1] = v
+        groups[pair] = tuple(row)
+    return groups
+
+
 @dataclass(frozen=True)
 class AryIncreasingTree(_ParentArrayTree):
     """Increasing tree on labels ``1..n`` whose nodes expose ``arity`` slots.
@@ -264,8 +301,8 @@ class AryIncreasingTree(_ParentArrayTree):
     slot: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parent", tuple(int(x) for x in self.parent))
-        object.__setattr__(self, "slot", tuple(int(x) for x in self.slot))
+        object.__setattr__(self, "parent", tuple(map(int, self.parent)))
+        object.__setattr__(self, "slot", tuple(map(int, self.slot)))
         n = len(self.parent)
         if self.arity < 2:
             raise InvalidTreeError("arity must be >= 2")
@@ -274,18 +311,29 @@ class AryIncreasingTree(_ParentArrayTree):
         if self.parent[0] != 0 or self.slot[0] != 0:
             raise InvalidTreeError("node 1 must be the root")
         arity, root_slots = self.arity, self._root_slots
-        # kids[v][s] = child of v in slot s, or 0 for a free slot (index 0 unused)
-        kids = [[0] * (arity + 1) for _ in range(n + 1)]
-        for v in range(2, n + 1):
-            p, s = self.parent[v - 1], self.slot[v - 1]
+        # used[p * (arity + 1) + s]: slot s of node p is taken
+        used = bytearray((n + 1) * (arity + 1))
+        nodes = zip(range(2, n + 1), islice(self.parent, 1, None), islice(self.slot, 1, None))
+        for v, p, s in nodes:
             if not 1 <= p < v:
                 raise InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
             if not 1 <= s <= (root_slots if p == 1 else arity):
                 raise InvalidTreeError(f"slot of node {v} out of range: {s}")
-            if kids[p][s]:
+            i = p * (arity + 1) + s
+            if used[i]:
                 raise InvalidTreeError(f"slot {s} of node {p} used twice")
-            kids[p][s] = v
-        object.__setattr__(self, "_kids", kids)
+            used[i] = 1
+        object.__setattr__(self, "_kids", _slot_index(arity, self.parent, self.slot))
+
+    @classmethod
+    def _from_valid(
+        cls, arity: int, parent: Sequence[int], slot: Sequence[int]
+    ) -> "AryIncreasingTree":
+        """The tree of slot arrays that are valid by construction, with its
+        children index, without the checks of the constructor."""
+        parent, slot = tuple(parent), tuple(slot)
+        return cls._trusted(arity=arity, parent=parent, slot=slot,
+                            _kids=_slot_index(arity, parent, slot))
 
     @property
     def _root_slots(self) -> int:
@@ -385,9 +433,9 @@ class BundledIncreasingTree(_ParentArrayTree):
     pos_in_bundle: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parent", tuple(int(x) for x in self.parent))
-        object.__setattr__(self, "bundle", tuple(int(x) for x in self.bundle))
-        object.__setattr__(self, "pos_in_bundle", tuple(int(x) for x in self.pos_in_bundle))
+        object.__setattr__(self, "parent", tuple(map(int, self.parent)))
+        object.__setattr__(self, "bundle", tuple(map(int, self.bundle)))
+        object.__setattr__(self, "pos_in_bundle", tuple(map(int, self.pos_in_bundle)))
         n = len(self.parent)
         if self.bundle_count < 1:
             raise InvalidTreeError("bundle_count must be >= 1")
@@ -395,27 +443,34 @@ class BundledIncreasingTree(_ParentArrayTree):
             raise InvalidTreeError("array fields must be non-empty and aligned")
         if (self.parent[0], self.bundle[0], self.pos_in_bundle[0]) != (0, 0, 0):
             raise InvalidTreeError("node 1 must be the root")
-        # _groups[p, b] = children of p in bundle b, in order; empty bundles absent
-        groups: dict[tuple[int, int], Sequence[int]] = {}
-        for v in range(2, n + 1):
-            p, b = self.parent[v - 1], self.bundle[v - 1]
+        nodes = zip(range(2, n + 1), islice(self.parent, 1, None), islice(self.bundle, 1, None))
+        for v, p, b in nodes:
             if not 1 <= p < v:
                 raise InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
             if not 1 <= b <= self.bundle_count:
                 raise InvalidTreeError(f"bundle of node {v} out of range: {b}")
-            groups.setdefault((p, b), []).append(v)
-        for (p, b), kids in groups.items():
-            row = [0] * len(kids)
-            for v in kids:
-                q = self.pos_in_bundle[v - 1]
-                if not 1 <= q <= len(row) or row[q - 1]:
-                    positions = [self.pos_in_bundle[u - 1] for u in kids]
-                    raise InvalidTreeError(
-                        f"positions in bundle {b} of node {p} are not contiguous: {positions}"
-                    )
-                row[q - 1] = v
-            groups[p, b] = tuple(row)
+        groups = _bundle_index(self.parent, self.bundle, self.pos_in_bundle)
+        if not all(map(all, groups.values())):
+            # the first bundle, in the order of the index, whose row has a gap
+            p, b = next(pair for pair, row in groups.items() if not all(row))
+            positions = [q for pair, q in zip(zip(self.parent, self.bundle), self.pos_in_bundle)
+                         if pair == (p, b)]
+            raise InvalidTreeError(
+                f"positions in bundle {b} of node {p} are not contiguous: {positions}"
+            )
         object.__setattr__(self, "_groups", groups)
+
+    @classmethod
+    def _from_valid(
+        cls, bundle_count: int, parent: Sequence[int], bundle: Sequence[int],
+        pos_in_bundle: Sequence[int],
+    ) -> "BundledIncreasingTree":
+        """The tree of bundle arrays that are valid by construction, with its
+        children index, without the checks of the constructor."""
+        parent, bundle, pos_in_bundle = tuple(parent), tuple(bundle), tuple(pos_in_bundle)
+        return cls._trusted(bundle_count=bundle_count, parent=parent, bundle=bundle,
+                            pos_in_bundle=pos_in_bundle,
+                            _groups=_bundle_index(parent, bundle, pos_in_bundle))
 
     def bundles_of(self, v: int) -> tuple[tuple[int, ...], ...]:
         """The children of v in each bundle, in order."""

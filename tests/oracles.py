@@ -29,7 +29,9 @@ engine; it draws the engine's integers, so the two must match byte for byte.
 ``bundled_stats_by_nodes`` and ``verify_stat_transfer_by_objects`` are the
 bundle statistics and the statistic-transfer check as they were before the
 enumerators handed over trees built without validation and the check read
-the children index directly.
+the children index directly.  ``seq_to_ary_tree_by_nodes`` is the path of
+``encode --bijection seq`` from before it read its JSON dicts in place: it
+still builds every node, and shares the package's node-form checks.
 """
 
 from __future__ import annotations
@@ -356,6 +358,14 @@ def seq_to_ary_arrays(seq) -> tuple:
 def ary_to_seq(tree):
     """The sequence of node forms of an ary tree."""
     return cartesian_sequence(slot_node(tree, 1))
+
+
+def seq_to_ary_tree_by_nodes(items):
+    """The sequence bijection on JSON node forms the way ``encode
+    --bijection seq`` ran it before it read the dicts in place: every item
+    becomes a :class:`BundledNode` through ``from_json_dict``, one item
+    after another, and the nodes go to ``bijections.seq_to_ary_tree``."""
+    return bijections.seq_to_ary_tree([BundledNode.from_json_dict(item) for item in items])
 
 
 def bundled_node(tree, v: int = 1):

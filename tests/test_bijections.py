@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import random
 import sys
 
 import pytest
@@ -603,3 +605,175 @@ def test_verify_matches_the_object_oracle_when_clean(n, k):
     report = bj.verify_stat_transfer(n, k)
     assert report.ok
     assert report.to_json_dict() == oracles.verify_stat_transfer_by_objects(n, k).to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# trusted hand-over of decoded trees; node forms read as JSON dicts in place
+# ---------------------------------------------------------------------------
+
+
+def assert_as_validated(tree) -> None:
+    """``tree`` holds exactly what the validating constructor builds from
+    its arrays: the same fields, the same children index in the same order,
+    and nothing else."""
+    validated = type(tree).from_json_dict(tree.to_json_dict())
+    assert vars(tree) == vars(validated)
+    index = "_kids" if isinstance(tree, trees.AryIncreasingTree) else "_groups"
+    assert list(getattr(tree, index)) == list(getattr(validated, index))
+    assert all(type(getattr(tree, f.name)) is type(getattr(validated, f.name))
+               for f in dataclasses.fields(tree))
+
+
+def decoded_from(tree) -> list:
+    """Every decoder output that starts from ``tree``: the tree again
+    through its word, its node form or its F-tree, and the other codec's
+    tree."""
+    if isinstance(tree, bj.FIncreasingTree):
+        bundled = bj.bundled_from_f_tree(tree)
+        return [bundled, bj.f_tree_from_bundled(bundled)]
+    if isinstance(tree, trees.AryIncreasingTree):
+        out = [bj.decode_ary_tree(bj.encode_ary_tree(tree))]
+        if tree.arity >= 3:
+            out.append(bj.seq_to_ary_tree(bj.ary_tree_to_seq(tree)))
+        return out
+    ftree = bj.f_tree_from_bundled(tree)
+    out = [ftree, bj.bundled_from_f_tree(ftree),
+           bj.bundled_node_to_tree(bj.bundled_subtree_node(tree))]
+    if tree.bundle_count >= 2:
+        out.append(bj.decode_bundled_tree(bj.encode_bundled_tree(tree)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_decoders_hand_over_what_the_constructor_builds(n):
+    sources = [trees.enumerate_ary_trees(n, arity) for arity in (2, 3, 4)]
+    sources += [bj.enumerate_f_trees(n, k) for k in (1, 2, 3)]
+    sources += [trees.enumerate_bundled_trees(n, m) for m in (1, 2, 3)]
+    for tree in itertools.chain(*sources):
+        outputs = decoded_from(tree)
+        for out in outputs:
+            assert_as_validated(out)
+        assert tree in outputs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_decoders_hand_over_what_the_constructor_builds_on_sampled_words(k):
+    n = 2000
+    ary = bj.decode_ary_tree(perms.sample_k_stirling(n, k, 20 + k))
+    bundled = bj.decode_bundled_tree(perms.sample_bundled(n, k, 30 + k))
+    for tree in (ary, bundled):
+        assert_as_validated(tree)
+        for out in decoded_from(tree):
+            assert_as_validated(out)
+
+
+def test_decoders_run_no_tree_constructor_checks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a tree constructor ran its checks")
+
+    ary = bj.decode_ary_tree(word("23321144"))
+    bundled = bj.decode_bundled_tree(word("1223332444"))
+    seq, node = bj.ary_tree_to_seq(ary), bj.bundled_subtree_node(bundled)
+    ftree = bj.f_tree_from_bundled(bundled)
+    for cls in (trees.AryIncreasingTree, trees.BundledIncreasingTree):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert bj.decode_ary_tree(word("23321144")) == ary
+    assert bj.decode_bundled_tree(word("1223332444")) == bundled
+    assert bj.seq_to_ary_tree(seq) == ary
+    assert bj.seq_to_ary_tree([t.to_json_dict() for t in seq]) == ary
+    assert bj.bundled_node_to_tree(node) == bundled
+    assert bj.f_tree_from_bundled(bundled) == ftree
+    assert bj.bundled_from_f_tree(ftree) == bundled
+
+
+def _outcome(convert, items):
+    """What ``convert`` makes of ``items``: its tree, or the type and
+    message of the error it raises."""
+    try:
+        return convert(items)
+    except trees.InvalidTreeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_seq_dict_reader_matches_the_node_route(n, m):
+    arity = m + 2
+    for tree in trees.enumerate_ary_trees(n, arity):
+        items = [t.to_json_dict() for t in bj.ary_tree_to_seq(tree)]
+        tree_of_dicts = bj.seq_to_ary_tree(items)
+        assert tree_of_dicts == oracles.seq_to_ary_tree_by_nodes(items) == tree
+        assert_as_validated(tree_of_dicts)
+
+
+def test_seq_dict_reader_matches_the_node_route_on_sampled_words():
+    for k in (1, 2, 3):
+        tree = bj.decode_ary_tree(perms.sample_k_stirling(2000, k, 40 + k))
+        items = [t.to_json_dict() for t in bj.ary_tree_to_seq(tree)]
+        assert bj.seq_to_ary_tree(items) == oracles.seq_to_ary_tree_by_nodes(items) == tree
+
+
+# values a fuzzed field may take instead of a valid one
+_ODD_VALUES = (0, -1, 7, True, 2.0, "1", None, [], [[]], {}, [1], [{}])
+
+
+def _nodes(items: list) -> list:
+    """Every dict of the node forms ``items``, read with a stack."""
+    out, stack = [], list(items)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            out.append(node)
+            bundles = node.get("bundles")
+            for b in bundles if isinstance(bundles, list) else ():
+                if isinstance(b, list):
+                    stack += b
+    return out
+
+
+def _fuzzed(items: list, rng) -> list:
+    """A copy of the node forms ``items`` with one to three random faults."""
+    items = json.loads(json.dumps(items))
+    for _ in range(rng.randint(1, 3)):
+        nodes = _nodes(items)
+        node = rng.choice(nodes) if nodes else None
+        fault = rng.randrange(10)
+        if node is None or fault == 0:
+            items.insert(rng.randint(0, len(items)), rng.choice(_ODD_VALUES))
+        elif fault == 1:
+            node["label"] = rng.choice(_ODD_VALUES)
+        elif fault == 2:
+            node["label"] = rng.choice(nodes).get("label")
+        elif fault == 3:
+            node.pop(rng.choice(["label", "bundles"]), None)
+        elif fault == 4:
+            node["bundles"] = rng.choice(_ODD_VALUES)
+        elif fault == 5 and isinstance(node.get("bundles"), list):
+            node["bundles"].append([])
+        elif fault == 6 and isinstance(node.get("bundles"), list) and node["bundles"]:
+            node["bundles"].pop()
+        elif fault == 7 and isinstance(node.get("bundles"), list) and node["bundles"]:
+            bundle = rng.choice(node["bundles"])
+            if isinstance(bundle, list):
+                bundle.append(rng.choice(_ODD_VALUES))
+        elif fault == 8 and isinstance(node.get("label"), int):
+            node["label"] += rng.choice([-2, -1, 1, 2, len(nodes)])
+        elif fault == 9 and len(items) > 1:
+            items.pop(rng.randrange(len(items)))
+    return items
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_seq_dict_reader_fails_like_the_node_route(m):
+    """Fuzzed node forms give the same tree, or the same error type and
+    message, read in place as through ``BundledNode.from_json_dict``."""
+    rng = random.Random(f"seq-fuzz/{m}")
+    failures = 0
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(60):
+            tree = bj.decode_ary_tree(perms.sample_k_stirling(n, m + 1, rng.randrange(2**31)))
+            items = _fuzzed([t.to_json_dict() for t in bj.ary_tree_to_seq(tree)], rng)
+            expected = _outcome(oracles.seq_to_ary_tree_by_nodes, items)
+            assert _outcome(bj.seq_to_ary_tree, items) == expected, items
+            failures += isinstance(expected, tuple)
+    assert failures >= 200

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stirlperm import cli, perms
+from stirlperm import bijections, cli, perms
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +182,10 @@ def test_sample_is_deterministic(capsys):
         (("density", "--x", "inf"), "x must be finite, got inf"),
         (("verify", "--n", "3", "--k", "0"), "k must be >= 1"),
         (("verify", "--n", "0"), "n must be >= 1"),
+        (("count", "--n", "3", "--k", "0", "--bundled"), "k must be >= 1"),
+        (("enumerate", "--n", "3", "--k", "0", "--bundled"), "k must be >= 1"),
+        (("sample", "--n", "3", "--k", "0", "--bundled", "--seed", "1"), "k must be >= 1"),
+        (("count", "--n", "0", "--bundled"), "n must be >= 1"),
         (("covariance", "--which", "fixed", "--s", "1,x"),
          "--s must be comma separated integers, got '1,x'"),
         (("experiment", "--generator", "urn_b", "--n", "3", "--replicates", "4",
@@ -198,6 +202,8 @@ def test_sample_is_deterministic(capsys):
          "enumerate-multiplicities-with-n-and-bundled", "urn-a-zero-k", "urn-b-zero-k",
          "urn-nested-zero-k", "urn-nested-zero-n",
          "density-nan", "density-inf", "verify-zero-k", "verify-zero-n",
+         "count-bundled-zero-k", "enumerate-bundled-zero-k", "sample-bundled-zero-k",
+         "count-bundled-zero-n",
          "covariance-non-integer-s", "experiment-empty-statistics",
          "experiment-repeated-statistic"],
 )
@@ -404,6 +410,23 @@ def test_seq_decode_of_a_binary_tree(capsys, tmp_path):
     assert back["tree"] == tree
 
 
+def test_seq_encode_builds_no_node_objects(capsys, tmp_path, monkeypatch):
+    """``encode --bijection seq`` reads its JSON dicts in place."""
+    tree = run_json(capsys, "decode", "--bijection", "ary", "4554331221")["tree"]
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps(tree))
+    seq = run_json(capsys, "decode", "--bijection", "seq", "--input", str(tree_file))
+    seq_file = tmp_path / "seq.json"
+    seq_file.write_text(json.dumps(seq["sequence"]))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a BundledNode was built")
+
+    monkeypatch.setattr(bijections.BundledNode, "__init__", refuse)
+    back = run_json(capsys, "encode", "--bijection", "seq", "--input", str(seq_file))
+    assert back["tree"] == tree
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_input_nested_past_the_json_reader_is_one_error_line(
     capsys, monkeypatch, tmp_path, source
@@ -501,6 +524,38 @@ def test_moments_limit(capsys):
     payload = run_json(capsys, "moments", "--k", "2", "--r", "2", "--limit")
     values = {v["r"]: v["value"] for v in payload["limitMoments"]}
     assert values[2] == pytest.approx(4.0)
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(None)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        run_json(capsys, "count", "--n", "4")
+        run_json(capsys, "stats", "1221")
+        assert run_cli(capsys, "count", "--no-such-option")[0] == cli.EXIT_USAGE
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_appended_options_do_not_pile_up_across_calls(capsys):
+    """Two ``density --x`` calls in a row print what each prints alone."""
+    calls = [("density", "--x", "1.0"), ("density", "--x", "2.0", "--x", "0.5")]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    in_a_row = [run_cli(capsys, *argv) for argv in calls]
+    assert in_a_row == alone
+    assert [len(json.loads(out)["density"]) for _, out, _ in in_a_row] == [1, 2]
 
 
 def test_density_values(capsys):

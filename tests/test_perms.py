@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -72,6 +73,49 @@ def test_constructor_rejects_invalid_words():
         perms.GenStirlingPerm.parse("212")
     with pytest.raises(perms.InvalidPermutationError):
         perms.GenStirlingPerm.parse("1,3,3,1")  # label 2 missing
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("1,x", ValueError, "invalid literal for int() with base 10: 'x'"),
+        ("0,1,1", perms.InvalidPermutationError, "labels must be 1..n, got 0"),
+        ("2 -1 2", perms.InvalidPermutationError, "labels must be 1..n, got -1"),
+        ("12a", perms.InvalidPermutationError, "cannot parse permutation '12a'"),
+        ("1,3,3,1", perms.InvalidPermutationError,
+         "(1, 3, 3, 1) is not a Stirling permutation of multiset (2, 0, 2)"),
+    ],
+    ids=["not-a-number", "zero-label", "negative-label", "stray-letter", "missing-label"],
+)
+def test_parse_messages(text, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        perms.GenStirlingPerm.parse(text)
+
+
+def test_parse_converts_each_symbol_once(monkeypatch):
+    converted = []
+
+    def counted(value):
+        converted.append(value)
+        return int(value)
+
+    monkeypatch.setattr(perms, "int", counted, raising=False)
+    for text in ("1,2,2,1", "1221"):
+        converted.clear()
+        assert perms.GenStirlingPerm.parse(text).word == (1, 2, 2, 1)
+        assert converted == ["1", "2", "2", "1"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [perms.bundled_multiplicities, perms.sample_bundled, perms.enumerate_bundled],
+    ids=["multiplicities", "sample", "enumerate"],
+)
+def test_bundled_families_refuse_zero_k_in_one_wording(call):
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        call(3, 0)
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        call(0, 0)
 
 
 def test_parse_and_compact():
