@@ -267,13 +267,13 @@ def decode_bundled_tree(perm: GenStirlingPerm) -> BundledIncreasingTree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BundledNode:
     """A bundled increasing tree over an arbitrary label set: ``bundles`` is a
     tuple of ``bundle_count`` ordered tuples of subtrees.
 
-    ``==`` and ``hash`` read the node form with a stack, so they work at any
-    depth."""
+    ``==``, ``hash`` and ``repr`` read the node form with a stack, so they
+    work at any depth."""
 
     label: int
     bundles: tuple[tuple["BundledNode", ...], ...]
@@ -290,6 +290,28 @@ class BundledNode:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    def __repr__(self) -> str:
+        """The text of the generated dataclass ``repr``, written with a
+        stack: a node or a plain tuple is opened on the stack, and anything
+        else is its own ``repr``.  A string on the stack is text to write."""
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, BundledNode):
+                parts.append(f"{item.__class__.__qualname__}(label={item.label!r}, bundles=")
+                stack += (")", _repr_item(item.bundles))
+            else:
+                parts.append("(")
+                stack.append(",)" if len(item) == 1 else ")")
+                for i in range(len(item) - 1, -1, -1):
+                    stack.append(_repr_item(item[i]))
+                    if i:
+                        stack.append(", ")
+        return "".join(parts)
 
     @property
     def bundle_count(self) -> int:
@@ -316,6 +338,11 @@ class BundledNode:
         for label, bundles in reversed(_json_node_fields((data,))):
             built.append(cls(label, tuple(tuple(built.pop() for _ in b) for b in bundles)))
         return built[0]
+
+
+def _repr_item(value):
+    """``value`` as it goes on the stack of ``BundledNode.__repr__``."""
+    return value if isinstance(value, BundledNode) or type(value) is tuple else repr(value)
 
 
 def _json_node_fields(roots: Sequence) -> list[tuple[int, list]]:

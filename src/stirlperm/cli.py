@@ -49,18 +49,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.lru_cache(maxsize=1)
-def _label_texts(order: int) -> tuple[str, ...]:
-    """The text of each label 0..order; a run of words of one order builds
-    it once."""
-    return tuple(map(str, range(order + 1)))
+def _symbol_texts(order: int) -> tuple[tuple[str, ...], int]:
+    """The text of each label 0..order inside a word of that order, and how
+    many leading characters to cut from the joined texts: one digit each up
+    to order 9 (the rule of ``compact``), else a comma and the label, with
+    the first comma cut.  A run of words of one order builds it once."""
+    labels = tuple(map(str, range(order + 1)))
+    if order <= 9:
+        return labels, 0
+    return tuple("," + label for label in labels), 1
 
 
 def _word_text(perm: _perms.GenStirlingPerm) -> str:
     text = perm.compact()
     if text is not None:
         return text
-    labels = _label_texts(perm.order)
-    return ",".join([labels[x] for x in perm.word])
+    symbols, cut = _symbol_texts(perm.order)
+    return "".join([symbols[x] for x in perm.word])[cut:]
 
 
 def _primed(items: Iterable) -> Iterator:
@@ -130,7 +135,13 @@ def _cmd_count(args):
 
 def _cmd_enumerate(args):
     mult = _multiplicities_for(args)
-    words = _primed(map(_word_text, _perms.enumerate_generalized(mult, cap=args.cap)))
+    _require(args.cap >= 0, "--cap must be >= 0")
+    # the words of enumerate_generalized as _word_text writes them, with no
+    # permutation object: the search joins the texts of the labels
+    symbols, cut = _symbol_texts(len(mult))
+    runs = _perms._enumerate_runs(mult, args.cap, symbols)
+    texts = ([(prefix + rest)[cut:] for rest in endings] for prefix, endings in runs)
+    words = _primed(itertools.chain.from_iterable(texts))
     count = _perms.count_generalized(mult)
     payload = {"multiplicities": list(mult), "count": count, "words": words}
     rows = (("word",), ((w,) for w in words))

@@ -272,13 +272,14 @@ def count_bundled(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The cache of endings in enumerate_generalized.  A state is cached once at
-# most _CACHE_LENGTH symbols are left, however many labels are still unseen.
-# A state with more than _CACHE_ENDINGS endings is cached as None and
-# searched symbol by symbol whenever it recurs.  The cache is emptied before
-# a store once it holds more than _CACHE_TOTAL endings (None counts as one),
-# so it holds at most 2**15 + 64 tuples of at most 16 symbols: a few MB,
-# however many words follow.
+# The cache of endings in _enumerate_runs.  A state is cached once at most
+# _CACHE_LENGTH symbols are left, however many labels are still unseen.  A
+# state with more than _CACHE_ENDINGS endings is cached as None and searched
+# symbol by symbol whenever it recurs.  The cache is emptied before a store
+# once it holds more than _CACHE_TOTAL endings (None counts as one), so it
+# holds at most 2**15 + 64 endings of at most 16 symbols each, in the
+# caller's form (tuples of labels for enumerate_generalized, text for the
+# CLI): a few MB, however many words follow.
 _CACHE_LENGTH = 16
 _CACHE_ENDINGS = 64
 _CACHE_TOTAL = 2**15
@@ -307,6 +308,34 @@ def enumerate_generalized(
     another prefix it appends each cached ending instead of searching again.
     The cache is bounded (see ``_CACHE_TOTAL``), so memory is O(length + n)
     plus a few MB however many words follow.
+
+    The search is ``_enumerate_runs``, which builds its prefixes and endings
+    from a form of each label given by its caller.  Here the form of label
+    ``x`` is ``(x,)``, so a word is a prefix tuple plus an ending tuple; the
+    ``enumerate`` command runs the same search on each label's text and
+    writes the words with no permutation object.
+    """
+    mult = check_multiplicities(mult)
+    trusted = GenStirlingPerm._trusted
+    symbols = [(x,) for x in range(len(mult) + 1)]
+    for prefix, endings in _enumerate_runs(mult, cap, symbols):
+        for rest in endings:
+            yield trusted(prefix + rest, mult)
+
+
+def _enumerate_runs(
+    mult: Sequence[int], cap: int, symbols: Sequence
+) -> Iterator[tuple[Sequence, list]]:
+    """The search of :func:`enumerate_generalized`, as runs ``(prefix,
+    endings)``: the words, in lexicographic order, are ``prefix + rest`` for
+    each ``rest`` in ``endings``, run after run.
+
+    ``symbols[x]`` is the caller's form of label ``x`` for x = 0..n, a tuple
+    or a string; the prefix, the forced tail and every cached ending are
+    concatenations of them, and a word is the concatenation of its symbols'
+    forms.  A list of endings may be held in the cache and must not be
+    changed.  Raises :class:`EnumerationCapError` before the first run when
+    the exact count exceeds ``cap``.
     """
     mult = check_multiplicities(mult)
     total = count_generalized(mult)
@@ -315,8 +344,8 @@ def enumerate_generalized(
     n = len(mult)
     padded = (0,) + mult
     length = sum(mult)
-    trusted = GenStirlingPerm._trusted
-    cache: dict[tuple[int, ...], list[tuple[int, ...]] | None] = {}
+    empty = symbols[0][:0]
+    cache: dict[tuple[int, ...], list | None] = {}
     cached_size = 0
     # [depth, seen counts, endings so far or None] of each state on the
     # current path that was not cached when the search reached it
@@ -324,16 +353,20 @@ def enumerate_generalized(
     seen = [0] * (n + 1)
     stack: list[int] = []
     word: list[int] = []
+    # the form of word, and the length of the form of word[:d] for each d
+    # below len(word): one form of the path, so memory stays O(length)
+    prefix = empty
+    cuts: list[int] = []
     unseen = n
     after = 0  # the next symbol at this depth must be larger than ``after``
     while True:
         depth = len(word)
         endings = None  # of the state at this depth, when known without searching
         if not unseen:
-            tail: list[int] = []
+            tail = empty
             for label in reversed(stack):
-                tail += [label] * (padded[label] - seen[label])
-            endings = [tuple(tail)]
+                tail += symbols[label] * (padded[label] - seen[label])
+            endings = [tail]
         elif not after and length - depth <= _CACHE_LENGTH:
             state = tuple(seen)
             if state in cache:
@@ -341,9 +374,7 @@ def enumerate_generalized(
             else:
                 collecting.append([depth, state, []])
         if endings is not None:
-            prefix = tuple(word)
-            for rest in endings:
-                yield trusted(prefix + rest, mult)
+            yield prefix, endings
         else:
             top = stack[-1] if stack else 0
             if after < top:
@@ -360,6 +391,8 @@ def enumerate_generalized(
                 if seen[x] == padded[x]:
                     stack.pop()
                 word.append(x)
+                cuts.append(len(prefix))
+                prefix += symbols[x]
                 after = 0
                 continue
         # leave the state: cache the endings collected for it, if any, and
@@ -378,12 +411,13 @@ def enumerate_generalized(
             if endings is None or len(parent[2]) + len(endings) > _CACHE_ENDINGS:
                 parent[2] = None
             else:
-                x = word[-1]
-                parent[2] += [(x,) + rest for rest in endings]
+                head = symbols[word[-1]]
+                parent[2] += [head + rest for rest in endings]
         if not word:
             return
         # backtrack: undo the last symbol and try the next one after it
         x = word.pop()
+        prefix = prefix[: cuts.pop()]
         if seen[x] == padded[x]:
             stack.append(x)
         seen[x] -= 1

@@ -32,10 +32,14 @@ enumerators handed over trees built without validation and the check read
 the children index directly.  ``seq_to_ary_tree_by_nodes`` is the path of
 ``encode --bijection seq`` from before it read its JSON dicts in place: it
 still builds every node, and shares the package's node-form checks.
+``bundled_node_repr`` is the ``repr`` that the dataclass generated for
+``BundledNode`` before it wrote its text with a stack; it recurses once per
+level.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -366,6 +370,25 @@ def seq_to_ary_tree_by_nodes(items):
     becomes a :class:`BundledNode` through ``from_json_dict``, one item
     after another, and the nodes go to ``bijections.seq_to_ary_tree``."""
     return bijections.seq_to_ary_tree([BundledNode.from_json_dict(item) for item in items])
+
+
+# a field-for-field twin of BundledNode that keeps the generated repr
+_ReprTwin = dataclasses.make_dataclass("BundledNode", ["label", "bundles"], frozen=True)
+
+
+def bundled_node_repr(node) -> str:
+    """The generated dataclass ``repr`` of a :class:`BundledNode`: that of a
+    twin with the same class name, fields and generated ``repr``, built by
+    recursion through nodes and plain tuples."""
+
+    def twin(value):
+        if isinstance(value, BundledNode):
+            return _ReprTwin(value.label, twin(value.bundles))
+        if type(value) is tuple:
+            return tuple(map(twin, value))
+        return value
+
+    return repr(twin(node))
 
 
 def bundled_node(tree, v: int = 1):

@@ -240,6 +240,43 @@ def test_bundled_node_json_reads_deep_chains():
     assert node != (node.label, node.bundles)
 
 
+def _random_node(rng, depth: int):
+    """A node form of at most ``depth`` levels, with any int labels and
+    bundle counts, and bundles of zero, one or more nodes."""
+    bundles = tuple(
+        tuple(_random_node(rng, depth - 1) for _ in range(rng.choice([0, 1, 1, 2, 3]) if depth else 0))
+        for _ in range(rng.randrange(4))
+    )
+    return bj.BundledNode(rng.randint(-5, 50), bundles)
+
+
+def test_bundled_node_repr_is_the_generated_one():
+    """``repr`` writes the text of the generated dataclass repr, the comma of
+    a one-element tuple included, on shallow random node forms, every
+    sequence of order 4 and a few odd field values."""
+    rng = random.Random("bundled-node-repr")
+    nodes = [_random_node(rng, rng.randrange(5)) for _ in range(300)]
+    for m in (1, 2, 3):
+        nodes += [node for seq in oracles.bundled_sequences(4, m) for node in seq]
+    nodes += [
+        bj.BundledNode("1", [[]]),
+        bj.BundledNode(1, ((bj.BundledNode(2, ()), [bj.BundledNode(3, ((),))], None),)),
+    ]
+    for node in nodes:
+        assert repr(node) == oracles.bundled_node_repr(node)
+
+
+def test_bundled_node_repr_of_a_deep_chain():
+    """A 3000-deep chain is written without recursion."""
+    n = 3000
+    assert sys.getrecursionlimit() < 3 * n
+    node = bj.BundledNode(n, ((),))
+    for v in range(n - 1, 0, -1):
+        node = bj.BundledNode(v, ((node,),))
+    heads = "".join(f"BundledNode(label={v}, bundles=((" for v in range(1, n))
+    assert repr(node) == heads + f"BundledNode(label={n}, bundles=((),))" + ",),))" * (n - 1)
+
+
 def test_seq_to_ary_rejects_bad_sequences():
     with pytest.raises(trees.InvalidTreeError):
         bj.seq_to_ary_tree(())

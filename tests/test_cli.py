@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -128,6 +129,117 @@ def test_enumerate_cap_exceeded(capsys):
     assert err.strip() != ""
 
 
+def _small_multisets():
+    """Every multiset of order 0-6 with entries 1-3 and at most 10**4 words,
+    and {1, ..., 9}."""
+    for n in range(7):
+        for mult in itertools.product((1, 2, 3), repeat=n):
+            if perms.count_generalized(mult) <= 10**4:
+                yield mult
+    yield (1,) * 9
+
+
+def test_enumerate_writes_the_text_of_each_word(capsys):
+    """The words written straight from the search are the texts of the
+    enumerated permutations, as JSON and as CSV."""
+    for mult in _small_multisets():
+        argv = ("enumerate", "--multiplicities", ",".join(map(str, mult))) if mult else (
+            "enumerate", "--n", "0")
+        expected = list(map(cli._word_text, perms.enumerate_generalized(mult)))
+        assert run_json(capsys, *argv)["words"] == expected, mult
+        code, out, _ = run_cli(capsys, "--csv", *argv)
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [["word"], *([w] for w in expected)], mult
+
+
+class _Enough(Exception):
+    pass
+
+
+class _LineSink:
+    """A stdout that keeps what is written and raises ``_Enough`` once it
+    holds more than ``lines`` lines."""
+
+    def __init__(self, lines: int) -> None:
+        self.lines = lines
+        self.parts: list[str] = []
+        self.count = 0
+
+    def write(self, text: str) -> int:
+        self.parts.append(text)
+        self.count += text.count("\n")
+        if self.count > self.lines:
+            raise _Enough
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "mult,runs",
+    [((1,) * 10, 2000), ((2,) * 10, 9000), ((1, 3, 1, 2, 1, 1, 2, 1, 1, 1, 1), 2000)],
+    ids=str,
+)
+@pytest.mark.parametrize("as_csv", [False, True], ids=["json", "csv"])
+def test_enumerate_writes_comma_joined_words_past_order_nine(monkeypatch, mult, runs, as_csv):
+    """From order 10 on a word is its labels joined by commas: the words of
+    the first runs of the search are the texts of the enumerated
+    permutations.  The runs reach cached endings within the first 20, and
+    those of (2,)*10 empty the full cache once, at run 8586.  Every such
+    multiset has millions of words, so the output is cut once it holds
+    them."""
+    cap = perms.count_generalized(mult)
+    symbols = [(x,) for x in range(len(mult) + 1)]
+    runs = itertools.islice(perms._enumerate_runs(mult, cap, symbols), runs)
+    size = sum(len(endings) for _, endings in runs)
+    words = perms.enumerate_generalized(mult, cap)
+    expected = list(map(cli._word_text, itertools.islice(words, size)))
+    sink = _LineSink(size + 20)
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["enumerate", "--multiplicities", ",".join(map(str, mult)), "--cap", str(cap)]
+    with pytest.raises(_Enough):
+        cli.main(["--csv", *argv] if as_csv else argv)
+    lines = "".join(sink.parts).split("\n")
+    if as_csv:
+        words = [row[0] for row in csv.reader(lines[1 : size + 1])]
+    else:
+        start = lines.index('  "words": [') + 1
+        words = [json.loads(line.rstrip(",")) for line in lines[start : start + size]]
+    assert words == expected
+
+
+def test_enumerate_of_a_long_word_holds_one_prefix(monkeypatch):
+    """The command's search holds one text of its path, not one per depth:
+    the first words of a 3002-symbol multiset take far less than the 4.5 MB
+    of a string per prefix.  The words are written one per batch, so that
+    4096 of them do not hide the search's memory."""
+    sink = _LineSink(16)
+    monkeypatch.setattr(sys, "stdout", sink)
+    monkeypatch.setattr(cli, "_BATCH", 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Enough):
+            cli.main(["enumerate", "--multiplicities", "3000,1,1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lines = "".join(sink.parts).split("\n")
+    start = lines.index('  "words": [') + 1
+    assert json.loads(lines[start].rstrip(",")) == "1" * 3000 + "23"
+    assert peak < 2**20
+
+
+def test_enumerate_builds_no_word_objects(capsys, monkeypatch):
+    """``enumerate`` writes each word's text from the search, with no
+    permutation object and no ``compact`` call."""
+    expected = list(map(cli._word_text, perms.enumerate_k_stirling(5, 2)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word object was built")
+
+    monkeypatch.setattr(perms.GenStirlingPerm, "_trusted", refuse)
+    monkeypatch.setattr(perms.GenStirlingPerm, "compact", refuse)
+    assert run_json(capsys, "enumerate", "--n", "5", "--k", "2")["words"] == expected
+
+
 # ---------------------------------------------------------------------------
 # sampling, statistics, blocks
 # ---------------------------------------------------------------------------
@@ -186,6 +298,7 @@ def test_sample_is_deterministic(capsys):
         (("enumerate", "--n", "3", "--k", "0", "--bundled"), "k must be >= 1"),
         (("sample", "--n", "3", "--k", "0", "--bundled", "--seed", "1"), "k must be >= 1"),
         (("count", "--n", "0", "--bundled"), "n must be >= 1"),
+        (("enumerate", "--n", "3", "--k", "2", "--cap", "-1"), "--cap must be >= 0"),
         (("covariance", "--which", "fixed", "--s", "1,x"),
          "--s must be comma separated integers, got '1,x'"),
         (("experiment", "--generator", "urn_b", "--n", "3", "--replicates", "4",
@@ -203,7 +316,7 @@ def test_sample_is_deterministic(capsys):
          "urn-nested-zero-k", "urn-nested-zero-n",
          "density-nan", "density-inf", "verify-zero-k", "verify-zero-n",
          "count-bundled-zero-k", "enumerate-bundled-zero-k", "sample-bundled-zero-k",
-         "count-bundled-zero-n",
+         "count-bundled-zero-n", "enumerate-negative-cap",
          "covariance-non-integer-s", "experiment-empty-statistics",
          "experiment-repeated-statistic"],
 )

@@ -315,6 +315,20 @@ def test_enumeration_of_a_long_word_does_not_recurse():
     assert all(perms.validate_word(w, mult) for w in words)
 
 
+def test_enumeration_of_a_long_word_holds_one_prefix():
+    """The search holds one form of its path, not one per depth: the first
+    words of a 3002-symbol multiset take far less than the 36 MB of a tuple
+    per prefix."""
+    tracemalloc.start()
+    try:
+        words = [p.word for p in itertools.islice(perms.enumerate_generalized((3000, 1, 1)), 5)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words[0] == (1,) * 3000 + (2, 3)
+    assert peak < 2**20
+
+
 def test_enumeration_of_the_empty_multiset_is_one_empty_word():
     assert [p.word for p in perms.enumerate_generalized(())] == [()]
 
