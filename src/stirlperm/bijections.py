@@ -33,9 +33,10 @@ code, a 2-Stirling permutation of 2..n.  No walk or pass recurses, so deep
 and degenerate trees convert in linear time.
 
 Every decoder builds a tree that is valid by construction, so it hands it
-over through the trees' ``_from_valid``: the children index is built once
-and none of the constructor's checks run.  The encoders still validate
-their words.  ``seq_to_ary_tree`` reads :class:`BundledNode` forms or their
+over through the trees' ``_from_valid`` and none of the constructor's
+checks run.  ``_bundle_pass`` fills a bundled tree's children index as it
+seats each child and hands it over with the arrays (``ary_tree_to_seq``
+builds its node forms from it).  The encoders still validate their words.  ``seq_to_ary_tree`` reads :class:`BundledNode` forms or their
 JSON dicts; dicts are checked field by field in preorder, as
 ``BundledNode.from_json_dict`` checks them, and then read in place, so
 ``encode --bijection seq`` builds no node objects.
@@ -200,35 +201,35 @@ def _bundle_walk(groups: dict, owner: int, m: int) -> list[int]:
     return out
 
 
-def _bundle_pass(word: Sequence[int], n: int, owner: int, m: int) -> tuple[list[int], ...]:
-    """Inverse of :func:`_bundle_walk`: ``(parent, bundle, pos_in_bundle)``
-    of the m-bundle nodes 1..n, each m + 1 times in the word, with
+def _bundle_pass(word: Sequence[int], n: int, owner: int, m: int) -> tuple:
+    """Inverse of :func:`_bundle_walk`: ``(parent, bundle, pos_in_bundle,
+    groups)`` of the m-bundle nodes 1..n, each m + 1 times in the word, with
     ``owner`` at the bottom of the stack.
 
     A label's first occurrence makes it the next child of the label on top,
     in that label's bundle ``seen[top]`` (the occurrences so far, counting
     one for the owner, whose first bundle opens the word); its last
-    occurrence pops it.
+    occurrence pops it.  Seating a child appends it to its row of the
+    children index ``groups[v, b]``, which so fills in position order.
     """
     parent = [0] * (n + 1)
     bundle = [0] * (n + 1)
     pos_in = [0] * (n + 1)
     seen = [0] * (n + 1)
     seen[owner] = 1
-    filled = [0] * (n + 1)  # children of v in its current bundle
+    groups: dict[tuple[int, int], list[int]] = {}
     stack = [owner]
     for x in word:
-        if seen[x]:
-            filled[x] = 0
-        else:
+        if not seen[x]:
             top = stack[-1]
-            filled[top] += 1
-            parent[x], bundle[x], pos_in[x] = top, seen[top], filled[top]
+            row = groups.setdefault((top, seen[top]), [])
+            row.append(x)
+            parent[x], bundle[x], pos_in[x] = top, seen[top], len(row)
             stack.append(x)
         seen[x] += 1
         if seen[x] > m:
             stack.pop()
-    return parent[1:], bundle[1:], pos_in[1:]
+    return parent[1:], bundle[1:], pos_in[1:], groups
 
 
 def encode_bundled_tree(tree: BundledIncreasingTree) -> GenStirlingPerm:
@@ -420,6 +421,8 @@ def _build_nodes(groups: dict, m: int, labels: Iterable[int]) -> dict[int, Bundl
 
 def bundled_subtree_node(tree: BundledIncreasingTree, root: int = 1) -> BundledNode:
     """View the subtree of ``tree`` rooted at ``root`` as a :class:`BundledNode`."""
+    if not 1 <= root <= tree.order:
+        raise InvalidTreeError(f"root must be in 1..n, got {root}")
     return _build_nodes(tree._groups, tree.bundle_count, range(tree.order, root - 1, -1))[root]
 
 
@@ -443,13 +446,7 @@ def ary_tree_to_seq(tree: AryIncreasingTree) -> tuple[BundledNode, ...]:
     """Inverse of :func:`seq_to_ary_tree`.  A binary tree maps to a sequence
     of 0-bundle nodes, which is a permutation of its labels."""
     n, m = tree.order, tree.arity - 2
-    word = _contour_walk(tree)
-    parent, bundle, _ = _bundle_pass(word, n, 0, m)
-    groups: dict[tuple[int, int], list[int]] = {}
-    # a label's first occurrence is where it joins its bundle, so labels in
-    # that order fill each bundle in position order
-    for x in dict.fromkeys(word):
-        groups.setdefault((parent[x - 1], bundle[x - 1]), []).append(x)
+    groups = _bundle_pass(_contour_walk(tree), n, 0, m)[3]
     nodes = _build_nodes(groups, m, range(n, 0, -1))
     return tuple(nodes[u] for u in groups[0, 1])
 

@@ -169,8 +169,8 @@ def _cmd_sample(args):
 def _cmd_stats(args):
     perm = _perms.GenStirlingPerm.parse(args.word)
     profile = _perms.stat_profile(perm)
-    payload = {"word": _word_text(perm), "statistics": profile.to_json_dict()}
     flat = profile.to_json_dict()
+    payload = {"word": _word_text(perm), "statistics": flat}
     rows = (
         ("statistic", "value"),
         [(key, json.dumps(value)) for key, value in flat.items()],

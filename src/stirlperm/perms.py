@@ -177,6 +177,9 @@ class GenStirlingPerm:
         if not text:
             return cls((), ())
         if "," in text or " " in text:
+            # without whitespace and framed in commas, a blank field is ",,"
+            if ",," in "," + "".join(text.split()) + ",":
+                raise InvalidPermutationError(f"blank comma field in permutation {text!r}")
             return cls.from_word(text.replace(",", " ").split())
         if not text.isdigit():
             raise InvalidPermutationError(f"cannot parse permutation {text!r}")

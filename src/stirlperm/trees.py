@@ -26,13 +26,13 @@ streams the trees of one order from one lexicographic search over
 attachment arrays.
 
 Each tree groups its children once, into the index that ``child`` and
-``bundles_of`` read.  One builder per shape writes that index
-(``_slot_index``, ``_bundle_index``); the constructor runs its checks and
-then that builder.  Trees that are valid by construction skip the checks:
-the codec decoders hand theirs over through ``_from_valid``, which runs
-the builder alone, and the enumerators write arrays and index directly
-through ``_trusted``.  JSON fields are checked once, where they are read;
-a list whose items all have the expected type passes at C speed.
+``bundles_of`` read.  One builder writes each index: ``_slot_index`` for
+every slot tree, after the constructor's checks or alone in ``_from_valid``;
+``_bundle_index`` for a bundled tree in its constructor only, since a codec
+decoder hands ``_from_valid`` the index its stack pass filled and the
+bundled enumerator writes its own through ``_trusted``.  JSON fields are
+checked once, where they are read; a list whose items all have the
+expected type passes at C speed.
 """
 
 from __future__ import annotations
@@ -341,6 +341,10 @@ class AryIncreasingTree(_ParentArrayTree):
 
     def child(self, v: int, s: int) -> int:
         """Child of node v in slot s (0 if the slot is free)."""
+        if not 1 <= v <= self.order:
+            raise InvalidTreeError(f"node must be in 1..n, got {v}")
+        if not 1 <= s <= (self._root_slots if v == 1 else self.arity):
+            raise InvalidTreeError(f"node {v} has no slot {s}")
         return self._kids[v][s]
 
     def free_slots(self) -> list[tuple[int, int]]:
@@ -348,7 +352,7 @@ class AryIncreasingTree(_ParentArrayTree):
             (v, s)
             for v in range(1, self.order + 1)
             for s in range(1, (self._root_slots if v == 1 else self.arity) + 1)
-            if not self.child(v, s)
+            if not self._kids[v][s]
         ]
 
     def to_json_dict(self) -> dict:
@@ -463,17 +467,24 @@ class BundledIncreasingTree(_ParentArrayTree):
     @classmethod
     def _from_valid(
         cls, bundle_count: int, parent: Sequence[int], bundle: Sequence[int],
-        pos_in_bundle: Sequence[int],
+        pos_in_bundle: Sequence[int], groups: dict,
     ) -> "BundledIncreasingTree":
-        """The tree of bundle arrays that are valid by construction, with its
-        children index, without the checks of the constructor."""
+        """The tree of bundle arrays that are valid by construction, without
+        the checks of the constructor.  It takes over the children index
+        ``groups`` its decoder filled, in the constructor's key order."""
         parent, bundle, pos_in_bundle = tuple(parent), tuple(bundle), tuple(pos_in_bundle)
+        index = dict.fromkeys(zip(parent[1:], bundle[1:]))
+        for pair in index:
+            # popped, each list is freed as its tuple is made, so the lists
+            # do not pile up beside the tuples for the garbage collector
+            index[pair] = tuple(groups.pop(pair))
         return cls._trusted(bundle_count=bundle_count, parent=parent, bundle=bundle,
-                            pos_in_bundle=pos_in_bundle,
-                            _groups=_bundle_index(parent, bundle, pos_in_bundle))
+                            pos_in_bundle=pos_in_bundle, _groups=index)
 
     def bundles_of(self, v: int) -> tuple[tuple[int, ...], ...]:
         """The children of v in each bundle, in order."""
+        if not 1 <= v <= self.order:
+            raise InvalidTreeError(f"node must be in 1..n, got {v}")
         return tuple([self._groups.get((v, b), ()) for b in range(1, self.bundle_count + 1)])
 
     def leaves(self) -> int:
@@ -658,10 +669,7 @@ def _enumerate_slot_trees(
     slots = [0, root_slots] + [arity] * n
     for parent in _lex_search(range(1, n), (0,) * n, slots):
         for slot in _lex_search([slots[p] for p in parent], parent, [1] * (arity + 1)):
-            kids = [[0] * (arity + 1) for _ in range(n + 1)]
-            for v, p, s in zip(range(2, n + 1), parent, slot):
-                kids[p][s] = v
-            yield cls._trusted(arity=arity, parent=(0,) + parent, slot=(0,) + slot, _kids=kids)
+            yield cls._from_valid(arity, (0,) + parent, (0,) + slot)
 
 
 def enumerate_bundled_trees(n: int, bundle_count: int) -> Iterator[BundledIncreasingTree]:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from stirlperm import bijections as bj
-from stirlperm import perms, trees
+from stirlperm import cli, perms, trees
 
 
 def word(text: str) -> perms.GenStirlingPerm:
@@ -204,6 +204,15 @@ def test_bundled_node_json_roundtrip():
     assert bj.bundled_node_to_tree(node) == t
     assert node.min_label() == 1
     assert sorted(node.labels()) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("root", [0, -1, 4])
+def test_bundled_subtree_node_refuses_a_root_the_tree_lacks(root):
+    t = trees.BundledIncreasingTree(2, (0, 1, 2), (0, 1, 2), (0, 1, 1))
+    with pytest.raises(trees.InvalidTreeError, match=f"^root must be in 1..n, got {root}$"):
+        bj.bundled_subtree_node(t, root)
+    assert bj.bundled_subtree_node(t, 3) == bj.BundledNode(3, ((), ()))
+    assert bj.bundled_subtree_node(t, 2) == bj.BundledNode(2, ((), (bj.BundledNode(3, ((), ())),)))
 
 
 def _deep_chain_json(n: int, last: int, bundle: int) -> dict:
@@ -721,6 +730,32 @@ def test_decoders_run_no_tree_constructor_checks(monkeypatch):
     assert bj.bundled_node_to_tree(node) == bundled
     assert bj.f_tree_from_bundled(bundled) == ftree
     assert bj.bundled_from_f_tree(ftree) == bundled
+
+
+def test_decoders_build_no_bundled_index_of_their_own(monkeypatch, capsys, tmp_path):
+    def refuse(*args):
+        raise AssertionError("a bundled children index was rebuilt from the arrays")
+
+    ary = bj.decode_ary_tree(word("23321144"))
+    bundled = bj.decode_bundled_tree(word("1223332444"))
+    seq, node = bj.ary_tree_to_seq(ary), bj.bundled_subtree_node(bundled)
+    ftree = bj.f_tree_from_bundled(bundled)
+    ftree_json, ary_json = tmp_path / "ftree.json", tmp_path / "ary.json"
+    ftree_json.write_text(json.dumps(ftree.to_json_dict()))
+    ary_json.write_text(json.dumps(ary.to_json_dict()))
+    expected = {}
+    for argv in (("bundled", "1223332444"), ("ftree", "--input", str(ftree_json)),
+                 ("seq", "--input", str(ary_json))):
+        assert cli.main(["decode", "--bijection", *argv]) == 0
+        expected[argv] = capsys.readouterr().out
+    monkeypatch.setattr(trees, "_bundle_index", refuse)
+    assert bj.decode_bundled_tree(word("1223332444")) == bundled
+    assert bj.bundled_from_f_tree(ftree) == bundled
+    assert bj.bundled_node_to_tree(node) == bundled
+    assert bj.ary_tree_to_seq(ary) == seq
+    for argv, out in expected.items():
+        assert cli.main(["decode", "--bijection", *argv]) == 0
+        assert capsys.readouterr().out == out
 
 
 def _outcome(convert, items):

@@ -279,6 +279,9 @@ def test_sample_is_deterministic(capsys):
         (("urn", "--model", "a", "--steps", "3", "--seed", "-1"), "--seed"),
         (("experiment", "--generator", "urn_b", "--n", "3", "--replicates", "4",
           "--seed", "-1"), "--seed"),
+        (("stats", "1,,2"), "blank comma field in permutation '1,,2'"),
+        (("blocks", ",1,1"), "blank comma field in permutation ',1,1'"),
+        (("decode", "--bijection", "ary", "1,1,"), "blank comma field in permutation '1,1,'"),
         (("count", "--multiplicities", ""), "--multiplicities must be comma separated integers, got ''"),
         (("count", "--multiplicities", "1,,2"), "got '1,,2'"),
         (("enumerate", "--multiplicities", "1,x"), "got '1,x'"),
@@ -309,7 +312,8 @@ def test_sample_is_deterministic(capsys):
     ids=["sample-negative-n", "sample-negative-count", "moments-negative-r",
          "moments-limit-negative-r", "moments-limit-zero-r", "density-beyond-float-range",
          "moments-limit-beyond-float-range", "sample-negative-seed", "urn-negative-seed",
-         "experiment-negative-seed", "count-empty-multiplicities",
+         "experiment-negative-seed", "stats-blank-comma-field",
+         "blocks-leading-comma", "decode-trailing-comma", "count-empty-multiplicities",
          "count-empty-multiplicity", "enumerate-non-integer-multiplicity",
          "count-multiplicities-with-n", "count-multiplicities-with-bundled",
          "enumerate-multiplicities-with-n-and-bundled", "urn-a-zero-k", "urn-b-zero-k",

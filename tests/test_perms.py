@@ -84,12 +84,22 @@ def test_constructor_rejects_invalid_words():
         ("12a", perms.InvalidPermutationError, "cannot parse permutation '12a'"),
         ("1,3,3,1", perms.InvalidPermutationError,
          "(1, 3, 3, 1) is not a Stirling permutation of multiset (2, 0, 2)"),
+        ("1,,2", perms.InvalidPermutationError, "blank comma field in permutation '1,,2'"),
+        (",1,1", perms.InvalidPermutationError, "blank comma field in permutation ',1,1'"),
+        ("1,1,", perms.InvalidPermutationError, "blank comma field in permutation '1,1,'"),
+        ("1, ,1", perms.InvalidPermutationError, "blank comma field in permutation '1, ,1'"),
     ],
-    ids=["not-a-number", "zero-label", "negative-label", "stray-letter", "missing-label"],
+    ids=["not-a-number", "zero-label", "negative-label", "stray-letter", "missing-label",
+         "blank-inner-field", "leading-comma", "trailing-comma", "space-only-field"],
 )
 def test_parse_messages(text, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         perms.GenStirlingPerm.parse(text)
+
+
+def test_parse_reads_spaces_and_commas_alike():
+    for text in ("1 2 2 1", "1  2 2 1", "1, 2, 2, 1", "1,2 2,1", " 1,2,2,1 "):
+        assert perms.GenStirlingPerm.parse(text).word == (1, 2, 2, 1)
 
 
 def test_parse_converts_each_symbol_once(monkeypatch):

@@ -202,6 +202,32 @@ def test_ary_tree_validation_messages(cls, args, message):
         cls(*args)
 
 
+@pytest.mark.parametrize(
+    "tree,v,s,message",
+    [
+        (trees.AryIncreasingTree(3, (0, 1), (0, 1)), 0, 1, "node must be in 1..n, got 0"),
+        (trees.AryIncreasingTree(3, (0, 1), (0, 1)), -1, 1, "node must be in 1..n, got -1"),
+        (trees.AryIncreasingTree(3, (0, 1), (0, 1)), 3, 1, "node must be in 1..n, got 3"),
+        (trees.AryIncreasingTree(3, (0, 1), (0, 1)), 1, 0, "node 1 has no slot 0"),
+        (trees.AryIncreasingTree(3, (0, 1), (0, 1)), 2, 4, "node 2 has no slot 4"),
+        (bj.FIncreasingTree(1, (0, 1), (0, 1)), 1, 2, "node 1 has no slot 2"),
+        (bj.FIncreasingTree(1, (0, 1), (0, 1)), 2, 4, "node 2 has no slot 4"),
+    ],
+    ids=["node-0", "node-negative", "node-past-n", "slot-0", "slot-past-arity",
+         "f-root-slot-past-its-slots", "f-slot-past-arity"],
+)
+def test_child_refuses_a_node_or_slot_the_tree_lacks(tree, v, s, message):
+    with pytest.raises(trees.InvalidTreeError, match=f"^{re.escape(message)}$"):
+        tree.child(v, s)
+
+
+def test_child_reads_every_slot_the_tree_has():
+    assert [trees.AryIncreasingTree(3, (0, 1), (0, 1)).child(v, s)
+            for v in (1, 2) for s in (1, 2, 3)] == [2, 0, 0, 0, 0, 0]
+    assert [bj.FIncreasingTree(1, (0, 1), (0, 1)).child(v, s)
+            for v, s in ((1, 1), (2, 1), (2, 2), (2, 3))] == [2, 0, 0, 0]
+
+
 def test_ary_tree_json_roundtrip():
     t = trees.AryIncreasingTree(3, (0, 1, 2), (0, 2, 3))
     assert trees.AryIncreasingTree.from_json_dict(t.to_json_dict()) == t
@@ -293,6 +319,14 @@ def test_bundled_tree_validation_messages(arrays, message):
 def test_bundled_children_follow_their_positions():
     t = trees.BundledIncreasingTree(2, (0, 1, 1, 1), (0, 1, 1, 1), (0, 3, 1, 2))
     assert t.bundles_of(1) == ((3, 4, 2), ())
+
+
+@pytest.mark.parametrize("v", [0, -1, 3])
+def test_bundles_of_refuses_a_node_the_tree_lacks(v):
+    t = trees.BundledIncreasingTree(2, (0, 1), (0, 1), (0, 1))
+    with pytest.raises(trees.InvalidTreeError, match=f"^node must be in 1..n, got {v}$"):
+        t.bundles_of(v)
+    assert [t.bundles_of(u) for u in (1, 2)] == [((2,), ()), ((), ())]
 
 
 def test_bundled_tree_json_roundtrip():
@@ -480,9 +514,11 @@ def test_enumerated_trees_equal_validated_trees(enumerate_trees):
                 assert [tree.bundles_of(v) for v in nodes] == [checked.bundles_of(v) for v in nodes]
                 assert trees.bundled_stats(tree) == oracles.bundled_stats_by_nodes(checked)
             else:
-                slots = range(1, tree.arity + 1)
-                assert [tree.child(v, s) for v in nodes for s in slots] == [
-                    checked.child(v, s) for v in nodes for s in slots
+                # every slot of every node; an F-tree root has fewer slots
+                slots = [(v, s) for v in nodes
+                         for s in range(1, (tree._root_slots if v == 1 else tree.arity) + 1)]
+                assert [tree.child(v, s) for v, s in slots] == [
+                    checked.child(v, s) for v, s in slots
                 ]
 
 
