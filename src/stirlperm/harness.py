@@ -13,7 +13,9 @@ classes.  Their kernels grow all rows of a chunk together: each step picks a
 class by one integer uniform below the total and changes the class counts by
 a fixed rule, which is exact in law.  Each step draws a full chunk width of
 integers and row i uses the i-th, so a row is the same whatever the number of
-rows in its chunk.
+rows in its chunk.  The three urn-table generators step a run of up to
+:data:`RUN_CHUNKS` consecutive chunks as one array, each chunk still drawing
+from its own stream.
 
 The block-law generators ``urn_b``, ``urn_c_block`` and ``block_sizes`` all
 read the nested Polya urn levels of :mod:`stirlperm.urns` rather than
@@ -42,8 +44,10 @@ from .urns import UrnSpec, _block_levels, ary_tree_urn, plane_tree_urn, sample_b
 from .urns import symmetric_urn, urn_a_covariance
 
 REPLICATE_CHUNK = 1024
-# the balanced-urn engine draws this many steps of a chunk (16 MiB) per call
-STEP_CHUNK = 2048
+# the balanced-urn engine draws this many steps of a chunk (4 MiB) per call
+STEP_CHUNK = 512
+# and steps at most this many chunks as one run (a 16 MiB draw block)
+RUN_CHUNKS = 4
 STICK_DEPTH = 3
 MAX_REPLICATES = 10_000_000
 MAX_ORDER = 100_000_000
@@ -54,30 +58,68 @@ MAX_ORDER = 100_000_000
 # ---------------------------------------------------------------------------
 
 
-def _urn_chunk(urn_of: Callable[[int], UrnSpec], lag: int, n: int, k: int, count: int, rng):
-    """``count`` rows of the urn ``urn_of(k)`` at order n, which is n - lag
-    draws.  The column-major state keeps the drawn colours as cumulative
-    counts, so the drawn colour is the number of them at or below the draw."""
-    urn = urn_of(k)
-    drawn = len(urn.deltas)
-    cumulate = np.eye(len(urn.initial), dtype=np.int64)
+def _engine_table(urn: UrnSpec) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The matrix that cumulates the drawn colours of a state, the
+    replacement columns so cumulated, and whether each column c is
+    ``base + [c > j]`` in row j, so that a step can compare and add."""
+    drawn, width = len(urn.deltas), len(urn.initial)
+    cumulate = np.eye(width, dtype=np.int64)
     cumulate[:drawn, :drawn] = np.tri(drawn, dtype=np.int64)
     deltas = cumulate @ np.array(urn.deltas, dtype=np.int64).T
-    state = np.repeat((cumulate @ urn.initial)[:, None], count, axis=1)
+    later = np.arange(drawn) > np.arange(width)[:, None]
+    return cumulate, deltas, np.array_equal(deltas, deltas[:, :1] + later)
+
+
+def _urn_rows(urn_of: Callable[[int], UrnSpec], lag: int, n: int, k: int, counts, rngs):
+    """The rows of a run of consecutive chunks of the urn ``urn_of(k)`` at
+    order n, which is n - lag draws: chunk c holds ``counts[c]`` rows and
+    draws from ``rngs[c]``, a full chunk width per step as if it ran alone,
+    and the run steps all of its rows as one array.
+
+    The column-major state keeps the drawn colours as cumulative counts, so
+    the drawn colour is the number of them at or below the draw.  When
+    every cumulative replacement column c is ``base + [c > j]`` in row j
+    (every fixed-addition urn), those comparisons are the step itself:
+    add them, then add ``base``.  Any other table adds its column c.
+    """
+    urn = urn_of(k)
+    drawn = len(urn.deltas)
+    cumulate, deltas, compare_and_add = _engine_table(urn)
+    base = deltas[:, :1]
+    edges = np.cumsum((0, *counts))
+    rows = edges[-1]
+    state = np.repeat((cumulate @ urn.initial)[:, None], rows, axis=1)
     cum = state[:drawn]
+    hit = np.empty((drawn - 1, rows), dtype=bool)
     start, growth = sum(urn.initial[:drawn]), sum(urn.deltas[0][:drawn])
     steps = n - lag
     for lo in range(0, steps, STEP_CHUNK):
         totals = start + growth * np.arange(lo, min(lo + STEP_CHUNK, steps))
-        draws = rng.integers(0, totals[:, None], size=(len(totals), REPLICATE_CHUNK))
-        for u in draws[:, :count]:
-            state += np.take(deltas, (u >= cum).sum(axis=0), axis=1)
+        draws = np.empty((len(totals), rows), dtype=np.int64)
+        for rng, a, b in zip(rngs, edges, edges[1:]):
+            block = rng.integers(0, totals[:, None], size=(len(totals), REPLICATE_CHUNK))
+            draws[:, a:b] = block[:, : b - a]
+            # free each chunk's block before the next is drawn
+            del block
+        if compare_and_add:
+            for u in draws:
+                np.greater_equal(u, cum[:-1], out=hit)
+                cum[:-1] += hit
+                state += base
+        else:
+            for u in draws:
+                state += np.take(deltas, (u >= cum).sum(axis=0), axis=1)
         # free this block before the next is drawn: u is a view that keeps it
         del draws, u
     state[:drawn] = np.diff(cum, axis=0, prepend=0)
     if urn.readout is not None:
         state = np.array(urn.readout, dtype=np.int64) @ state
     return state.T.astype(np.float64)
+
+
+def _urn_chunk(urn_of: Callable[[int], UrnSpec], lag: int, n: int, k: int, count: int, rng):
+    """``count`` rows of the urn ``urn_of(k)`` at order n: a run of one chunk."""
+    return _urn_rows(urn_of, lag, n, k, (count,), (rng,))
 
 
 def _urn_b_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
@@ -179,11 +221,19 @@ class GeneratorDef:
     min_k: int
     columns: Callable[[int], tuple[str, ...]]  # k -> column names
     kernel: Callable  # (n, k, count, rng) -> count-by-columns array
+    # (n, k, counts, rngs) -> the rows of consecutive chunks, stepped as one;
+    # None fills the matrix chunk by chunk
+    run_kernel: Optional[Callable] = None
 
 
 def _urn_generator(min_k: int, urn_of: Callable[[int], UrnSpec], lag: int) -> GeneratorDef:
     """A generator that steps the urn ``urn_of(k)`` and names its columns after its colours."""
-    return GeneratorDef(min_k, lambda k: urn_of(k).colors, partial(_urn_chunk, urn_of, lag))
+    return GeneratorDef(
+        min_k,
+        lambda k: urn_of(k).colors,
+        partial(_urn_chunk, urn_of, lag),
+        partial(_urn_rows, urn_of, lag),
+    )
 
 
 GENERATORS: dict[str, GeneratorDef] = {
@@ -309,28 +359,41 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     gen = GENERATORS[spec.generator]
     full = spec.all_columns
     out = np.empty((spec.replicates, len(full)), dtype=np.float64)
-    bounds = [
-        (lo, min(lo + REPLICATE_CHUNK, spec.replicates))
-        for lo in range(0, spec.replicates, REPLICATE_CHUNK)
-    ]
+    edges = [*range(0, spec.replicates, REPLICATE_CHUNK), spec.replicates]
+    chunks = len(edges) - 1
+    # an urn table's chunks go in runs, as many as threads and of at most
+    # RUN_CHUNKS chunks each; any other generator's chunks go one by one
+    parts = chunks
+    if gen.run_kernel is not None:
+        parts = max(min(threads, chunks), -(-chunks // RUN_CHUNKS))
+    runs = [range(run[0], run[-1] + 1) for run in np.array_split(np.arange(chunks), parts)]
 
-    def fill(index: int) -> None:
-        lo, hi = bounds[index]
-        out[lo:hi] = gen.kernel(spec.n, spec.k, hi - lo, chunk_stream(spec.seed, index))
+    def fill(run: range) -> None:
+        lo, hi = edges[run.start], edges[run.stop]
+        rngs = [chunk_stream(spec.seed, c) for c in run]
+        if gen.run_kernel is None:
+            (rng,) = rngs
+            out[lo:hi] = gen.kernel(spec.n, spec.k, hi - lo, rng)
+        else:
+            counts = [edges[c + 1] - edges[c] for c in run]
+            out[lo:hi] = gen.run_kernel(spec.n, spec.k, counts, rngs)
 
     # threads overlap the beta and binomial levels, which numpy draws outside
     # the GIL (4 draws, serial against 2 threads: beta 460 vs 250 ms,
     # binomial with array arguments 104 vs 62 ms); the engine's block draws,
-    # integers with one bound per row, hold it (199 vs 192 ms).  Over 5
+    # integers with one bound per row, hold it, but its steps over a run's
+    # rows overlap (urn_a, n = 1214, k = 2, 4096 rows, best of 15 in each
+    # of 5 processes: one run of 4 chunks 61-72 ms, median 62; two runs of
+    # 2 on 2 threads 46-69 ms, median 55).  Over 5
     # alternating 15 s benchmark pairs on a shared 2-core host a serial fill
     # cut mc_chunk ops/s from 28.5 to 26.6 (op_p90_s +11%) and gained 4.7%
     # on mc_replicate
-    if threads == 1 or len(bounds) == 1:
-        for index in range(len(bounds)):
-            fill(index)
+    if threads == 1 or len(runs) == 1:
+        for run in runs:
+            fill(run)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(bounds))))
+            list(pool.map(fill, runs))
 
     selected = spec.selected_columns
     if selected == full:

@@ -57,6 +57,9 @@ KIND_POLYA = "polyaC"
 KIND_ARY_TREE = "aryTreeSlots"
 KIND_PLANE_TREE = "planeTreeWeights"
 
+# simulate draws the uniforms of this many steps per call
+SIMULATE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class UrnSpec:
@@ -213,7 +216,11 @@ def simulate(spec: UrnSpec, steps: int, seed=None, record_path: bool = False) ->
 
     Each draw picks a ball of a drawn colour uniformly (one integer uniform
     on their current total) and applies the replacement row of its colour;
-    tally columns change only through those rows.
+    tally columns change only through those rows.  Every row adds the same
+    number of balls, so the totals are known in advance and the uniforms
+    are drawn in blocks of up to :data:`SIMULATE_BLOCK` steps, equal to one
+    scalar draw per step.  A Generator passed as ``seed`` may therefore
+    have advanced up to one block past a step that raises.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -221,22 +228,28 @@ def simulate(spec: UrnSpec, steps: int, seed=None, record_path: bool = False) ->
     drawn = len(spec.deltas)
     counts = list(spec.initial)
     path = [tuple(counts)] if record_path else None
-    for _ in range(steps):
-        total = sum(counts[:drawn])
-        if total <= 0:
-            raise RuntimeError("urn ran out of balls")
-        u = int(rng.integers(0, total))
-        color = 0
-        acc = counts[0]
-        while u >= acc:
-            color += 1
-            acc += counts[color]
-        for j, change in enumerate(spec.deltas[color]):
-            counts[j] += change
-        if counts[color] < 0:
-            raise RuntimeError("replacement produced a negative count")
-        if path is not None:
-            path.append(tuple(counts))
+    start, growth = sum(counts[:drawn]), sum(spec.deltas[0][:drawn])
+    for lo in range(0, steps, SIMULATE_BLOCK):
+        totals = [start + growth * t for t in range(lo, min(lo + SIMULATE_BLOCK, steps))]
+        # a block ends before the first total that one scalar draw refuses
+        fits = next((i for i, total in enumerate(totals) if not 0 < total <= 2**63), len(totals))
+        for u in rng.integers(0, totals[:fits]).tolist() if fits else ():
+            color = 0
+            acc = counts[0]
+            while u >= acc:
+                color += 1
+                acc += counts[color]
+            for j, change in enumerate(spec.deltas[color]):
+                counts[j] += change
+            if counts[color] < 0:
+                raise RuntimeError("replacement produced a negative count")
+            if path is not None:
+                path.append(tuple(counts))
+        if fits < len(totals):
+            if totals[fits] <= 0:
+                raise RuntimeError("urn ran out of balls")
+            # past numpy's int64 bound: raise its ValueError, as a scalar draw did
+            rng.integers(0, totals[fits])
     return UrnTrajectory(
         spec,
         steps,

@@ -24,6 +24,10 @@ them byte for byte; ``urn_a_chunk`` draws ``u * total`` floats instead, an
 independent stream for distribution tests.  ``stirling_k1_chunk`` is the
 gap loop that ``stirling_perm`` ran at k = 1 before it stepped urn A on that
 engine; it draws the engine's integers, so the two must match byte for byte.
+``urn_engine_chunk`` is that engine as it stepped one chunk at a time with
+one replacement rule for every table, and ``simulate_by_steps`` is
+``urns.simulate`` as it drew one scalar integer per step; the runs of
+chunks and the block draws must match them byte for byte.
 ``urn_b_levels`` steps the package's nested urn levels at any k, as the
 ``urn_b`` kernel did at k = 1 before it read off the certain block count.
 ``bundled_stats_by_nodes`` and ``verify_stat_transfer_by_objects`` are the
@@ -46,6 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from stirlperm import bijections, harness, perms, trees, urns
+from stirlperm._rng import as_generator
 from stirlperm.bijections import BundledNode
 
 
@@ -1004,6 +1009,64 @@ def stirling_k1_chunk(n: int, count: int, rng) -> np.ndarray:
     ones = np.ones(count, dtype=np.int64)
     plateaux = n + 1 - ascents - descents
     return np.stack([ascents, descents, plateaux, n * ones, ones, ones], axis=1).astype(np.float64)
+
+
+# the steps of a chunk that the engine drew per call before it stepped runs
+ENGINE_STEP_CHUNK = 2048
+
+
+def urn_engine_chunk(urn_of, lag: int, n: int, k: int, count: int, rng):
+    """``count`` rows of the urn ``urn_of(k)`` at order n, which is n - lag
+    draws.  The column-major state keeps the drawn colours as cumulative
+    counts, so the drawn colour is the number of them at or below the draw."""
+    urn = urn_of(k)
+    drawn = len(urn.deltas)
+    cumulate = np.eye(len(urn.initial), dtype=np.int64)
+    cumulate[:drawn, :drawn] = np.tri(drawn, dtype=np.int64)
+    deltas = cumulate @ np.array(urn.deltas, dtype=np.int64).T
+    state = np.repeat((cumulate @ urn.initial)[:, None], count, axis=1)
+    cum = state[:drawn]
+    start, growth = sum(urn.initial[:drawn]), sum(urn.deltas[0][:drawn])
+    steps = n - lag
+    for lo in range(0, steps, ENGINE_STEP_CHUNK):
+        totals = start + growth * np.arange(lo, min(lo + ENGINE_STEP_CHUNK, steps))
+        draws = rng.integers(0, totals[:, None], size=(len(totals), harness.REPLICATE_CHUNK))
+        for u in draws[:, :count]:
+            state += np.take(deltas, (u >= cum).sum(axis=0), axis=1)
+        # free this block before the next is drawn: u is a view that keeps it
+        del draws, u
+    state[:drawn] = np.diff(cum, axis=0, prepend=0)
+    if urn.readout is not None:
+        state = np.array(urn.readout, dtype=np.int64) @ state
+    return state.T.astype(np.float64)
+
+
+def simulate_by_steps(spec, steps: int, seed=None, record_path: bool = False):
+    """``urns.simulate`` with one scalar integer draw per step: the final
+    state and the path (or None)."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    rng = as_generator(seed)
+    drawn = len(spec.deltas)
+    counts = list(spec.initial)
+    path = [tuple(counts)] if record_path else None
+    for _ in range(steps):
+        total = sum(counts[:drawn])
+        if total <= 0:
+            raise RuntimeError("urn ran out of balls")
+        u = int(rng.integers(0, total))
+        color = 0
+        acc = counts[0]
+        while u >= acc:
+            color += 1
+            acc += counts[color]
+        for j, change in enumerate(spec.deltas[color]):
+            counts[j] += change
+        if counts[color] < 0:
+            raise RuntimeError("replacement produced a negative count")
+        if path is not None:
+            path.append(tuple(counts))
+    return tuple(counts), None if path is None else tuple(path)
 
 
 def stirling_stats(perm) -> tuple[float, ...]:

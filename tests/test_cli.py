@@ -826,7 +826,8 @@ def test_experiment_compare_with_missing_columns(capsys, extra, theory, needed):
           "1500", "--seed", "9"), "322eab3a365644f62beca274077ccbb55d91709e"),
         (("--csv", "experiment", "--generator", "plane_tree", "--n", "200", "--k", "2",
           "--replicates", "300", "--seed", "10"), "71a1c57b852ed95cb5b6cbee5118ac5a936414b6"),
-        # 9000 steps cross draw blocks of 2048 and of 8192 steps
+        # 9000 steps cross draw blocks of 512 steps; these bytes were frozen
+        # when the engine drew blocks of 8192 steps
         (("experiment", "--generator", "urn_a", "--n", "9000", "--k", "2", "--replicates",
           "1030", "--seed", "18"), "980d9ea17ee830416cb5dbfd55df6dc6f2078b8e"),
     ],

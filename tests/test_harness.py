@@ -176,16 +176,76 @@ def test_stirling_perm_at_k_one_is_urn_a():
     assert np.array_equal(perm.matrix[:, :2], urn.matrix)
 
 
-def test_urn_engine_memory_is_bounded():
-    """The engine frees each block of draws before it draws the next, so a
-    chunk of urn_a at n = 10^4 holds one 16 MiB block at a time."""
+def traced_peak(*args, **kwargs) -> int:
+    """Peak bytes that numpy and Python allocate while ``run`` runs."""
     tracemalloc.start()
     try:
-        run("urn_a", 10_000, 2, harness.REPLICATE_CHUNK, seed=32)
+        run(*args, **kwargs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_urn_engine_memory_is_bounded():
+    """The engine frees each block of draws before it draws the next, so a
+    chunk of urn_a at n = 10^4 holds one 4 MiB block of the chunk and one
+    of its run at a time."""
+    peak = traced_peak("urn_a", 10_000, 2, harness.REPLICATE_CHUNK, seed=32)
     assert peak < 20e6, peak
+
+
+def test_urn_engine_run_memory_is_bounded():
+    """A run of 4 chunks holds one 16 MiB block of the run and one 4 MiB
+    block of a chunk at a time, beside the output."""
+    peak = traced_peak("urn_a", 10_000, 2, 4 * harness.REPLICATE_CHUNK, seed=32, threads=1)
+    assert peak < 24e6, peak
+
+
+ENGINE_TABLES = {
+    **{f"symmetric{q}": (lambda k, q=q: urns.symmetric_urn(q), 0) for q in (2, 3, 4)},
+    "fixed112": (lambda k: urns.fixed_addition_urn((1, 1, 2), (1, 1, 2)), 0),
+    **{f"ary{k}": (lambda _, k=k: urns.ary_tree_urn(k), 1) for k in (1, 2, 3)},
+    **{f"plane{k}": (lambda _, k=k: urns.plane_tree_urn(k), 1) for k in (2, 3)},
+}
+
+
+def test_compare_and_add_takes_exactly_the_fixed_addition_tables():
+    rules = {name: harness._engine_table(urn_of(0))[2] for name, (urn_of, _) in ENGINE_TABLES.items()}
+    assert {name for name, rule in rules.items() if rule} == {
+        "symmetric2", "symmetric3", "symmetric4", "fixed112"
+    }
+
+
+@pytest.mark.parametrize("counts", [(1024,), (17,), (1024, 5), (1024, 1024, 300),
+                                    (1024, 1024, 1024, 17)], ids=str)
+@pytest.mark.parametrize("table", sorted(ENGINE_TABLES))
+def test_urn_runs_match_chunk_by_chunk_engine(table, counts):
+    """A run steps its chunks as one array, each chunk drawing its own
+    stream, so it equals the old engine chunk by chunk in its rows and in
+    every stream's state after the run."""
+    urn_of, lag = ENGINE_TABLES[table]
+    for n in (1, 2, 513, 1500):
+        got_rngs = [chunk_stream(n, c) for c in range(len(counts))]
+        want_rngs = [chunk_stream(n, c) for c in range(len(counts))]
+        got = harness._urn_rows(urn_of, lag, n, 2, counts, got_rngs)
+        want = [oracles.urn_engine_chunk(urn_of, lag, n, 2, c, r) for c, r in zip(counts, want_rngs)]
+        assert got.tobytes() == np.concatenate(want).tobytes(), n
+        for got_rng, want_rng in zip(got_rngs, want_rngs):
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("generator,k", [("urn_a", 2), ("ary_tree", 2), ("plane_tree", 2),
+                                         ("stirling_perm", 1)])
+def test_thread_count_does_not_change_runs(generator, k):
+    """An urn-table generator steps 6 chunks in 2, 2, 3 and 6 runs at 1, 2,
+    3 and 8 threads, and stirling_perm at k = 1 steps urn A chunk by chunk;
+    the matrix is the same for every thread count."""
+    replicates = 5 * harness.REPLICATE_CHUNK + 17
+    one = run(generator, 30, k, replicates, seed=33, threads=1).matrix.tobytes()
+    for threads in (2, 3, 8):
+        many = run(generator, 30, k, replicates, seed=33, threads=threads)
+        assert many.matrix.tobytes() == one, threads
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -121,6 +121,63 @@ def test_simulate_counts_stay_nonnegative(seed):
     assert sum(t.counts) == 4 + 25 * 3
 
 
+SIMULATED_TABLES = [
+    urns.symmetric_urn(3),
+    urns.triangular_block_urn(3),
+    urns.polya_urn(2, 1, 2),
+    urns.ary_tree_urn(2),
+    urns.plane_tree_urn(3),
+    urns.fixed_addition_urn((1, 1, 2), (1, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("record_path", [False, True])
+@pytest.mark.parametrize("spec", SIMULATED_TABLES, ids=lambda spec: spec.kind)
+def test_simulate_blocks_match_scalar_draws(spec, record_path):
+    """Block draws take the integers that one scalar draw per step took,
+    across block boundaries, and leave the generator where they did."""
+    for steps in (0, 1, 100, urns.SIMULATE_BLOCK + 1, 2 * urns.SIMULATE_BLOCK + 7):
+        got_rng, want_rng = np.random.default_rng(steps), np.random.default_rng(steps)
+        got = urns.simulate(spec, steps, got_rng, record_path=record_path)
+        want = oracles.simulate_by_steps(spec, steps, want_rng, record_path=record_path)
+        assert (got.counts, got.path) == want, steps
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def outcome(simulator, spec, steps, seed):
+    try:
+        return simulator(spec, steps, seed)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "spec,fails_at",
+    [
+        # draw without replacement: the urn empties after its 3 balls
+        (urns.UrnSpec("x", ("a", "b"), (2, 1), ((-1, 0), (0, -1))), 3),
+        # a draw of a lone first ball takes two of it; from (1, 1) each
+        # draw takes it with probability 1/2
+        (urns.UrnSpec("x", ("a", "b"), (2, 0), ((-2, 2), (1, -1))), None),
+        # the second total, 2**63 + 1, is past numpy's int64 draw
+        (urns.polya_urn(2**62, 2**62 - 1, 2), 1),
+    ],
+    ids=["empties", "negative", "int64"],
+)
+def test_simulate_fails_at_the_step_scalar_draws_failed(spec, fails_at):
+    """Both runtime errors and numpy's bound error come at the same step."""
+    results = [
+        (outcome(lambda *a: urns.simulate(*a).counts, spec, steps, 5),
+         outcome(lambda *a: oracles.simulate_by_steps(*a)[0], spec, steps, 5))
+        for steps in range(40)
+    ]
+    assert all(got == want for got, want in results)
+    failed = [steps for steps, (got, _) in enumerate(results) if isinstance(got[0], type)]
+    assert failed and failed == list(range(failed[0], 40))
+    if fails_at is not None:
+        assert failed[0] == fails_at + 1
+
+
 def test_transition_distribution_matches_exact_oracle():
     spec = urns.triangular_block_urn(2)
     out = dict()
