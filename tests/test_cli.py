@@ -871,6 +871,72 @@ def test_stirling_perm_experiment_stdout_frozen(capsys, argv, sha1):
     assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
 
+@pytest.mark.parametrize(
+    "argv,sha1",
+    [
+        (("experiment", "--generator", "urn_b", "--n", "60", "--k", "2", "--replicates", "1500",
+          "--seed", "21"), "84a06492b264e164d76f18f982a65709137a2ae3"),
+        (("--csv", "experiment", "--generator", "urn_b", "--n", "200", "--k", "3",
+          "--replicates", "300", "--seed", "22"), "a9d787672aa482259d605a2bf25efff39163d305"),
+        (("experiment", "--generator", "urn_c_block", "--n", "60", "--k", "2", "--replicates",
+          "1500", "--seed", "23"), "008f8fd489620f1324e57cc2afc957a406ec577c"),
+        (("--csv", "experiment", "--generator", "urn_c_block", "--n", "200", "--k", "3",
+          "--replicates", "300", "--seed", "24"), "4f48ede1667d76b028e7b539143c339420aa0f92"),
+        (("experiment", "--generator", "block_sizes", "--n", "60", "--k", "2", "--replicates",
+          "1500", "--seed", "25"), "afe0f06e1e7c089e413df99db221399e127c41e2"),
+        (("--csv", "experiment", "--generator", "block_sizes", "--n", "200", "--k", "3",
+          "--replicates", "300", "--seed", "26"), "6fd4a0e8eb12d6422cfdb130611bf03dbaddb90e"),
+        (("experiment", "--generator", "stick_breaking", "--n", "1", "--k", "2", "--replicates",
+          "1500", "--seed", "27"), "d610b19d9ffc468176535ae4f06ae575fefe0438"),
+        (("--csv", "experiment", "--generator", "stick_breaking", "--n", "1", "--k", "3",
+          "--replicates", "300", "--seed", "28"), "c8561ce75f3db8a980af3385838a209d06acadb6"),
+        (("experiment", "--generator", "urn_b", "--n", "100", "--k", "2", "--replicates", "2000",
+          "--seed", "29", "--compare", "urn_b_blocks"), "f690dd8cd0cdc89917755c4eb144fac0b5de4bad"),
+        (("experiment", "--generator", "urn_c_block", "--n", "100", "--k", "2", "--replicates",
+          "2000", "--seed", "30", "--compare", "first_block_mean"),
+         "a338b77765a1c5f531c8268e16b5dd39912fa87d"),
+        (("experiment", "--generator", "stick_breaking", "--n", "1", "--k", "2", "--replicates",
+          "2000", "--seed", "31", "--compare", "stick_breaking_mean"),
+         "fd82017d5975f4f8ccadaebf368dc63cac7b6ed3"),
+        (("experiment", "--generator", "urn_c_block", "--n", "80", "--k", "2", "--replicates",
+          "1500", "--seed", "32", "--statistics", "firstFraction,white"),
+         "0b9ac963d31a85848e09adc16b74b0b0077a8bbe"),
+    ],
+    ids=["urn_b", "csv-urn_b", "urn_c_block", "csv-urn_c_block", "block_sizes",
+         "csv-block_sizes", "stick_breaking", "csv-stick_breaking", "urn_b-compare",
+         "urn_c_block-compare", "stick_breaking-compare", "urn_c_block-statistics"],
+)
+def test_block_law_experiment_stdout_frozen(capsys, argv, sha1):
+    """The generators that read the nested Polya urn levels, and the stick
+    breaking limit, keep their bytes: JSON, CSV, comparison and a reordered
+    column selection."""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize(
+    "generator,n,sha1",
+    [
+        ("urn_b", "40", "a2c141ea3488eebe27a547f49adc257fec6ebcb5"),
+        ("urn_c_block", "40", "692246700de2dcabce868f848c7ac4fb0b0ce7d0"),
+        ("block_sizes", "40", "7b3dcca6b10e3708120768538d0e76ec169e6b00"),
+        ("stick_breaking", "1", "d67c776aacacfc778664d557ce859163699e4557"),
+    ],
+    ids=["urn_b", "urn_c_block", "block_sizes", "stick_breaking"],
+)
+def test_block_law_experiment_threads_frozen(capsys, generator, n, sha1, threads):
+    """Six chunks, the last of 17 rows, give the same bytes on one thread
+    and on three."""
+    code, out, _ = run_cli(
+        capsys, "experiment", "--generator", generator, "--n", n, "--k", "2",
+        "--replicates", str(5 * 1024 + 17), "--seed", "33", "--threads", threads,
+    )
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+
 @pytest.mark.parametrize("n", [3, 7])
 def test_compare_passes_a_constant_column(capsys, n):
     """At k = 1 firstFraction is the constant 1/n; its float mean is an ulp
