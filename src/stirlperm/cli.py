@@ -61,9 +61,6 @@ def _symbol_texts(order: int) -> tuple[tuple[str, ...], int]:
 
 
 def _word_text(perm: _perms.GenStirlingPerm) -> str:
-    text = perm.compact()
-    if text is not None:
-        return text
     symbols, cut = _symbol_texts(perm.order)
     return "".join([symbols[x] for x in perm.word])[cut:]
 
@@ -412,13 +409,12 @@ def _cmd_experiment(args):
         payload["comparison"] = report.to_json_dict()
         if not report.ok:
             exit_code = EXIT_COUNTEREXAMPLE
-    means = result.means()
-    cov = result.covariance()
-    rows_list = [("mean", name, "", float(means[i])) for i, name in enumerate(result.columns)]
+    columns = result.columns
+    rows_list = [("mean", name, "", mean) for name, mean in zip(columns, payload["means"])]
     rows_list += [
-        ("cov", ci, cj, float(cov[i, j]))
-        for i, ci in enumerate(result.columns)
-        for j, cj in enumerate(result.columns)
+        ("cov", ci, cj, value)
+        for ci, row in zip(columns, payload["covariance"])
+        for cj, value in zip(columns, row)
     ]
     rows = (("kind", "i", "j", "value"), rows_list)
     return payload, rows, exit_code

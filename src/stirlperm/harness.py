@@ -2,20 +2,21 @@
 runs, and comparison of empirical summaries against exact or limit values.
 
 Determinism contract: an experiment is a preallocated replicate-by-statistic
-matrix filled in fixed chunks of :data:`REPLICATE_CHUNK` rows.  Every
-generator is a chunk kernel that draws from one stream per chunk, so the
-matrix is byte-identical for any thread count.
+matrix filled in fixed chunks of :data:`REPLICATE_CHUNK` rows, each drawn
+from its own stream.  Every generator's kernel fills a run of up to
+:data:`RUN_CHUNKS` consecutive chunks, and a run's rows are its chunks' rows
+in order, so the matrix is byte-identical for any thread count.
 
 ``urn_a``, ``ary_tree``, ``plane_tree`` and ``stirling_perm`` at k = 1 (urn
 A on two colours) step :class:`stirlperm.urns.UrnSpec` tables, the type the
 ``urn`` command simulates; at k > 1 ``stirling_perm`` is an urn over gap
-classes.  Their kernels grow all rows of a chunk together: each step picks a
+classes.  These kernels grow all rows of a chunk together: each step picks a
 class by one integer uniform below the total and changes the class counts by
 a fixed rule, which is exact in law.  Each step draws a full chunk width of
 integers and row i uses the i-th, so a row is the same whatever the number of
-rows in its chunk.  The three urn-table generators step a run of up to
-:data:`RUN_CHUNKS` consecutive chunks as one array, each chunk still drawing
-from its own stream.
+rows in its chunk.  The three urn-table generators step a whole run as one
+array; every other kernel fills its run chunk by chunk, and ``stirling_perm``
+at k = 1 steps urn A one chunk at a time.
 
 The block-law generators ``urn_b``, ``urn_c_block`` and ``block_sizes`` all
 read the nested Polya urn levels of :mod:`stirlperm.urns` rather than
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Optional
 
@@ -117,11 +118,6 @@ def _urn_rows(urn_of: Callable[[int], UrnSpec], lag: int, n: int, k: int, counts
     return state.T.astype(np.float64)
 
 
-def _urn_chunk(urn_of: Callable[[int], UrnSpec], lag: int, n: int, k: int, count: int, rng):
-    """``count`` rows of the urn ``urn_of(k)`` at order n: a run of one chunk."""
-    return _urn_rows(urn_of, lag, n, k, (count,), (rng,))
-
-
 def _urn_b_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
     """Triangular two-color urn after n-1 draws.  White minus one has the law
     of the block count of a random k-Stirling permutation of order n, so it
@@ -175,7 +171,7 @@ def _stirling_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
     if k == 1:
         # every gap is an ascent or a descent and every label opens a block
         # of one, so (ascents, descents) is urn A on two colours
-        updown = _urn_chunk(lambda _: symmetric_urn(2), 1, n, k, count, rng)
+        updown = _urn_rows(lambda _: symmetric_urn(2), 1, n, k, (count,), (rng,))
         return np.column_stack([updown, np.zeros(count), np.full(count, n), np.ones((count, 2))])
     rows = np.arange(count)
     width = 4
@@ -216,40 +212,44 @@ def _stirling_chunk(n: int, k: int, count: int, rng) -> np.ndarray:
     ).astype(np.float64)
 
 
+def _chunk_by_chunk(chunk_kernel: Callable, n: int, k: int, counts, rngs) -> np.ndarray:
+    """The rows of a run filled one chunk at a time by
+    ``chunk_kernel(n, k, count, rng)``."""
+    return np.concatenate([chunk_kernel(n, k, count, rng) for count, rng in zip(counts, rngs)])
+
+
 @dataclass(frozen=True)
 class GeneratorDef:
     min_k: int
     columns: Callable[[int], tuple[str, ...]]  # k -> column names
-    kernel: Callable  # (n, k, count, rng) -> count-by-columns array
-    # (n, k, counts, rngs) -> the rows of consecutive chunks, stepped as one;
-    # None fills the matrix chunk by chunk
-    run_kernel: Optional[Callable] = None
+    # (n, k, counts, rngs) -> the float64 rows of a run of consecutive chunks,
+    # chunk c holding counts[c] rows drawn from rngs[c]
+    kernel: Callable
 
 
 def _urn_generator(min_k: int, urn_of: Callable[[int], UrnSpec], lag: int) -> GeneratorDef:
     """A generator that steps the urn ``urn_of(k)`` and names its columns after its colours."""
-    return GeneratorDef(
-        min_k,
-        lambda k: urn_of(k).colors,
-        partial(_urn_chunk, urn_of, lag),
-        partial(_urn_rows, urn_of, lag),
-    )
+    return GeneratorDef(min_k, lambda k: urn_of(k).colors, partial(_urn_rows, urn_of, lag))
 
 
 GENERATORS: dict[str, GeneratorDef] = {
     "urn_a": _urn_generator(1, lambda k: symmetric_urn(k + 1), 0),
-    "urn_b": GeneratorDef(1, lambda k: ("black", "white"), _urn_b_chunk),
-    "urn_c_block": GeneratorDef(1, lambda k: ("white", "black", "firstFraction"), _urn_c_chunk),
-    "block_sizes": GeneratorDef(2, lambda k: ("first", "largest", "count"), _block_sizes_chunk),
+    "urn_b": GeneratorDef(1, lambda k: ("black", "white"), partial(_chunk_by_chunk, _urn_b_chunk)),
+    "urn_c_block": GeneratorDef(
+        1, lambda k: ("white", "black", "firstFraction"), partial(_chunk_by_chunk, _urn_c_chunk)
+    ),
+    "block_sizes": GeneratorDef(
+        2, lambda k: ("first", "largest", "count"), partial(_chunk_by_chunk, _block_sizes_chunk)
+    ),
     "stick_breaking": GeneratorDef(
         2,
         lambda k: tuple(f"component{m}" for m in range(1, STICK_DEPTH + 1)) + ("remainder",),
-        _stick_chunk,
+        partial(_chunk_by_chunk, _stick_chunk),
     ),
     "stirling_perm": GeneratorDef(
         1,
         lambda k: ("ascents", "descents", "plateaux", "blocks", "firstBlock", "largestBlock"),
-        _stirling_chunk,
+        partial(_chunk_by_chunk, _stirling_chunk),
     ),
     "ary_tree": _urn_generator(1, ary_tree_urn, 1),
     "plane_tree": _urn_generator(2, plane_tree_urn, 1),
@@ -361,22 +361,14 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     out = np.empty((spec.replicates, len(full)), dtype=np.float64)
     edges = [*range(0, spec.replicates, REPLICATE_CHUNK), spec.replicates]
     chunks = len(edges) - 1
-    # an urn table's chunks go in runs, as many as threads and of at most
-    # RUN_CHUNKS chunks each; any other generator's chunks go one by one
-    parts = chunks
-    if gen.run_kernel is not None:
-        parts = max(min(threads, chunks), -(-chunks // RUN_CHUNKS))
+    # the chunks go in runs, as many as threads and of at most RUN_CHUNKS each
+    parts = max(min(threads, chunks), -(-chunks // RUN_CHUNKS))
     runs = [range(run[0], run[-1] + 1) for run in np.array_split(np.arange(chunks), parts)]
 
     def fill(run: range) -> None:
-        lo, hi = edges[run.start], edges[run.stop]
+        counts = [edges[c + 1] - edges[c] for c in run]
         rngs = [chunk_stream(spec.seed, c) for c in run]
-        if gen.run_kernel is None:
-            (rng,) = rngs
-            out[lo:hi] = gen.kernel(spec.n, spec.k, hi - lo, rng)
-        else:
-            counts = [edges[c + 1] - edges[c] for c in run]
-            out[lo:hi] = gen.run_kernel(spec.n, spec.k, counts, rngs)
+        out[edges[run.start] : edges[run.stop]] = gen.kernel(spec.n, spec.k, counts, rngs)
 
     # threads overlap the beta and binomial levels, which numpy draws outside
     # the GIL (4 draws, serial against 2 threads: beta 460 vs 250 ms,
@@ -384,10 +376,13 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     # integers with one bound per row, hold it, but its steps over a run's
     # rows overlap (urn_a, n = 1214, k = 2, 4096 rows, best of 15 in each
     # of 5 processes: one run of 4 chunks 61-72 ms, median 62; two runs of
-    # 2 on 2 threads 46-69 ms, median 55).  Over 5
-    # alternating 15 s benchmark pairs on a shared 2-core host a serial fill
-    # cut mc_chunk ops/s from 28.5 to 26.6 (op_p90_s +11%) and gained 4.7%
-    # on mc_replicate
+    # 2 on 2 threads 46-69 ms, median 55).  A block law loses nothing by
+    # filling its chunks in runs (urn_b, n = 1000, k = 2, 4096 rows, 2
+    # threads, best of 15 in each of 5 processes: 4 one-chunk tasks
+    # 29.9-42.1 ms, median 30.3; 2 runs of 2 chunks 28.7-31.0 ms, median
+    # 28.9).  Over 5 alternating 15 s benchmark pairs on a shared 2-core
+    # host a serial fill cut mc_chunk ops/s from 28.5 to 26.6 (op_p90_s
+    # +11%) and gained 4.7% on mc_replicate
     if threads == 1 or len(runs) == 1:
         for run in runs:
             fill(run)
@@ -399,7 +394,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
     if selected == full:
         matrix = out
     else:
-        matrix = out[:, [full.index(name) for name in selected]].copy()
+        # one C-ordered copy; out[:, idx] is Fortran-ordered, which changes
+        # the last bits of the column means
+        matrix = out.take([full.index(name) for name in selected], axis=1)
     return ExperimentResult(spec, selected, matrix)
 
 
@@ -456,14 +453,7 @@ class ComparisonEntry:
     ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "observed": self.observed,
-            "expected": self.expected,
-            "se": self.se,
-            "z": self.z,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def test_urn_engine_matches_hand_written_kernel(generator, reference, k):
         for count in (1, 7, 700, harness.REPLICATE_CHUNK):
             want_rng, got_rng = chunk_stream(9, n), chunk_stream(9, n)
             want = reference(n, k, count, want_rng)
-            got = kernel(n, k, count, got_rng)
+            got = kernel(n, k, (count,), (got_rng,))
             assert got.tobytes() == want.tobytes(), (n, count)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -195,6 +195,14 @@ def test_urn_engine_memory_is_bounded():
     assert peak < 20e6, peak
 
 
+def test_column_selection_copies_once():
+    """A selection of columns is one copy of the replicate matrix: 9.6 MB
+    for the three columns of 400 000 rows and 6.4 MB for the two selected."""
+    peak = traced_peak("urn_c_block", 10, 2, 400_000, seed=34,
+                       statistics=("firstFraction", "white"))
+    assert peak < 20e6, peak
+
+
 def test_urn_engine_run_memory_is_bounded():
     """A run of 4 chunks holds one 16 MiB block of the run and one 4 MiB
     block of a chunk at a time, beside the output."""
@@ -235,12 +243,50 @@ def test_urn_runs_match_chunk_by_chunk_engine(table, counts):
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("generator,k", [("urn_a", 2), ("ary_tree", 2), ("plane_tree", 2),
-                                         ("stirling_perm", 1)])
+# every generator, with the k = 1 branches of urn_b and stirling_perm
+RUN_GENERATORS = [(name, 2) for name in harness.GENERATORS] + [("urn_b", 1), ("stirling_perm", 1)]
+
+
+CHUNK_KERNELS = {
+    "urn_b": harness._urn_b_chunk,
+    "urn_c_block": harness._urn_c_chunk,
+    "block_sizes": harness._block_sizes_chunk,
+    "stick_breaking": harness._stick_chunk,
+    "stirling_perm": harness._stirling_chunk,
+}
+
+
+def one_chunk(generator, n, k, count, rng):
+    """The rows of one chunk filled alone: by the generator's per-chunk
+    kernel, or by the urn engine on a run of one chunk."""
+    if generator in CHUNK_KERNELS:
+        return CHUNK_KERNELS[generator](n, k, count, rng)
+    return harness.GENERATORS[generator].kernel(n, k, (count,), (rng,))
+
+
+@pytest.mark.parametrize("counts", [(1024,), (17,), (1024, 5), (1024, 1024, 1024, 17)], ids=str)
+@pytest.mark.parametrize("generator,k", RUN_GENERATORS, ids=str)
+def test_every_kernel_fills_a_run(generator, k, counts):
+    """Every generator's kernel takes a run of chunks and returns its float64
+    rows, equal byte for byte to its chunks filled one at a time, with every
+    stream left in the same state."""
+    gen = harness.GENERATORS[generator]
+    for n in (1, 30):
+        got_rngs = [chunk_stream(n, c) for c in range(len(counts))]
+        want_rngs = [chunk_stream(n, c) for c in range(len(counts))]
+        got = gen.kernel(n, k, counts, got_rngs)
+        want = [one_chunk(generator, n, k, c, r) for c, r in zip(counts, want_rngs)]
+        assert got.dtype == np.float64
+        assert got.shape == (sum(counts), len(gen.columns(k)))
+        assert got.tobytes() == np.concatenate(want).tobytes(), n
+        for got_rng, want_rng in zip(got_rngs, want_rngs):
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("generator,k", RUN_GENERATORS, ids=str)
 def test_thread_count_does_not_change_runs(generator, k):
-    """An urn-table generator steps 6 chunks in 2, 2, 3 and 6 runs at 1, 2,
-    3 and 8 threads, and stirling_perm at k = 1 steps urn A chunk by chunk;
-    the matrix is the same for every thread count."""
+    """Every generator steps 6 chunks in 2, 2, 3 and 6 runs at 1, 2, 3 and
+    8 threads; the matrix is the same for every thread count."""
     replicates = 5 * harness.REPLICATE_CHUNK + 17
     one = run(generator, 30, k, replicates, seed=33, threads=1).matrix.tobytes()
     for threads in (2, 3, 8):
