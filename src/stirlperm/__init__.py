@@ -5,7 +5,13 @@ The package has three layers: combinatorial objects and their statistics
 them together (:mod:`~stirlperm.bijections`), and the probabilistic side
 (:mod:`~stirlperm.urns`, :mod:`~stirlperm.distributions`,
 :mod:`~stirlperm.harness`).
+
+The harness and its public names are imported on first access, and with
+them numpy: the exact side (counting, enumeration, the bijections and the
+finite-n laws) draws nothing and loads without either.
 """
+
+from importlib import import_module as _import_module
 
 from .perms import (
     BlockDecomposition,
@@ -92,18 +98,37 @@ from .distributions import (
     zeta_density,
     zeta_moment,
 )
-from .harness import (
-    ComparisonReport,
-    ExperimentResult,
-    ExperimentSpec,
-    chi_square_gof,
-    chi_square_two_sample,
-    compare,
-    jackknife_covariance,
-    ks_two_sample,
-    run_experiment,
+
+# served by __getattr__ from stirlperm.harness
+_HARNESS_NAMES = (
+    "ComparisonReport",
+    "ExperimentResult",
+    "ExperimentSpec",
+    "chi_square_gof",
+    "chi_square_two_sample",
+    "compare",
+    "jackknife_covariance",
+    "ks_two_sample",
+    "run_experiment",
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    [name for name in dir() if not name.startswith("_")]
+    + ["harness", *_HARNESS_NAMES]
+)
+
+
+def __getattr__(name: str):
+    # not stored in the package namespace: each access reads the harness
+    # attribute, so a name rebound there (as a tracer does) is seen here
+    if name == "harness":
+        return _import_module(".harness", __name__)
+    if name in _HARNESS_NAMES:
+        return getattr(_import_module(".harness", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | {"harness", *_HARNESS_NAMES})

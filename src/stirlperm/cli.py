@@ -23,16 +23,24 @@ from typing import Optional
 
 from . import bijections as _bij
 from . import distributions as _dist
-from . import harness as _harness
 from . import perms as _perms
 from . import trees as _trees
 from . import urns as _urns
-from ._rng import replicate_stream
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_USAGE = 64
+
+# the names of harness.GENERATORS and harness.THEORIES, sorted (a test checks
+# them against the harness).  numpy and the harness are imported by the
+# commands that draw (sample, urn, experiment) when they first run, so
+# building the parser and the exact commands load neither
+GENERATORS = (
+    "ary_tree", "block_sizes", "plane_tree", "stick_breaking", "stirling_perm",
+    "urn_a", "urn_b", "urn_c_block",
+)
+THEORIES = ("first_block_mean", "stick_breaking_mean", "urn_a_gaussian", "urn_b_blocks")
 
 _DOMAIN_ERRORS = (
     ValueError,
@@ -146,6 +154,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_sample(args):
+    from ._rng import replicate_stream
+
     _require(args.count >= 0, "--count must be >= 0")
     sample = _perms.sample_bundled if args.bundled else _perms.sample_k_stirling
     words = _primed(
@@ -391,8 +401,10 @@ def _cmd_verify(args):
 
 
 def _cmd_experiment(args):
+    from . import harness
+
     statistics = None if args.statistics is None else tuple(args.statistics.split(","))
-    spec = _harness.ExperimentSpec(
+    spec = harness.ExperimentSpec(
         generator=args.generator,
         n=args.n,
         k=args.k,
@@ -400,12 +412,12 @@ def _cmd_experiment(args):
         statistics=statistics,
         seed=args.seed,
     )
-    result = _harness.run_experiment(spec, threads=args.threads)
+    result = harness.run_experiment(spec, threads=args.threads)
     payload = result.to_json_dict()
     exit_code = EXIT_OK
     if args.compare is not None:
-        theory = _harness.THEORIES[args.compare](spec)
-        report = _harness.compare(result, theory, se_multiplier=args.se_multiplier)
+        theory = harness.THEORIES[args.compare](spec)
+        report = harness.compare(result, theory, se_multiplier=args.se_multiplier)
         payload["comparison"] = report.to_json_dict()
         if not report.ok:
             exit_code = EXIT_COUNTEREXAMPLE
@@ -518,14 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_verify)
 
     sub = commands.add_parser("experiment", help="run a seeded Monte Carlo experiment")
-    sub.add_argument("--generator", choices=sorted(_harness.GENERATORS), required=True)
+    sub.add_argument("--generator", choices=GENERATORS, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, default=2)
     sub.add_argument("--replicates", type=int, required=True)
     sub.add_argument("--statistics", help="comma separated subset of the generator columns")
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--threads", type=int, default=1)
-    sub.add_argument("--compare", choices=sorted(_harness.THEORIES), default=None)
+    sub.add_argument("--compare", choices=THEORIES, default=None)
     sub.add_argument("--se-multiplier", type=float, default=4.0)
     sub.set_defaults(handler=_cmd_experiment)
 

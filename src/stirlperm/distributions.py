@@ -19,13 +19,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._rng import as_generator
 from .perms import count_k_stirling
 from .urns import fixed_addition_covariance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConvergenceError(ArithmeticError):
@@ -355,6 +356,8 @@ def stick_breaking_sample(k: int, depth: int, seed=None) -> StickBreakingSample:
 def _stick_breaking_rows(k: int, depth: int, count: int, rng) -> np.ndarray:
     """``count`` independent stick-breaking draws, one per row: the first
     ``depth`` components, then the remainder."""
+    import numpy as np
+
     levels = np.arange(1, depth + 1)
     betas = rng.beta((k - 1) / k, (levels + 1) / k, size=(count, depth))
     stick = np.cumprod(1.0 - betas, axis=1)

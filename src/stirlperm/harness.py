@@ -26,6 +26,10 @@ white minus one is the block count, urn C's white plus one the first block.
 ``scipy.stats`` is imported inside the three goodness-of-fit helpers at the
 end of this module, not at its top: no CLI path calls them, and loading it
 costs several times the rest of a CLI cold start in both time and memory.
+This module itself, and numpy with it, is imported on first use: by the
+``experiment`` command, or by reading it or one of its public names from
+the package.  The exact commands load neither; ``sample`` and ``urn`` load
+numpy when they first draw.
 """
 
 from __future__ import annotations
@@ -370,19 +374,27 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
         rngs = [chunk_stream(spec.seed, c) for c in run]
         out[edges[run.start] : edges[run.stop]] = gen.kernel(spec.n, spec.k, counts, rngs)
 
-    # threads overlap the beta and binomial levels, which numpy draws outside
-    # the GIL (4 draws, serial against 2 threads: beta 460 vs 250 ms,
-    # binomial with array arguments 104 vs 62 ms); the engine's block draws,
-    # integers with one bound per row, hold it, but its steps over a run's
-    # rows overlap (urn_a, n = 1214, k = 2, 4096 rows, best of 15 in each
-    # of 5 processes: one run of 4 chunks 61-72 ms, median 62; two runs of
-    # 2 on 2 threads 46-69 ms, median 55).  A block law loses nothing by
-    # filling its chunks in runs (urn_b, n = 1000, k = 2, 4096 rows, 2
-    # threads, best of 15 in each of 5 processes: 4 one-chunk tasks
-    # 29.9-42.1 ms, median 30.3; 2 runs of 2 chunks 28.7-31.0 ms, median
-    # 28.9).  Over 5 alternating 15 s benchmark pairs on a shared 2-core
-    # host a serial fill cut mc_chunk ops/s from 28.5 to 26.6 (op_p90_s
-    # +11%) and gained 4.7% on mc_replicate
+    # at the benchmark's sizes only the urn engine overlaps on two threads:
+    # its block draws, integers with one bound per row, hold the GIL, but
+    # its steps over a run's rows overlap (urn_a, n = 1214, k = 2, 4096
+    # rows, best of 15 in each of 5 processes: one run of 4 chunks 61-72 ms,
+    # median 62; two runs of 2 on 2 threads 46-69 ms, median 55).  The block
+    # laws do not overlap: most of their time is in the beta and binomial
+    # draws of their levels (72.9 of 101.7 ms for 4 chunks at n = 1000,
+    # k = 2), and numpy 2.4 holds the GIL in both (two threads of 2000 draws
+    # of 1024 values each: beta 431 ms serial against 446 ms threaded,
+    # binomial 310 against 313 ms).  In process at k = 2 and 4096 rows, 20
+    # alternating runs at 1 and 2 threads in each of 3 processes on a shared
+    # 2-core host gave medians of 61-79 against 58-76 ms for urn_b at
+    # n = 1000 (2 threads faster in 12-15 runs of 20), 168-171 against
+    # 163-176 ms for block_sizes at n = 4000 (faster in 6-9) and 125-136
+    # against 105-113 ms for urn_a at n = 1000 (faster in 13-17).  A block
+    # law loses nothing by filling its chunks in runs (urn_b, n = 1000,
+    # k = 2, 4096 rows, 2 threads, best of 15 in each of 5 processes: 4
+    # one-chunk tasks 29.9-42.1 ms, median 30.3; 2 runs of 2 chunks
+    # 28.7-31.0 ms, median 28.9).  Over 5 alternating 15 s benchmark pairs
+    # on a shared 2-core host a serial fill cut mc_chunk ops/s from 28.5 to
+    # 26.6 (op_p90_s +11%) and gained 4.7% on mc_replicate
     if threads == 1 or len(runs) == 1:
         for run in runs:
             fill(run)

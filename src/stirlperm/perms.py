@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from ._rng import as_generator
 
 Multiplicities = tuple[int, ...]
@@ -513,6 +511,8 @@ def sample_generalized(mult: Sequence[int], seed=None) -> GenStirlingPerm:
     every gap within its bound the word is valid by construction: the
     bounds are checked in one comparison and the word is not scanned again.
     """
+    import numpy as np
+
     mult = check_multiplicities(mult)
     bounds = np.cumsum((0,) + mult)[:-1] + 1
     gaps = as_generator(seed).integers(0, bounds)

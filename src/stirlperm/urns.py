@@ -44,11 +44,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ._rng import as_generator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KIND_SYMMETRIC = "symmetricA"
 KIND_FIXED = "fixedAddition"
@@ -357,6 +358,8 @@ def _block_levels(k: int, n: int, replicates: int, rng) -> Iterator[tuple[np.nda
     then ``N_{m+1} = N_m - 1 - J_m``.  Every sampler of a block law reads
     these levels, so one stream gives the same blocks to all of them.
     """
+    import numpy as np
+
     rows = np.arange(replicates)
     remaining = np.full(replicates, n, dtype=np.int64)
     level = 1
@@ -374,6 +377,8 @@ def sample_block_size_stats(k: int, n: int, replicates: int, rng=None) -> np.nda
     """Vectorised sampler of (first block size, largest block size, block
     count) over many replicates, exact in law: it folds the beta-binomial
     marginals of the nested Polya urns, level by level."""
+    import numpy as np
+
     if k < 2:
         raise ValueError("the beta-binomial chain needs k >= 2")
     if n < 1 or replicates < 1:

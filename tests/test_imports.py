@@ -1,5 +1,6 @@
-"""What importing the package costs: the public names, and ``scipy.stats``
-staying unloaded until a goodness-of-fit helper runs."""
+"""What importing the package costs: the public names, numpy and the
+harness staying unloaded until a command draws, and ``scipy.stats`` staying
+unloaded until a goodness-of-fit helper runs."""
 
 from __future__ import annotations
 
@@ -20,25 +21,35 @@ COMPARE_GENERATORS = {
     "stick_breaking_mean": "stick_breaking",
 }
 
+# the commands that draw; the others are exact and load neither numpy nor
+# the harness
+DRAWING = {"sample", "urn", "experiment"}
+LOADED = ("scipy.stats", "numpy", "stirlperm.harness")
+
 # Runs in a fresh interpreter: argv[1] is the source directory, argv[2] a
-# scratch directory, argv[3] the JSON {theory: generator} map.  Prints one
-# JSON object: per CLI call, its exit code and whether scipy.stats is loaded.
+# scratch directory, argv[3] the JSON {theory: generator} map, argv[4] the
+# JSON list LOADED.  Prints one JSON object: per CLI call, its exit code and
+# which modules of LOADED are loaded after it.  The exact commands run first.
 GUARD_SCRIPT = r"""
 import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 scratch = sys.argv[2]
 compare = json.loads(sys.argv[3])
 
+def loaded():
+    return {name: name in sys.modules for name in json.loads(sys.argv[4])}
+
 report = {"calls": []}
 import stirlperm
 from stirlperm import cli
-report["after_import"] = "scipy.stats" in sys.modules
+cli.build_parser()
+report["after_import"] = loaded()
 
 def run(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
-    report["calls"].append([list(argv), code, "scipy.stats" in sys.modules])
+    report["calls"].append([list(argv), code, loaded()])
     return out.getvalue()
 
 def save(name, payload):
@@ -49,7 +60,6 @@ def save(name, payload):
 
 run("count", "--n", "4", "--k", "2")
 run("enumerate", "--n", "3", "--k", "2")
-run("sample", "--n", "6", "--k", "2", "--seed", "1", "--count", "2")
 run("stats", "112233321")
 run("blocks", "112233321")
 run("pmf", "--n", "5", "--k", "2")
@@ -59,9 +69,6 @@ run("means", "--n", "5", "--k", "2")
 run("density", "--k", "2", "--x", "0.5")
 for which in ("urnA", "fixed", "tnormal"):
     run("covariance", "--which", which)
-for model in ("a", "b", "c"):
-    run("urn", "--model", model, "--k", "2", "--steps", "20", "--seed", "1")
-run("urn", "--model", "nested", "--k", "2", "--n", "20", "--seed", "1")
 run("verify", "--n", "3", "--k", "2")
 ary = json.loads(run("decode", "--bijection", "ary", "1221"))["tree"]
 run("encode", "--bijection", "ary", "--input", save("ary.json", ary))
@@ -71,6 +78,10 @@ ftree = json.loads(run("encode", "--bijection", "ftree", "--input", save("b.json
 run("decode", "--bijection", "ftree", "--input", save("ftree.json", ftree["ftree"]))
 seq = json.loads(run("decode", "--bijection", "seq", "--input", save("a.json", ary)))
 run("encode", "--bijection", "seq", "--input", save("seq.json", seq["sequence"]))
+run("sample", "--n", "6", "--k", "2", "--seed", "1", "--count", "2")
+for model in ("a", "b", "c"):
+    run("urn", "--model", model, "--k", "2", "--steps", "20", "--seed", "1")
+run("urn", "--model", "nested", "--k", "2", "--n", "20", "--seed", "1")
 for theory, generator in sorted(compare.items()):
     run("experiment", "--generator", generator, "--n", "20", "--k", "2",
         "--replicates", "64", "--seed", "3", "--compare", theory)
@@ -83,23 +94,45 @@ print(json.dumps(report))
 
 
 def test_cli_never_loads_scipy_stats(tmp_path):
+    """No CLI call loads ``scipy.stats``, and the exact commands, run first,
+    load neither numpy nor the harness, nor does building the parser."""
     assert set(COMPARE_GENERATORS) == set(harness.THEORIES)
     src = Path(stirlperm.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", GUARD_SCRIPT, str(src), str(tmp_path), json.dumps(COMPARE_GENERATORS)],
+        [sys.executable, "-c", GUARD_SCRIPT, str(src), str(tmp_path), json.dumps(COMPARE_GENERATORS),
+         json.dumps(LOADED)],
         capture_output=True, text=True, timeout=300, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["after_import"] is False
+    assert report["after_import"] == dict.fromkeys(LOADED, False)
     subparsers = next(
         action for action in cli.build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
     assert {argv[0] for argv, _, _ in report["calls"]} == set(subparsers.choices)
+    exact = [call for call in report["calls"] if call[0][0] not in DRAWING]
+    assert {argv[0] for argv, _, _ in exact} == set(subparsers.choices) - DRAWING
+    assert report["calls"][:len(exact)] == exact
     for argv, code, loaded in report["calls"]:
         assert code == 0, argv
-        assert loaded is False, argv
+        assert loaded["scipy.stats"] is False, argv
+    for argv, _, loaded in exact:
+        assert loaded == dict.fromkeys(LOADED, False), argv
+    # the drawing commands load numpy when they run, and the harness with
+    # the first experiment
+    first_sample, first_experiment = (
+        next(loaded for argv, _, loaded in report["calls"] if argv[0] == command)
+        for command in ("sample", "experiment")
+    )
+    assert first_sample == {"scipy.stats": False, "numpy": True, "stirlperm.harness": False}
+    assert first_experiment == {"scipy.stats": False, "numpy": True, "stirlperm.harness": True}
+    # the parser's choices are the harness's names, without importing it
+    options = {
+        action.dest: action.choices for action in subparsers.choices["experiment"]._actions
+    }
+    assert options["generator"] == tuple(sorted(harness.GENERATORS))
+    assert options["compare"] == tuple(sorted(harness.THEORIES))
     # the deferred import works: the helper runs and has loaded scipy.stats
     assert report["gof"] == [0.0, 1.0]
     assert report["after_gof"] is True
