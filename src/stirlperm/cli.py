@@ -157,7 +157,13 @@ def _cmd_sample(args):
     from ._rng import replicate_stream
 
     _require(args.count >= 0, "--count must be >= 0")
-    sample = _perms.sample_bundled if args.bundled else _perms.sample_k_stirling
+    # n and k are checked before the first word, so also at --count 0
+    if args.bundled:
+        _perms.bundled_multiplicities(args.n, args.k)
+        sample = _perms.sample_bundled
+    else:
+        _perms._k_stirling_multiplicities(args.n, args.k)
+        sample = _perms.sample_k_stirling
     words = _primed(
         _word_text(sample(args.n, args.k, replicate_stream(args.seed, index)))
         for index in range(args.count)

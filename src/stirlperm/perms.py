@@ -26,6 +26,7 @@ the j-th occurrence of its label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._rng import as_generator
@@ -499,6 +500,20 @@ def bundled_grower(k: int, seed=None) -> PermutationGrower:
     return PermutationGrower(lambda i: k if i == 1 else k + 2, seed)
 
 
+@lru_cache(maxsize=1)
+def _gap_table(mult: tuple) -> tuple:
+    """The checked multiset, the gap bound of each label (read-only) and
+    each label's run.  A run of words of one multiset builds it once; the
+    one entry keeps only the last multiset's table."""
+    import numpy as np
+
+    checked = check_multiplicities(mult)
+    bounds = np.cumsum((0,) + checked)[:-1] + 1
+    bounds.flags.writeable = False
+    runs = tuple((label,) * m for label, m in enumerate(checked, start=1))
+    return checked, bounds, runs
+
+
 def sample_generalized(mult: Sequence[int], seed=None) -> GenStirlingPerm:
     """Draw a uniformly random generalized Stirling permutation of the multiset.
 
@@ -510,26 +525,29 @@ def sample_generalized(mult: Sequence[int], seed=None) -> GenStirlingPerm:
     A run put into a gap of a Stirling permutation leaves it one, so with
     every gap within its bound the word is valid by construction: the
     bounds are checked in one comparison and the word is not scanned again.
+    The bounds and the runs come from a table kept for the last multiset.
     """
-    import numpy as np
-
-    mult = check_multiplicities(mult)
-    bounds = np.cumsum((0,) + mult)[:-1] + 1
+    mult, bounds, runs = _gap_table(tuple(mult))
     gaps = as_generator(seed).integers(0, bounds)
     if not ((gaps >= 0) & (gaps < bounds)).all():
         raise InvalidPermutationError("a drawn gap is outside the word it goes into")
     word: list[int] = []
-    for label, (m, gap) in enumerate(zip(mult, gaps.tolist()), start=1):
-        word[gap:gap] = [label] * m
+    for run, gap in zip(runs, gaps.tolist()):
+        word[gap:gap] = run
     return GenStirlingPerm._trusted(tuple(word), mult)
 
 
-def sample_k_stirling(n: int, k: int, seed=None) -> GenStirlingPerm:
+def _k_stirling_multiplicities(n: int, k: int) -> Multiplicities:
+    """The multiset that :func:`sample_k_stirling` draws from, with its checks."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return sample_generalized((k,) * n, seed)
+    return (k,) * n
+
+
+def sample_k_stirling(n: int, k: int, seed=None) -> GenStirlingPerm:
+    return sample_generalized(_k_stirling_multiplicities(n, k), seed)
 
 
 def sample_bundled(n: int, k: int, seed=None) -> GenStirlingPerm:

@@ -24,6 +24,9 @@ them byte for byte; ``urn_a_chunk`` draws ``u * total`` floats instead, an
 independent stream for distribution tests.  ``stirling_k1_chunk`` is the
 gap loop that ``stirling_perm`` ran at k = 1 before it stepped urn A on that
 engine; it draws the engine's integers, so the two must match byte for byte.
+``stirling_chunk_by_cumsum`` is the ``stirling_perm`` kernel at k > 1 as
+it summed every row's class sizes at every step; the kernel that keeps
+cumulative counts must match it byte for byte, generator state included.
 ``urn_engine_chunk`` is that engine as it stepped one chunk at a time with
 one replacement rule for every table, and ``simulate_by_steps`` is
 ``urns.simulate`` as it drew one scalar integer per step; the runs of
@@ -1009,6 +1012,66 @@ def stirling_k1_chunk(n: int, count: int, rng) -> np.ndarray:
     ones = np.ones(count, dtype=np.int64)
     plateaux = n + 1 - ascents - descents
     return np.stack([ascents, descents, plateaux, n * ones, ones, ones], axis=1).astype(np.float64)
+
+
+def stirling_chunk_by_cumsum(n: int, k: int, count: int, rng) -> np.ndarray:
+    """Gap-class urn of a random k-Stirling permutation of order n.
+
+    Inserting the run ``v^k`` into a gap of type t (ascent, descent or
+    plateau) replaces it by one ascent, k-1 plateaux and one descent, so only
+    the class of the gap matters.  Class 0 holds the boundary gaps between
+    blocks and at the borders (ascents and descents only); class b >= 1 holds
+    the gaps inside block b, in the order the blocks were opened.  A boundary
+    gap opens a new block of k-1 inner plateaux; an inner gap grows its block
+    by k.  One uniform gap per row picks the class by the class gap counts and
+    the type by its offset inside the class.
+
+    This is the kernel as it ran before it kept cumulative class counts:
+    every step takes the cumulative sum of every row's class sizes and
+    doubles the table whenever the widest row fills it.
+    """
+    if k == 1:
+        # every gap is an ascent or a descent and every label opens a block
+        # of one, so (ascents, descents) is urn A on two colours
+        updown = harness._urn_rows(harness._up_down_urn, 1, n, k, (count,), (rng,))
+        return np.column_stack([updown, np.zeros(count), np.full(count, n), np.ones((count, 2))])
+    rows = np.arange(count)
+    width = 4
+    # gaps[:, r, c] = (gaps, ascents, descents) of class c in row r; the
+    # rest of a class's gaps are plateaux
+    gaps = np.zeros((3, count, width), dtype=np.int64)
+    gaps[:, :, 0] = np.array([[2], [1], [1]])
+    gaps[0, :, 1] = k - 1
+    sizes, ascents, descents = gaps.reshape(3, -1)
+    blocks = np.ones(count, dtype=np.int64)
+    for t in range(1, n):
+        u = rng.integers(0, k * t + 1, size=harness.REPLICATE_CHUNK)[:count]
+        used = int(blocks.max()) + 1
+        if used == width:
+            gaps = np.concatenate([gaps, np.zeros_like(gaps)], axis=2)
+            sizes, ascents, descents = gaps.reshape(3, -1)
+            width *= 2
+        cum = np.cumsum(gaps[0, :, :used], axis=1)
+        cls = (u[:, None] >= cum).sum(axis=1)
+        at = rows * width + cls
+        size = sizes[at]
+        offset = u - cum.reshape(-1)[rows * used + cls] + size
+        a, d = ascents[at], descents[at]
+        ascent = offset < a
+        ascents[at] = a + ~ascent
+        descents[at] = d + (ascent | (offset >= a + d))
+        inner = cls > 0
+        sizes[at] = size + np.where(inner, k, 1)
+        opened = rows[~inner]
+        blocks[opened] += 1
+        sizes[opened * width + blocks[opened]] = k - 1
+    asc = gaps[1].sum(axis=1)
+    desc = gaps[2].sum(axis=1)
+    first = gaps[0, :, 1] + 1
+    largest = gaps[0, :, 1:].max(axis=1) + 1
+    return np.stack(
+        [asc, desc, k * n + 1 - asc - desc, blocks, first, largest], axis=1
+    ).astype(np.float64)
 
 
 # the steps of a chunk that the engine drew per call before it stepped runs

@@ -3,6 +3,7 @@ exit codes, file round trips, output determinism."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -300,6 +301,10 @@ def test_sample_is_deterministic(capsys):
         (("count", "--n", "3", "--k", "0", "--bundled"), "k must be >= 1"),
         (("enumerate", "--n", "3", "--k", "0", "--bundled"), "k must be >= 1"),
         (("sample", "--n", "3", "--k", "0", "--bundled", "--seed", "1"), "k must be >= 1"),
+        (("sample", "--n", "-1", "--k", "2", "--seed", "1", "--count", "0"), "n must be >= 0"),
+        (("sample", "--n", "3", "--k", "0", "--seed", "1", "--count", "0"), "k must be >= 1"),
+        (("sample", "--n", "0", "--k", "2", "--bundled", "--seed", "1", "--count", "0"),
+         "n must be >= 1"),
         (("count", "--n", "0", "--bundled"), "n must be >= 1"),
         (("enumerate", "--n", "3", "--k", "2", "--cap", "-1"), "--cap must be >= 0"),
         (("covariance", "--which", "fixed", "--s", "1,x"),
@@ -320,6 +325,7 @@ def test_sample_is_deterministic(capsys):
          "urn-nested-zero-k", "urn-nested-zero-n",
          "density-nan", "density-inf", "verify-zero-k", "verify-zero-n",
          "count-bundled-zero-k", "enumerate-bundled-zero-k", "sample-bundled-zero-k",
+         "sample-negative-n-no-words", "sample-zero-k-no-words", "sample-bundled-zero-n-no-words",
          "count-bundled-zero-n", "enumerate-negative-cap",
          "covariance-non-integer-s", "experiment-empty-statistics",
          "experiment-repeated-statistic"],
@@ -406,6 +412,34 @@ def test_console_entry_point_exits_quietly_on_a_closed_pipe():
 def test_sample_order_zero_is_one_empty_word(capsys):
     payload = run_json(capsys, "sample", "--n", "0", "--seed", "1")
     assert payload["words"] == [""]
+
+
+@contextlib.contextmanager
+def counted_calls(function):
+    """The calls of the Python function ``function`` made in this thread
+    while the block runs, however the caller reached it."""
+    code, calls, previous = function.__code__, [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+def test_sample_checks_its_multiset_once(capsys):
+    """A run of words of one multiset builds its gap bounds and runs once,
+    not once per word."""
+    for bundled in ((), ("--bundled",)):
+        with counted_calls(perms.check_multiplicities) as calls:
+            words = run_json(capsys, "sample", "--n", "7", "--k", "2", "--seed", "3",
+                             "--count", "50", *bundled)["words"]
+        assert len(words) == 50
+        assert len(calls) <= 1, len(calls)
 
 
 def test_stats_worked_example(capsys):
@@ -960,6 +994,18 @@ def test_first_block_mean_is_exact_at_small_n(capsys):
     assert code == 0
     (entry,) = json.loads(out)["comparison"]["entries"]
     assert entry["expected"] == 0.4 and entry["ok"]
+
+
+def test_experiment_builds_its_urn_table_once(capsys):
+    """The urn of an urn-table generator is built at most once per process
+    and k: its columns, its spec and its kernel share one table."""
+    from stirlperm import urns
+
+    for _ in range(2):
+        with counted_calls(urns.ary_tree_urn) as calls:
+            run_json(capsys, "experiment", "--generator", "ary_tree", "--n", "20", "--k", "5",
+                     "--replicates", "64", "--seed", "4", "--threads", "1")
+        assert len(calls) <= 1, len(calls)
 
 
 def test_experiment_output_deterministic(capsys):

@@ -167,6 +167,35 @@ def test_stirling_perm_at_k_one_matches_gap_loop():
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 33, 257, 2000])
+def test_stirling_perm_kernel_matches_the_cumsum_kernel(n, k):
+    """The kernel keeps cumulative class counts with the classes not yet
+    opened in place, and widens its table by a fixed slack; the kernel that
+    summed the class sizes at every step draws the same integers, so rows
+    and generator state agree byte for byte."""
+    for count in (1, 17, harness.REPLICATE_CHUNK):
+        for seed in (11, 12):
+            want_rng, got_rng = chunk_stream(seed, n), chunk_stream(seed, n)
+            want = oracles.stirling_chunk_by_cumsum(n, k, count, want_rng)
+            got = harness._stirling_chunk(n, k, count, got_rng)
+            assert got.tobytes() == want.tobytes(), (count, seed)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if (n, k) == (2000, 2):
+        # far past the first width, so the table was widened many times
+        assert got[:, 3].max() > 200
+
+
+@pytest.mark.parametrize("n,k", [(10, 55_000_000), (10, 10**8), (40, 3 * 10**7)])
+def test_stirling_perm_kernel_at_counts_past_int32(n, k):
+    """Orders whose gap counts could pass 2^31 keep 64-bit tables."""
+    want_rng, got_rng = chunk_stream(13, n), chunk_stream(13, n)
+    want = oracles.stirling_chunk_by_cumsum(n, k, 17, want_rng)
+    got = harness._stirling_chunk(n, k, 17, got_rng)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_stirling_perm_at_k_one_is_urn_a():
     """With one seed, (ascents, descents) of stirling_perm at k = 1 and
     order n are urn A's two colours at order n - 1."""

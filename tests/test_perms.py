@@ -473,6 +473,53 @@ def test_sampler_rejects_a_gap_outside_its_bound(gaps):
         perms.sample_generalized((2, 2, 2), _GapsFrom(gaps))
 
 
+def test_sampler_table_follows_the_multiset_it_is_called_with():
+    """The table kept for the last multiset is rebuilt whenever another
+    comes in between, so interleaved multisets still give the grower's
+    words and generator states: (2,)*5, (2,)*6, (2,)*5 again, the same
+    multiset as a list, and one with ones."""
+    calls = [(2,) * 5, (2,) * 6, (2,) * 5, [2, 2, 2, 2, 2], (1, 3, 1, 1, 2), (2,) * 5]
+    for seed in range(20):
+        for mult in calls:
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            word = perms.sample_generalized(mult, fast)
+            assert word == oracles.sample_by_growth(tuple(mult), slow)
+            assert word.multiplicities == tuple(mult)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_sampler_table_keeps_no_error():
+    """A multiset with a zero is refused on every call, not only the first."""
+    for _ in range(3):
+        with pytest.raises(ValueError, match="multiplicities must be positive"):
+            perms.sample_generalized((2, 0, 2), 1)
+        assert perms.sample_generalized((2, 2), 1).multiplicities == (2, 2)
+
+
+def test_sampler_table_bounds_are_read_only():
+    perms.sample_generalized((2, 1, 3), 0)
+    mult, bounds, runs = perms._gap_table((2, 1, 3))
+    assert mult == (2, 1, 3) and runs == ((1, 1), (2,), (3, 3, 3))
+    assert bounds.tolist() == [1, 3, 4]
+    with pytest.raises(ValueError, match="read-only"):
+        bounds[0] = 5
+
+
+def test_sampler_table_keeps_only_the_last_multiset():
+    """The table of a large multiset (about 100 bytes a label) is let go as
+    soon as a word of another multiset is drawn."""
+    tracemalloc.start()
+    try:
+        perms.sample_k_stirling(10**5, 2, 0)
+        held, _ = tracemalloc.get_traced_memory()
+        perms.sample_k_stirling(3, 2, 0)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held > 5e6, held
+    assert after < 1e6, after
+
+
 def test_check_multiplicities_returns_python_ints():
     out = perms.check_multiplicities(np.array([3, 1, 2], dtype=np.int64))
     assert out == (3, 1, 2) and all(type(m) is int for m in out)
