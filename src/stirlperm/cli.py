@@ -75,8 +75,8 @@ def _word_text(perm: _perms.GenStirlingPerm) -> str:
 
 def _primed(items: Iterable) -> Iterator:
     """``items`` with its first item already drawn, so that an error of the
-    first draw (an exceeded cap, an invalid order) is raised here, before
-    anything is written, and not while the output streams."""
+    first draw (an exceeded cap, a word too large for memory) is raised
+    here, before anything is written, and not while the output streams."""
     items = iter(items)
     for first in items:
         return itertools.chain((first,), items)
@@ -157,15 +157,12 @@ def _cmd_sample(args):
     from ._rng import replicate_stream
 
     _require(args.count >= 0, "--count must be >= 0")
-    # n and k are checked before the first word, so also at --count 0
-    if args.bundled:
-        _perms.bundled_multiplicities(args.n, args.k)
-        sample = _perms.sample_bundled
-    else:
-        _perms._k_stirling_multiplicities(args.n, args.k)
-        sample = _perms.sample_k_stirling
+    # n and k are checked once, in the multiset, so also at --count 0; the
+    # first word is still drawn before anything is written (see _primed)
+    family = _perms.bundled_multiplicities if args.bundled else _perms.uniform_multiplicities
+    mult = family(args.n, args.k)
     words = _primed(
-        _word_text(sample(args.n, args.k, replicate_stream(args.seed, index)))
+        _word_text(_perms.sample_generalized(mult, replicate_stream(args.seed, index)))
         for index in range(args.count)
     )
     payload = {

@@ -61,9 +61,14 @@ def check_multiplicities(mult: Sequence[int]) -> Multiplicities:
 
 
 def uniform_multiplicities(n: int, k: int) -> Multiplicities:
-    """Multiset of a k-Stirling permutation of order n: (k, k, ..., k)."""
-    if n < 0 or (n > 0 and k < 1):
-        raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
+    """Multiset of a k-Stirling permutation of order n: (k, k, ..., k).
+
+    The family's one rule, checked at every n, the empty word's included:
+    ``n >= 0`` and ``k >= 1``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     return (k,) * n
 
 
@@ -537,17 +542,8 @@ def sample_generalized(mult: Sequence[int], seed=None) -> GenStirlingPerm:
     return GenStirlingPerm._trusted(tuple(word), mult)
 
 
-def _k_stirling_multiplicities(n: int, k: int) -> Multiplicities:
-    """The multiset that :func:`sample_k_stirling` draws from, with its checks."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return (k,) * n
-
-
 def sample_k_stirling(n: int, k: int, seed=None) -> GenStirlingPerm:
-    return sample_generalized(_k_stirling_multiplicities(n, k), seed)
+    return sample_generalized(uniform_multiplicities(n, k), seed)
 
 
 def sample_bundled(n: int, k: int, seed=None) -> GenStirlingPerm:

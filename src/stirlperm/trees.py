@@ -28,11 +28,11 @@ attachment arrays.
 Each tree groups its children once, into the index that ``child`` and
 ``bundles_of`` read.  One builder writes each index: ``_slot_index`` for
 every slot tree, after the constructor's checks or alone in ``_from_valid``;
-``_bundle_index`` for a bundled tree in its constructor only, since a codec
-decoder hands ``_from_valid`` the index its stack pass filled and the
-bundled enumerator writes its own through ``_trusted``.  JSON fields are
-checked once, where they are read; a list whose items all have the
-expected type passes at C speed.
+``_bundle_index`` for a bundled tree in its constructor only, checking the
+arrays as it groups them (a codec decoder hands ``_from_valid`` the index
+its stack pass filled, and the bundled enumerator writes its own through
+``_trusted``).  JSON fields are checked once, where they are read; a list
+whose items all have the expected type passes at C speed.
 """
 
 from __future__ import annotations
@@ -268,22 +268,33 @@ def _slot_index(arity: int, parent: Sequence[int], slot: Sequence[int]) -> list[
     return kids
 
 
-def _bundle_index(parent: Sequence[int], bundle: Sequence[int], pos: Sequence[int]) -> dict:
+def _bundle_index(
+    bundle_count: int, parent: Sequence[int], bundle: Sequence[int], pos: Sequence[int]
+) -> dict:
     """``groups[p, b]``: the children of node p in bundle b, in position
-    order (empty bundles absent), of bundle arrays whose parents and bundles
-    are in range.  A bundle whose positions are not ``1..len`` gets a row
-    holding a 0."""
+    order (empty bundles absent).  The arrays are checked as they are
+    grouped: every node's parent and bundle, in node order, then the
+    positions of each bundle, in the order of its first child."""
     n = len(parent)
     groups: dict[tuple[int, int], list[int]] = {}
     for v, p, b in zip(range(2, n + 1), islice(parent, 1, None), islice(bundle, 1, None)):
+        if not 1 <= p < v:
+            raise InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
+        if not 1 <= b <= bundle_count:
+            raise InvalidTreeError(f"bundle of node {v} out of range: {b}")
         groups.setdefault((p, b), []).append(v)
-    for pair, kids in groups.items():
+    for (p, b), kids in groups.items():
         row = [0] * len(kids)
         for v in kids:
             q = pos[v - 1]
             if 0 < q <= len(row):
                 row[q - 1] = v
-        groups[pair] = tuple(row)
+        if not all(row):
+            positions = [pos[v - 1] for v in kids]
+            raise InvalidTreeError(
+                f"positions in bundle {b} of node {p} are not contiguous: {positions}"
+            )
+        groups[p, b] = tuple(row)
     return groups
 
 
@@ -447,21 +458,7 @@ class BundledIncreasingTree(_ParentArrayTree):
             raise InvalidTreeError("array fields must be non-empty and aligned")
         if (self.parent[0], self.bundle[0], self.pos_in_bundle[0]) != (0, 0, 0):
             raise InvalidTreeError("node 1 must be the root")
-        nodes = zip(range(2, n + 1), islice(self.parent, 1, None), islice(self.bundle, 1, None))
-        for v, p, b in nodes:
-            if not 1 <= p < v:
-                raise InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
-            if not 1 <= b <= self.bundle_count:
-                raise InvalidTreeError(f"bundle of node {v} out of range: {b}")
-        groups = _bundle_index(self.parent, self.bundle, self.pos_in_bundle)
-        if not all(map(all, groups.values())):
-            # the first bundle, in the order of the index, whose row has a gap
-            p, b = next(pair for pair, row in groups.items() if not all(row))
-            positions = [q for pair, q in zip(zip(self.parent, self.bundle), self.pos_in_bundle)
-                         if pair == (p, b)]
-            raise InvalidTreeError(
-                f"positions in bundle {b} of node {p} are not contiguous: {positions}"
-            )
+        groups = _bundle_index(self.bundle_count, self.parent, self.bundle, self.pos_in_bundle)
         object.__setattr__(self, "_groups", groups)
 
     @classmethod

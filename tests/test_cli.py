@@ -306,6 +306,10 @@ def test_sample_is_deterministic(capsys):
         (("sample", "--n", "0", "--k", "2", "--bundled", "--seed", "1", "--count", "0"),
          "n must be >= 1"),
         (("count", "--n", "0", "--bundled"), "n must be >= 1"),
+        (("count", "--n", "0", "--k", "0"), "k must be >= 1"),
+        (("count", "--n", "0", "--k", "-5"), "k must be >= 1"),
+        (("enumerate", "--n", "0", "--k", "0"), "k must be >= 1"),
+        (("count", "--n", "-1", "--k", "2"), "n must be >= 0"),
         (("enumerate", "--n", "3", "--k", "2", "--cap", "-1"), "--cap must be >= 0"),
         (("covariance", "--which", "fixed", "--s", "1,x"),
          "--s must be comma separated integers, got '1,x'"),
@@ -326,7 +330,8 @@ def test_sample_is_deterministic(capsys):
          "density-nan", "density-inf", "verify-zero-k", "verify-zero-n",
          "count-bundled-zero-k", "enumerate-bundled-zero-k", "sample-bundled-zero-k",
          "sample-negative-n-no-words", "sample-zero-k-no-words", "sample-bundled-zero-n-no-words",
-         "count-bundled-zero-n", "enumerate-negative-cap",
+         "count-bundled-zero-n", "count-order-zero-zero-k", "count-order-zero-negative-k",
+         "enumerate-order-zero-zero-k", "count-negative-n", "enumerate-negative-cap",
          "covariance-non-integer-s", "experiment-empty-statistics",
          "experiment-repeated-statistic"],
 )
@@ -412,6 +417,14 @@ def test_console_entry_point_exits_quietly_on_a_closed_pipe():
 def test_sample_order_zero_is_one_empty_word(capsys):
     payload = run_json(capsys, "sample", "--n", "0", "--seed", "1")
     assert payload["words"] == [""]
+
+
+def test_sample_writes_nothing_when_its_first_draw_fails(capsys):
+    """n and k pass the family's rule, but no word of k = 10^19 copies
+    fits: the first draw fails before anything is written."""
+    with pytest.raises((OverflowError, MemoryError)):
+        cli.main(["sample", "--n", "3", "--k", str(10**19), "--seed", "1"])
+    assert capsys.readouterr().out == ""
 
 
 @contextlib.contextmanager

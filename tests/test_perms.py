@@ -128,6 +128,22 @@ def test_bundled_families_refuse_zero_k_in_one_wording(call):
         call(0, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [perms.uniform_multiplicities, perms.sample_k_stirling, perms.enumerate_k_stirling],
+    ids=["multiplicities", "sample", "enumerate"],
+)
+@pytest.mark.parametrize(
+    "n,k,message",
+    [(0, 0, "k must be >= 1"), (3, 0, "k must be >= 1"), (0, -5, "k must be >= 1"),
+     (-1, 2, "n must be >= 0"), (-1, 0, "n must be >= 0")],
+)
+def test_k_stirling_families_refuse_bad_n_and_k_in_one_wording(call, n, k, message):
+    """One rule at every order: the empty word does not excuse k < 1."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(n, k)
+
+
 def test_parse_and_compact():
     p = perms.GenStirlingPerm.parse("1,2,2,1")
     assert p.word == (1, 2, 2, 1)
