@@ -510,9 +510,14 @@ def _gap_table(mult: tuple) -> tuple:
     """The checked multiset, the gap bound of each label (read-only) and
     each label's run.  A run of words of one multiset builds it once; the
     one entry keeps only the last multiset's table."""
+    import sys
+
     import numpy as np
 
     checked = check_multiplicities(mult)
+    length = sum(checked)
+    if length > sys.maxsize:
+        raise ValueError(f"a word of length {length} is too long to build")
     bounds = np.cumsum((0,) + checked)[:-1] + 1
     bounds.flags.writeable = False
     runs = tuple((label,) * m for label, m in enumerate(checked, start=1))

@@ -669,34 +669,81 @@ def _enumerate_slot_trees(
             yield cls._from_valid(arity, (0,) + parent, (0,) + slot)
 
 
+# Bounds of enumerate_bundled_trees' layout memo; a full memo of order-7
+# layouts takes about 0.6 MB.
+_PATTERN_LAYOUTS = 120
+_MEMO_LAYOUTS = 1024
+
+
+def _layout_count(size: Sequence[int], cap: int) -> int:
+    """The number of position arrays of groups of these sizes, the product
+    of their factorials, or ``cap + 1`` once it passes ``cap``."""
+    count = 1
+    for s in size:
+        for f in range(2, s + 1):
+            count *= f
+            if count > cap:
+                return cap + 1
+    return count
+
+
+def _layouts(group: Sequence[int], size: Sequence[int]) -> Iterator[tuple]:
+    """Each ``(pos_in_bundle, rows)`` of a group pattern, in lexicographic
+    order of the positions: node ``i + 2`` sits at position ``pos[i]`` of
+    group ``group[i]``, and ``rows[g]`` lists group g's nodes by position."""
+    for pos in _lex_search([size[g] for g in group], group, [1] * (len(group) + 1)):
+        rows = [[0] * s for s in size]
+        for v, g, q in zip(range(2, len(group) + 2), group, pos):
+            rows[g][q - 1] = v
+        yield (0,) + pos, tuple(map(tuple, rows))
+
+
 def enumerate_bundled_trees(n: int, bundle_count: int) -> Iterator[BundledIncreasingTree]:
     """Yield every bundled increasing tree of order n exactly once, ordered
     by their (parent, bundle, pos_in_bundle) arrays: each parent array, then
     each bundle array, then each array of positions in which no position of
-    a bundle is used twice."""
+    a bundle is used twice.
+
+    The positions depend only on the array's group pattern: the ids of its
+    (parent, bundle) pairs in order of first appearance.  Each pattern's
+    position arrays and children rows are built once per call and kept in a
+    memo, if the pattern has at most ``_PATTERN_LAYOUTS`` of them (the
+    product of its group sizes' factorials) and the memo still has room for
+    them within ``_MEMO_LAYOUTS`` in all.  Any other pattern streams its
+    positions from the search each time, so enumeration holds at most
+    ``_MEMO_LAYOUTS`` layouts beside the current tree."""
     if bundle_count < 1 or n < 1:
         raise ValueError("need bundle_count >= 1 and n >= 1")
     m = bundle_count
+    memo: dict[tuple[int, ...], list[tuple]] = {}
+    room = _MEMO_LAYOUTS
     # The parent level stays a search: a product over range(1, v) would hold
     # every range at once, O(n^2) for the first tree of a large order.
     for parent in _lex_search(range(1, n), (0,) * n, [n] * n):
+        parent_array = (0,) + parent
         for bundle in product(range(1, m + 1), repeat=n - 1):
             # group[i]: small id of the (parent, bundle) pair of node i + 2
             ids: dict[tuple[int, int], int] = {}
-            group = [ids.setdefault(pair, len(ids)) for pair in zip(parent, bundle)]
-            size = [0] * len(ids)
-            for g in group:
-                size[g] += 1
-            for pos in _lex_search([size[g] for g in group], group, [1] * n):
-                rows = [[0] * s for s in size]
-                for v, g, q in zip(range(2, n + 1), group, pos):
-                    rows[g][q - 1] = v
+            group = tuple([ids.setdefault(pair, len(ids)) for pair in zip(parent, bundle)])
+            layouts = memo.get(group)
+            if layouts is None:
+                size = [0] * len(ids)
+                for g in group:
+                    size[g] += 1
+                layouts = _layouts(group, size)
+                cap = min(_PATTERN_LAYOUTS, room)
+                count = _layout_count(size, cap)
+                if count <= cap:
+                    layouts = memo[group] = list(layouts)
+                    room -= count
+            bundle_array = (0,) + bundle
+            for pos, rows in layouts:
                 yield BundledIncreasingTree._trusted(
                     bundle_count=m,
-                    parent=(0,) + parent,
-                    bundle=(0,) + bundle,
-                    pos_in_bundle=(0,) + pos,
-                    _groups=dict(zip(ids, map(tuple, rows))),
+                    parent=parent_array,
+                    bundle=bundle_array,
+                    pos_in_bundle=pos,
+                    _groups=dict(zip(ids, rows)),
                 )
 
 

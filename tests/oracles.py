@@ -14,7 +14,9 @@ the package's streaming depth-first search over prefixes replaced, and
 cached endings; all three must yield the same words in the same order.  Likewise
 ``slot_tree_arrays_by_levels`` and ``bundled_tree_arrays_by_insertion``
 build every tree of one order and sort, as the tree enumerators did before
-they streamed from one lexicographic search over attachment arrays.
+they streamed from one lexicographic search over attachment arrays, and
+``bundled_trees_by_position_search`` is that stream for bundled trees as it
+was before it kept each group pattern's positions and children rows.
 
 ``urn_a_chunk``, ``ary_chunk`` and ``plane_chunk`` are the hand-written
 chunk kernels that the harness's balanced-urn engine replaced, each with
@@ -49,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -863,6 +866,31 @@ def bundled_tree_arrays_by_insertion(n: int, m: int) -> list[tuple]:
                         nxt.append(state[: node - 1] + (new_row,) + state[node:] + (((),) * m,))
         states = nxt
     return sorted(map(_bundles_arrays, states))
+
+
+def bundled_trees_by_position_search(n: int, m: int):
+    """Every order-n bundled tree with m bundles per node, in the order of
+    ``trees.enumerate_bundled_trees``, as it was before it kept each group
+    pattern's layouts: the position search restarts and every children row
+    is rebuilt for each (parent, bundle) array."""
+    for parent in trees._lex_search(range(1, n), (0,) * n, [n] * n):
+        for bundle in product(range(1, m + 1), repeat=n - 1):
+            ids: dict[tuple[int, int], int] = {}
+            group = [ids.setdefault(pair, len(ids)) for pair in zip(parent, bundle)]
+            size = [0] * len(ids)
+            for g in group:
+                size[g] += 1
+            for pos in trees._lex_search([size[g] for g in group], group, [1] * n):
+                rows = [[0] * s for s in size]
+                for v, g, q in zip(range(2, n + 1), group, pos):
+                    rows[g][q - 1] = v
+                yield trees.BundledIncreasingTree._trusted(
+                    bundle_count=m,
+                    parent=(0,) + parent,
+                    bundle=(0,) + bundle,
+                    pos_in_bundle=(0,) + pos,
+                    _groups=dict(zip(ids, map(tuple, rows))),
+                )
 
 
 def _bundles_arrays(rows) -> tuple:

@@ -421,10 +421,11 @@ def test_sample_order_zero_is_one_empty_word(capsys):
 
 def test_sample_writes_nothing_when_its_first_draw_fails(capsys):
     """n and k pass the family's rule, but no word of k = 10^19 copies
-    fits: the first draw fails before anything is written."""
-    with pytest.raises((OverflowError, MemoryError)):
-        cli.main(["sample", "--n", "3", "--k", str(10**19), "--seed", "1"])
-    assert capsys.readouterr().out == ""
+    fits: the first draw fails with one error line naming the word's length,
+    before anything is written."""
+    code, out, err = run_cli(capsys, "sample", "--n", "3", "--k", str(10**19), "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: a word of length {3 * 10**19} is too long to build\n"
 
 
 @contextlib.contextmanager

@@ -451,6 +451,37 @@ def test_bundled_tree_enumeration_matches_insertion_oracle(m, n):
     assert listed == oracles.bundled_tree_arrays_by_insertion(n, m)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_bundled_tree_enumeration_matches_position_search_oracle(m, n):
+    """The trees built from each group pattern's kept layouts are the trees
+    the per-array position search builds, children index (contents and key
+    order) included."""
+    listed = trees.enumerate_bundled_trees(n, m)
+    searched = oracles.bundled_trees_by_position_search(n, m)
+    for tree, expected in zip(listed, searched, strict=True):
+        assert _bundled_key(tree) == _bundled_key(expected)
+        assert list(tree._groups.items()) == list(expected._groups.items())
+
+
+def test_bundled_enumeration_memo_is_bounded():
+    """The group patterns' layouts are kept only up to a fixed total, so
+    the traced peak does not grow with the number of trees taken.  At order
+    7 the patterns within the per-pattern bound hold 3331 layouts, which
+    would take the peak to about 1.3 MB if all were kept."""
+    peaks = []
+    for n, m, take in ((6, 3, 1000), (6, 3, None), (7, 1, None)):
+        tracemalloc.start()
+        try:
+            taken = sum(1 for _ in itertools.islice(trees.enumerate_bundled_trees(n, m), take))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append((taken, peak))
+    assert [taken for taken, _ in peaks] == [1000, 65835, 10395]
+    assert max(peak for _, peak in peaks) < 2**20
+
+
 @pytest.mark.parametrize(
     "enumerate_trees",
     [partial(trees.enumerate_bundled_trees, 7, 2), partial(trees.enumerate_ary_trees, 7, 3)],
