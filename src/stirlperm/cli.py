@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import io
 import itertools
 import json
@@ -267,8 +268,10 @@ def _cmd_urn(args):
         }
         rows = (("index", "size"), list(enumerate(sizes, start=1)))
         return payload, rows, EXIT_OK
-    # symmetric_urn names its own parameter q = k + 1
+    # symmetric_urn names its own parameter q = k + 1; every model starts
+    # with k + 1 balls, and numpy draws on the total as an int64
     _require(args.k >= 1, "k must be >= 1")
+    _require(args.k + 1 < 2**63, "k must be < 2**63 - 1")
     if args.model == "a":
         spec = _urns.symmetric_urn(args.k + 1)
     elif args.model == "b":
@@ -761,21 +764,38 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused from parsing to the last byte
+    written, and turned on again at the end only if it was on at the start.
+    A command creates no reference cycles (a test checks every command),
+    so the collector would find nothing; it would only walk the command's
+    large acyclic graphs (the parsed ``--input``, the node forms, the
+    payload) over and over while they live.  Reference counting still frees
+    everything.  The pause is process-wide: another thread runs without the
+    collector until ``main`` returns.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        # sample, urn and experiment take a seed; numpy's own message for a
-        # negative one does not name the option
-        _require(getattr(args, "seed", 0) >= 0, "--seed must be >= 0")
-        payload, table, exit_code = args.handler(args)
-    except _DOMAIN_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    payload = {"schemaVersion": 1, "command": args.command, **payload}
-    _render(payload, table, args.csv, sys.stdout)
-    return exit_code
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        try:
+            # sample, urn and experiment take a seed; numpy's own message for
+            # a negative one does not name the option
+            _require(getattr(args, "seed", 0) >= 0, "--seed must be >= 0")
+            payload, table, exit_code = args.handler(args)
+        except _DOMAIN_ERRORS as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_INVALID
+        payload = {"schemaVersion": 1, "command": args.command, **payload}
+        _render(payload, table, args.csv, sys.stdout)
+        return exit_code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def cli() -> None:

@@ -291,6 +291,10 @@ class GeneratorDef:
     # (n, k, counts, rngs) -> the float64 rows of a run of consecutive chunks,
     # chunk c holding counts[c] rows drawn from rngs[c]
     kernel: Callable
+    # whether the kernel keeps its counts (gaps, balls, labels) in int64:
+    # none passes k(2n + _STIRLING_SLACK + 3), the bound of _stirling_chunk's
+    # table, and the other kernels' stay under kn + 2
+    int64_counts: bool = True
 
 
 def _urn_generator(min_k: int, urn_of: Callable[[int], UrnSpec], lag: int) -> GeneratorDef:
@@ -313,6 +317,7 @@ GENERATORS: dict[str, GeneratorDef] = {
         2,
         lambda k: tuple(f"component{m}" for m in range(1, STICK_DEPTH + 1)) + ("remainder",),
         partial(_chunk_by_chunk, _stick_chunk),
+        int64_counts=False,
     ),
     "stirling_perm": GeneratorDef(
         1,
@@ -352,6 +357,10 @@ class ExperimentSpec:
             raise ValueError(f"n must be in [1, {MAX_ORDER}]")
         if self.k < gen.min_k:
             raise ValueError(f"generator {self.generator!r} needs k >= {gen.min_k}")
+        if gen.int64_counts and self.k * (2 * self.n + _STIRLING_SLACK + 3) >= 2**63:
+            raise ValueError(
+                f"generator {self.generator!r} needs k * (2n + {_STIRLING_SLACK + 3}) < 2**63"
+            )
         # the covariance of the result needs two rows (ddof=1)
         if not 2 <= self.replicates <= MAX_REPLICATES:
             raise ValueError(f"replicates must be in [2, {MAX_REPLICATES}]")

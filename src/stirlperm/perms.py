@@ -253,8 +253,6 @@ def count_k_stirling(n: int, k: int) -> int:
     >>> [count_k_stirling(n, 2) for n in range(1, 6)]
     [1, 3, 15, 105, 945]
     """
-    if n < 0 or k < 1:
-        raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     return count_generalized(uniform_multiplicities(n, k))
 
 

@@ -309,6 +309,9 @@ def urn_a_covariance(q: int) -> UrnGaussianLimit:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
+    # past the largest tuple index
+    if q >= 2**63:
+        raise ValueError("q must be < 2**63")
     return fixed_addition_covariance((1,) * q)
 
 
@@ -360,6 +363,9 @@ def _block_levels(k: int, n: int, replicates: int, rng) -> Iterator[tuple[np.nda
     """
     import numpy as np
 
+    # a block holds up to kn symbols, counted in int64
+    if k * n >= 2**63:
+        raise ValueError("k * n must be < 2**63")
     rows = np.arange(replicates)
     remaining = np.full(replicates, n, dtype=np.int64)
     level = 1

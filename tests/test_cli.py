@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -317,6 +318,16 @@ def test_sample_is_deterministic(capsys):
           "--seed", "1", "--statistics", ""), "has no statistic ''"),
         (("experiment", "--generator", "urn_a", "--n", "3", "--k", "2", "--replicates", "4",
           "--seed", "1", "--statistics", "color1,color1"), "statistic 'color1' is selected twice"),
+        # numbers past int64 (stick_breaking reads k as a float)
+        *((("experiment", "--generator", generator, "--n", "3", "--k", str(10**20),
+            "--replicates", "4", "--seed", "1"),
+           f"generator {generator!r} needs k * (2n + 19) < 2**63")
+          for generator in cli.GENERATORS if generator != "stick_breaking"),
+        *((("urn", "--model", model, "--k", str(10**20), "--steps", "3", "--seed", "1"),
+           "k must be < 2**63 - 1") for model in "abc"),
+        (("urn", "--model", "nested", "--k", str(10**20), "--n", "3", "--seed", "1"),
+         "k * n must be < 2**63"),
+        (("covariance", "--which", "urnA", "--q", str(10**20)), "q must be < 2**63"),
     ],
     ids=["sample-negative-n", "sample-negative-count", "moments-negative-r",
          "moments-limit-negative-r", "moments-limit-zero-r", "density-beyond-float-range",
@@ -333,7 +344,10 @@ def test_sample_is_deterministic(capsys):
          "count-bundled-zero-n", "count-order-zero-zero-k", "count-order-zero-negative-k",
          "enumerate-order-zero-zero-k", "count-negative-n", "enumerate-negative-cap",
          "covariance-non-integer-s", "experiment-empty-statistics",
-         "experiment-repeated-statistic"],
+         "experiment-repeated-statistic",
+         *(f"experiment-{g}-huge-k" for g in cli.GENERATORS if g != "stick_breaking"),
+         "urn-a-huge-k", "urn-b-huge-k", "urn-c-huge-k", "urn-nested-huge-k",
+         "covariance-urn-a-huge-q"],
 )
 def test_out_of_range_argument_is_one_error_line(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
@@ -1342,3 +1356,103 @@ def test_output_never_runs_the_pure_python_encoder(capsys, tmp_path, monkeypatch
     assert len(seq["sequence"]) >= 1
     words = run_json(capsys, "enumerate", "--n", "3", "--k", "2")["words"]
     assert len(words) == 15
+
+
+# ---------------------------------------------------------------------------
+# the paused collector
+# ---------------------------------------------------------------------------
+
+
+def _main_quietly(argv) -> None:
+    """``main(argv)``, with the ValueError that ``count --n 1600`` raises
+    while it writes (its count has more digits than int-to-str allows)."""
+    try:
+        cli.main(argv)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decode", "--bijection", "ary", "442775528998136631"),
+        ("decode", "--bijection", "bundled", "4444257777555228899998823336666311"),
+        ("decode", "--bijection", "seq", "--input", "{ary}"),
+        ("decode", "--bijection", "ftree", "--input", "{ftree}"),
+        ("encode", "--bijection", "ary", "--input", "{ary}"),
+        ("encode", "--bijection", "bundled", "--input", "{bundled}"),
+        ("encode", "--bijection", "seq", "--input", "{seq}"),
+        ("encode", "--bijection", "ftree", "--input", "{bundled}"),
+        *(("experiment", "--generator", generator, "--n", "12", "--k", "2", "--replicates", "64",
+           "--seed", "3", "--threads", "2") for generator in cli.GENERATORS),
+        ("experiment", "--generator", "urn_a", "--n", "20", "--k", "2", "--replicates", "64",
+         "--seed", "3", "--compare", "urn_a_gaussian"),
+        ("count", "--n", "5", "--k", "2"),
+        ("enumerate", "--n", "4", "--k", "2"),
+        ("sample", "--n", "8", "--k", "2", "--seed", "1", "--count", "5"),
+        ("--csv", "enumerate", "--n", "4", "--k", "2"),
+        ("--csv", "sample", "--n", "8", "--k", "2", "--seed", "1", "--count", "5"),
+        ("--csv", "pmf", "--n", "6", "--k", "2"),
+        ("--csv", "decode", "--bijection", "ary", "1221"),
+        ("moments", "--n", "6", "--k", "2", "--r", "3"),
+        ("density", "--k", "2", "--x", "0.5"),
+        ("means", "--n", "6", "--k", "2"),
+        ("covariance", "--which", "urnA", "--q", "3"),
+        ("verify", "--n", "3", "--k", "2"),
+        ("stats", "442775528998136631"),
+        ("blocks", "442775528998136631"),
+        ("urn", "--model", "b", "--k", "2", "--steps", "8", "--seed", "3", "--path"),
+        ("urn", "--model", "nested", "--k", "2", "--n", "9", "--seed", "3"),
+        ("stats", "1,,2"),
+        ("no-such-command",),
+        ("count", "--n", "1600", "--k", "2"),
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith("{"))[:60],
+)
+def test_commands_leave_no_cyclic_garbage(capsys, codec_inputs, argv):
+    """``main`` pauses the collector because a command creates no reference
+    cycles: once a first run has done the imports and filled the caches, the
+    collector finds nothing that a second run left behind."""
+    argv = [a.format(**codec_inputs) for a in argv]
+    _main_quietly(argv)
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        _main_quietly(argv)
+        capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv,outcome",
+    [
+        (("count", "--n", "4", "--k", "2"), 0),
+        (("stats", "1,,2"), 1),
+        (("no-such-command",), 64),
+        # to_json_dict recurses once per node of a chain in the last slot
+        (("decode", "--bijection", "seq", "--input", "{chain}"), RecursionError),
+    ],
+    ids=["return", "error-line", "usage", "raises"],
+)
+def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, argv, outcome, collecting):
+    chain = tmp_path / "chain.json"
+    n = 1000
+    chain.write_text(json.dumps({"arity": 3, "parent": list(range(n)), "slot": [0] + [2] * (n - 1)}))
+    argv = [a.format(chain=chain) for a in argv]
+    previous = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert cli.main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                cli.main(argv)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if previous else gc.disable)()
+    capsys.readouterr()

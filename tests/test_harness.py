@@ -68,6 +68,15 @@ def test_spec_negative_seed_names_the_field():
         harness.ExperimentSpec(generator="urn_b", n=5, k=2, replicates=10, seed=-1)
 
 
+def test_spec_bounds_k_where_the_kernel_counts_in_int64():
+    """No int64 count passes k(2n + 19); stick_breaking reads k as a float."""
+    largest = (2**63 - 1) // 29  # n = 5
+    harness.ExperimentSpec(generator="urn_b", n=5, k=largest, replicates=10)
+    with pytest.raises(ValueError, match=r"generator 'urn_b' needs k \* \(2n \+ 19\) < 2\*\*63"):
+        harness.ExperimentSpec(generator="urn_b", n=5, k=largest + 1, replicates=10)
+    harness.ExperimentSpec(generator="stick_breaking", n=5, k=10**20, replicates=10)
+
+
 def test_spec_enforces_min_k():
     with pytest.raises(ValueError):
         harness.ExperimentSpec(generator="plane_tree", n=5, k=1, replicates=10)

@@ -396,13 +396,21 @@ def test_nested_urns_match_step_loop(n, k):
     assert pvalue > 1e-3
 
 
-@pytest.mark.parametrize("n,k", [(2000, 1), (100_000, 2)])
+@pytest.mark.parametrize("n,k", [(2000, 1), (100_000, 2), (3, (2**63 - 1) // 3)])
 def test_nested_urns_at_large_order(n, k):
     sizes = urns.nested_block_urns(k, n, 3)
     assert sum(sizes) == k * n
     assert all(s >= k and s % k == 0 for s in sizes)
     if k == 1:
         assert sizes == (1,) * n
+
+
+def test_block_samplers_reject_blocks_past_int64():
+    """A block of 2**62 * 2 symbols would wrap to a negative size."""
+    with pytest.raises(ValueError, match=r"k \* n must be < 2\*\*63"):
+        urns.nested_block_urns(2**62, 2, 1)
+    with pytest.raises(ValueError, match=r"k \* n must be < 2\*\*63"):
+        urns.sample_block_size_stats(2**62, 2, 4, np.random.default_rng(1))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
