@@ -36,10 +36,18 @@ Every decoder builds a tree that is valid by construction, so it hands it
 over through the trees' ``_from_valid`` and none of the constructor's
 checks run.  ``_bundle_pass`` fills a bundled tree's children index as it
 seats each child and hands it over with the arrays (``ary_tree_to_seq``
-builds its node forms from it).  The encoders still validate their words.  ``seq_to_ary_tree`` reads :class:`BundledNode` forms or their
-JSON dicts; dicts are checked field by field in preorder, as
-``BundledNode.from_json_dict`` checks them, and then read in place, so
-``encode --bijection seq`` builds no node objects.
+builds its node forms from it).  The encoders still validate their words.
+
+Each input is read in one checked pass before a codec runs:
+``GenStirlingPerm.parse`` checks a word in the pass that counts its labels,
+the slot-tree constructor fills the children index in its check loop, and
+``seq_to_ary_tree`` reads :class:`BundledNode` forms or their JSON dicts in
+place, in one walk that checks each dict as it meets it and builds the
+children index, so ``encode --bijection seq`` builds no node objects.
+The walk holds back structural faults until it ends, and on a malformed
+dict the dicts are read again in preorder, as
+``BundledNode.from_json_dict`` reads them, so the errors and their order
+are those of checking every dict first.
 
 ``verify_stat_transfer`` exhaustively checks the statistic correspondences
 (slot occupancies vs refined ascent/descent/plateau counts, block count vs
@@ -359,12 +367,13 @@ def _json_node_fields(roots: Sequence) -> list[tuple[int, list]]:
     return items
 
 
-def _walk(roots: Iterable, read: Callable = attrgetter("label", "bundles")) -> Iterator[tuple]:
+def _walk(roots: Iterable) -> Iterator[tuple]:
     """``(label, bundles)`` of every node of the node forms ``roots``, depth
-    first with a stack; ``read`` takes them from a node."""
+    first with a stack."""
     stack = list(roots)
     while stack:
-        label, bundles = read(stack.pop())
+        node = stack.pop()
+        label, bundles = node.label, node.bundles
         yield label, bundles
         for b in bundles:
             stack += b
@@ -377,32 +386,66 @@ def _node_groups(roots: tuple) -> tuple[dict, int, int]:
     absent), and ``groups[0, 1]`` the labels of ``roots``.
 
     The node forms are :class:`BundledNode` objects, or JSON dicts, which
-    are first checked in preorder as :meth:`BundledNode.from_json_dict`
-    checks them and then read in place."""
+    are read in place.  One walk builds the index and checks the dicts as
+    it meets them (see :func:`_group_nodes`).  A dict it cannot pass
+    stops it, and the dicts are read again in preorder, as
+    :meth:`BundledNode.from_json_dict` reads them, to raise the error of
+    the first malformed one; a malformed dict so comes before any
+    structural fault, wherever the two lie."""
     if not roots:
         raise InvalidTreeError("sequence must be non-empty")
     if all(isinstance(root, BundledNode) for root in roots):
-        label_of, read = attrgetter("label"), attrgetter("label", "bundles")
-    else:
-        _json_node_fields(roots)
-        label_of, read = itemgetter("label"), itemgetter("label", "bundles")
+        return _group_nodes(roots, attrgetter("label", "bundles"), attrgetter("label"), False)
+    read, label_of = itemgetter("label", "bundles"), itemgetter("label")
+    try:
+        return _group_nodes(roots, read, label_of, True)
+    except (KeyError, TypeError):
+        pass
+    _json_node_fields(roots)  # raises on the first malformed dict in preorder
+    # every dict is well formed, and some dict or label is of a subclass
+    return _group_nodes(roots, read, label_of, False)
+
+
+def _group_nodes(roots: tuple, read: Callable, label_of: Callable, checked: bool) -> tuple:
+    """:func:`_node_groups` in one walk, in the order of :func:`_walk`,
+    with ``read`` taking ``(label, bundles)`` from a node and ``label_of``
+    a child's label.  Each structural fault is held back until the walk
+    ends, and the first one met is raised then.
+
+    With ``checked``, the nodes are JSON dicts, and one that is not
+    exactly a dict with an int ``label`` and a list of lists ``bundles``
+    raises ``TypeError`` as it is met; so may a child's label read before
+    its own dict is met, which only a malformed child fails to give."""
     m = len(read(roots[0])[1])
-    groups = {(0, 1): tuple(map(label_of, roots))}
+    groups: dict = {}
     labels: set[int] = set()
-    for v, bundles in _walk(roots, read):
+    faults: list[str] = []
+    stack = list(roots)
+    pop = stack.pop
+    while stack:
+        node = pop()
+        v, bundles = read(node)
+        if checked and not (type(node) is dict and type(v) is int and type(bundles) is list):
+            raise TypeError
         if len(bundles) != m:
-            raise InvalidTreeError(f"mixed bundle counts: {m} and {len(bundles)}")
+            faults.append(f"mixed bundle counts: {m} and {len(bundles)}")
         if v in labels:
-            raise InvalidTreeError(f"label {v} appears twice")
+            faults.append(f"label {v} appears twice")
         labels.add(v)
         for b, children in enumerate(bundles, start=1):
+            if checked and type(children) is not list:
+                raise TypeError
             if children:
                 row = groups[v, b] = tuple(map(label_of, children))
                 if min(row) <= v:
-                    raise InvalidTreeError(f"node {min(row)} needs a smaller parent, got {v}")
+                    faults.append(f"node {min(row)} needs a smaller parent, got {v}")
+                stack += children
+    if faults:
+        raise InvalidTreeError(faults[0])
     n = len(labels)
     if labels != set(range(1, n + 1)):
         raise InvalidTreeError("labels must partition 1..n")
+    groups[0, 1] = tuple(map(label_of, roots))
     return groups, m, n
 
 

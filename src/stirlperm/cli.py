@@ -86,7 +86,8 @@ def _primed(items: Iterable) -> Iterator:
 
 def _int_list(text: str, option: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
+        # one rule for an int field, the word parser's
+        return _perms._int_fields(text.split(","), text)
     except ValueError:
         raise ValueError(f"{option} must be comma separated integers, got {text!r}") from None
 

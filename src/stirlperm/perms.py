@@ -122,6 +122,57 @@ def validate_word(word: Sequence[int], mult: Sequence[int]) -> bool:
     return True
 
 
+def _not_stirling(word: tuple[int, ...], mult: Multiplicities) -> InvalidPermutationError:
+    return InvalidPermutationError(f"{word!r} is not a Stirling permutation of multiset {mult!r}")
+
+
+def _label_fault(word: tuple[int, ...]) -> InvalidPermutationError:
+    """The error of a word of int labels that is no Stirling permutation of
+    the multiset of its label counts: its first label below 1, else its
+    first label above its length (no such word has every label from 1 up
+    to it, and the multiset would be as long as the label), else the
+    word against that multiset."""
+    length = len(word)
+    for x in word:
+        if x < 1:
+            return InvalidPermutationError(f"labels must be 1..n, got {x}")
+    for x in word:
+        if x > length:
+            return InvalidPermutationError(
+                f"labels must be at most the word length {length}, got {x}"
+            )
+    counts = [0] * max(word)
+    for x in word:
+        counts[x - 1] += 1
+    return _not_stirling(word, tuple(counts))
+
+
+def _int_fields(fields: Sequence[str], text: str) -> tuple[int, ...]:
+    """The int of each of ``fields``, the fields of ``text``.  A field is an
+    optional ``-`` and ASCII digits: the first field that is not raises the
+    ``ValueError`` that ``int`` raises on a letter, so ``int`` reads no
+    ``+``, ``_`` or non-ASCII digit.  Whitespace around a field is read
+    as ``int`` reads it.
+
+    >>> _int_fields(["1", "-2"], "1,-2")
+    (1, -2)
+    >>> _int_fields(["1", "+2"], "1,+2")
+    Traceback (most recent call last):
+    ...
+    ValueError: invalid literal for int() with base 10: '+2'
+    """
+    if text.isascii() and "+" not in text and "_" not in text:
+        # int takes an ASCII field without + or _ only if it is plain
+        return tuple(map(int, fields))
+    ints = []
+    for field in fields:
+        ints.append(int(field))  # a letter raises here, as int words it
+        digits = field.strip().removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"invalid literal for int() with base 10: {field!r:.200}")
+    return tuple(ints)
+
+
 # ---------------------------------------------------------------------------
 # the permutation object
 # ---------------------------------------------------------------------------
@@ -146,9 +197,7 @@ class GenStirlingPerm:
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "multiplicities", mult)
         if not validate_word(word, mult):
-            raise InvalidPermutationError(
-                f"{word!r} is not a Stirling permutation of multiset {mult!r}"
-            )
+            raise _not_stirling(word, mult)
 
     @classmethod
     def _trusted(cls, word: tuple[int, ...], mult: Multiplicities) -> "GenStirlingPerm":
@@ -162,21 +211,52 @@ class GenStirlingPerm:
         return perm
 
     @classmethod
+    def _from_labels(cls, word: tuple[int, ...]) -> "GenStirlingPerm":
+        """The permutation of a word of int labels, its multiset inferred
+        from the label counts, checked in one pass that also counts.
+
+        Past the range check (in C), the loop keeps the open labels on a
+        stack that increases from the bottom.  Reading x closes every open
+        label above x: none of them may occur again.  So x is a fault when
+        it was seen before and is not the label left on top.  The counts
+        double as the seen marks, and the table is sized by the largest
+        label, which the range check bounds by the word length."""
+        if not word:
+            return cls._trusted(word, ())
+        n = max(word)
+        if min(word) < 1 or n > len(word):
+            raise _label_fault(word)
+        counts = [0] * (n + 1)
+        below: list[int] = []  # the open labels under top, above a 0
+        push, pop = below.append, below.pop
+        top = 0
+        for x in word:
+            if x != top:
+                while x < top:
+                    top = pop()
+                if x != top:
+                    if counts[x]:
+                        raise _label_fault(word)
+                    push(top)
+                    top = x
+            counts[x] += 1
+        mult = tuple(counts[1:])
+        if 0 in mult:
+            raise _label_fault(word)
+        return cls._trusted(word, mult)
+
+    @classmethod
     def from_word(cls, word: Iterable) -> "GenStirlingPerm":
         """Build from a bare word, each symbol converted by ``int``; the
         multiset is inferred from symbol counts."""
-        w = tuple(map(int, word))
-        n = max(w, default=0)
-        counts = [0] * n
-        for x in w:
-            if not 1 <= x <= n:
-                raise InvalidPermutationError(f"labels must be 1..n, got {x}")
-            counts[x - 1] += 1
-        return cls(w, tuple(counts))
+        return cls._from_labels(tuple(map(int, word)))
 
     @classmethod
     def parse(cls, text: str) -> "GenStirlingPerm":
-        """Parse ``"1221"`` (single-digit labels) or ``"1,2,2,1"``."""
+        """Parse ``"1221"`` (single-digit labels) or ``"1,2,2,1"``.
+
+        Each label is converted once, and its field must be an optional
+        ``-`` and ASCII digits (see :func:`_int_fields`)."""
         text = text.strip()
         if not text:
             return cls((), ())
@@ -184,10 +264,10 @@ class GenStirlingPerm:
             # without whitespace and framed in commas, a blank field is ",,"
             if ",," in "," + "".join(text.split()) + ",":
                 raise InvalidPermutationError(f"blank comma field in permutation {text!r}")
-            return cls.from_word(text.replace(",", " ").split())
-        if not text.isdigit():
+            return cls._from_labels(_int_fields(text.replace(",", " ").split(), text))
+        if not (text.isascii() and text.isdigit()):
             raise InvalidPermutationError(f"cannot parse permutation {text!r}")
-        return cls.from_word(text)
+        return cls._from_labels(tuple(map(int, text)))
 
     @property
     def order(self) -> int:

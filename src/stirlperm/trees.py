@@ -26,13 +26,16 @@ streams the trees of one order from one lexicographic search over
 attachment arrays.
 
 Each tree groups its children once, into the index that ``child`` and
-``bundles_of`` read.  One builder writes each index: ``_slot_index`` for
-every slot tree, after the constructor's checks or alone in ``_from_valid``;
-``_bundle_index`` for a bundled tree in its constructor only, checking the
-arrays as it groups them (a codec decoder hands ``_from_valid`` the index
-its stack pass filled, and the bundled enumerator writes its own through
-``_trusted``).  JSON fields are checked once, where they are read; a list
-whose items all have the expected type passes at C speed.
+``bundles_of`` read.  Each constructor fills the index in the loop that
+checks its arrays, node by node, so the arrays are read once: a slot tree
+seats each node in its parent's slot row as it checks it, and
+``_bundle_index`` groups a bundled tree's nodes as it checks them.  A tree
+valid by construction skips the checks: ``_from_valid`` builds a slot
+tree's index with ``_slot_index``, a codec decoder hands a bundled tree's
+``_from_valid`` the index its stack pass filled, and the bundled enumerator
+writes its own through ``_trusted``.  JSON fields are checked once, where
+they are read; a list whose items all have the expected type passes at C
+speed.
 """
 
 from __future__ import annotations
@@ -258,11 +261,18 @@ class _ParentArrayTree:
         return tree
 
 
+def _free_slots(arity: int, n: int) -> list[list[int]]:
+    """The children index of n nodes with every slot free: row v holds 0
+    for each of the ``arity`` slots of node v, after an unused entry 0
+    (row 0 unused)."""
+    return list(map(list.copy, repeat([0] * (arity + 1), n + 1)))
+
+
 def _slot_index(arity: int, parent: Sequence[int], slot: Sequence[int]) -> list[list[int]]:
     """``kids[v][s]``: the child of node v in slot s, or 0 for a free slot
     (row 0 unused), of slot arrays already known to be valid."""
     n = len(parent)
-    kids = list(map(list.copy, repeat([0] * (arity + 1), n + 1)))
+    kids = _free_slots(arity, n)
     for v, p, s in zip(range(2, n + 1), islice(parent, 1, None), islice(slot, 1, None)):
         kids[p][s] = v
     return kids
@@ -322,19 +332,20 @@ class AryIncreasingTree(_ParentArrayTree):
         if self.parent[0] != 0 or self.slot[0] != 0:
             raise InvalidTreeError("node 1 must be the root")
         arity, root_slots = self.arity, self._root_slots
-        # used[p * (arity + 1) + s]: slot s of node p is taken
-        used = bytearray((n + 1) * (arity + 1))
+        # the children index, filled as each node is checked: a taken slot
+        # is a nonzero entry
+        kids = _free_slots(arity, n)
         nodes = zip(range(2, n + 1), islice(self.parent, 1, None), islice(self.slot, 1, None))
         for v, p, s in nodes:
             if not 1 <= p < v:
                 raise InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
             if not 1 <= s <= (root_slots if p == 1 else arity):
                 raise InvalidTreeError(f"slot of node {v} out of range: {s}")
-            i = p * (arity + 1) + s
-            if used[i]:
+            row = kids[p]
+            if row[s]:
                 raise InvalidTreeError(f"slot {s} of node {p} used twice")
-            used[i] = 1
-        object.__setattr__(self, "_kids", _slot_index(arity, self.parent, self.slot))
+            row[s] = v
+        object.__setattr__(self, "_kids", kids)
 
     @classmethod
     def _from_valid(

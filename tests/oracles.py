@@ -43,7 +43,12 @@ the children index directly.  ``seq_to_ary_tree_by_nodes`` is the path of
 still builds every node, and shares the package's node-form checks.
 ``bundled_node_repr`` is the ``repr`` that the dataclass generated for
 ``BundledNode`` before it wrote its text with a stack; it recurses once per
-level.
+level.  ``perm_from_word_by_passes`` and ``parse_by_passes``,
+``slot_index_by_two_passes`` and ``node_groups_by_two_passes`` are the
+readers of word text, slot arrays and node forms as they were before each
+checked its input in the pass that builds what the codecs read: each
+checks in one pass and builds in another, and the one-pass readers must
+give the same result, or the same error, wherever the old ones did.
 """
 
 from __future__ import annotations
@@ -381,6 +386,100 @@ def seq_to_ary_tree_by_nodes(items):
     becomes a :class:`BundledNode` through ``from_json_dict``, one item
     after another, and the nodes go to ``bijections.seq_to_ary_tree``."""
     return bijections.seq_to_ary_tree([BundledNode.from_json_dict(item) for item in items])
+
+
+def perm_from_word_by_passes(word):
+    """``GenStirlingPerm.from_word`` as it read a word before it checked it
+    in the pass that counts: one pass counts the labels into a table as
+    long as the largest label, checking each is 1..n, and the validating
+    constructor then reads the word again against those counts."""
+    w = tuple(map(int, word))
+    n = max(w, default=0)
+    counts = [0] * n
+    for x in w:
+        if not 1 <= x <= n:
+            raise perms.InvalidPermutationError(f"labels must be 1..n, got {x}")
+        counts[x - 1] += 1
+    return perms.GenStirlingPerm(w, tuple(counts))
+
+
+def parse_by_passes(text: str):
+    """``GenStirlingPerm.parse`` as it was before its one checked pass,
+    through :func:`perm_from_word_by_passes`; every field ``int`` reads
+    was a label, ``+1``, ``1_0`` and non-ASCII digits included."""
+    text = text.strip()
+    if not text:
+        return perms.GenStirlingPerm((), ())
+    if "," in text or " " in text:
+        if ",," in "," + "".join(text.split()) + ",":
+            raise perms.InvalidPermutationError(f"blank comma field in permutation {text!r}")
+        return perm_from_word_by_passes(text.replace(",", " ").split())
+    if not text.isdigit():
+        raise perms.InvalidPermutationError(f"cannot parse permutation {text!r}")
+    return perm_from_word_by_passes(text)
+
+
+def slot_index_by_two_passes(arity: int, root_slots: int, parent, slot) -> list[list[int]]:
+    """The children index that the slot-tree constructor built before it
+    filled it in its check loop: one pass checks every node, in node
+    order, marking taken slots in a flat table, and the package's
+    ``_slot_index`` then reads the arrays again.  ``root_slots`` is the
+    root's slot count (``arity - 2`` for an F-tree)."""
+    parent, slot = tuple(map(int, parent)), tuple(map(int, slot))
+    n = len(parent)
+    if arity < 2:
+        raise trees.InvalidTreeError("arity must be >= 2")
+    if n < 1 or len(slot) != n:
+        raise trees.InvalidTreeError("parent and slot arrays must be non-empty and aligned")
+    if parent[0] != 0 or slot[0] != 0:
+        raise trees.InvalidTreeError("node 1 must be the root")
+    used = bytearray((n + 1) * (arity + 1))
+    for v in range(2, n + 1):
+        p, s = parent[v - 1], slot[v - 1]
+        if not 1 <= p < v:
+            raise trees.InvalidTreeError(f"node {v} needs a smaller parent, got {p}")
+        if not 1 <= s <= (root_slots if p == 1 else arity):
+            raise trees.InvalidTreeError(f"slot of node {v} out of range: {s}")
+        i = p * (arity + 1) + s
+        if used[i]:
+            raise trees.InvalidTreeError(f"slot {s} of node {p} used twice")
+        used[i] = 1
+    return trees._slot_index(arity, parent, slot)
+
+
+def node_groups_by_two_passes(roots: tuple) -> tuple[dict, int, int]:
+    """The children index of node forms as ``bijections._node_groups``
+    built it before it checked JSON dicts in its walk: the dicts are all
+    checked in preorder first, and a second walk then builds the index,
+    raising each structural fault as it meets it."""
+    if not roots:
+        raise trees.InvalidTreeError("sequence must be non-empty")
+    if all(isinstance(root, BundledNode) for root in roots):
+        label_of, read = (lambda node: node.label), (lambda node: (node.label, node.bundles))
+    else:
+        bijections._json_node_fields(roots)
+        label_of, read = (lambda node: node["label"]), (lambda node: (node["label"], node["bundles"]))
+    m = len(read(roots[0])[1])
+    groups = {(0, 1): tuple(map(label_of, roots))}
+    labels: set[int] = set()
+    stack = list(roots)
+    while stack:
+        v, bundles = read(stack.pop())
+        if len(bundles) != m:
+            raise trees.InvalidTreeError(f"mixed bundle counts: {m} and {len(bundles)}")
+        if v in labels:
+            raise trees.InvalidTreeError(f"label {v} appears twice")
+        labels.add(v)
+        for b, children in enumerate(bundles, start=1):
+            if children:
+                row = groups[v, b] = tuple(map(label_of, children))
+                if min(row) <= v:
+                    raise trees.InvalidTreeError(f"node {min(row)} needs a smaller parent, got {v}")
+            stack += children
+    n = len(labels)
+    if labels != set(range(1, n + 1)):
+        raise trees.InvalidTreeError("labels must partition 1..n")
+    return groups, m, n
 
 
 # a field-for-field twin of BundledNode that keeps the generated repr

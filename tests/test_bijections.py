@@ -849,3 +849,68 @@ def test_seq_dict_reader_fails_like_the_node_route(m):
             assert _outcome(bj.seq_to_ary_tree, items) == expected, items
             failures += isinstance(expected, tuple)
     assert failures >= 200
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_seq_dict_reader_fails_like_the_two_pass_reader(m):
+    """Fuzzed node forms give the same children index, or the same error
+    type and message, read in one walk as checked and then walked."""
+    rng = random.Random(f"seq-groups-fuzz/{m}")
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(60):
+            tree = bj.decode_ary_tree(perms.sample_k_stirling(n, m + 1, rng.randrange(2**31)))
+            forms = bj.ary_tree_to_seq(tree)
+            items = tuple(_fuzzed([t.to_json_dict() for t in forms], rng))
+            assert (_outcome(bj._node_groups, items)
+                    == _outcome(oracles.node_groups_by_two_passes, items)), items
+            assert bj._node_groups(forms) == oracles.node_groups_by_two_passes(forms)
+
+
+def _chain_dicts(n: int) -> list:
+    """One node form, a chain of n one-bundle nodes, built without recursion."""
+    node = {"label": n, "bundles": [[]]}
+    for v in range(n - 1, 0, -1):
+        node = {"label": v, "bundles": [[node]]}
+    return [node]
+
+
+@pytest.mark.parametrize(
+    "items",
+    [lambda: [t.to_json_dict() for t in bj.ary_tree_to_seq(
+        bj.decode_ary_tree(perms.sample_k_stirling(20000, 3, 12)))],
+     lambda: _chain_dicts(10**5),
+     lambda: [{"label": 1, "bundles": [[{"label": v, "bundles": [[]]}
+                                        for v in range(2, 10**5 + 1)]]}],
+     lambda: [{"label": v, "bundles": []} for v in range(1, 10**5 + 1)]],
+    ids=["random-20000", "chain-100000", "star-100000", "permutation-100000"],
+)
+def test_seq_dict_reader_matches_the_two_pass_reader_at_size(items):
+    items = tuple(items())
+    assert bj._node_groups(items) == oracles.node_groups_by_two_passes(items)
+
+
+class _Label(int):
+    pass
+
+
+class _Node(dict):
+    pass
+
+
+def test_seq_dict_reader_takes_subclasses_of_dict_and_int():
+    """The walk passes only exact dicts and ints at its own speed; a
+    subclass of either, which the field checks accept, goes through them."""
+    tree = bj.decode_ary_tree(perms.sample_k_stirling(7, 2, 5))
+    forms = bj.ary_tree_to_seq(tree)
+    for wrap in (_Node, lambda node: {**node, "label": _Label(node["label"])}):
+        def rebuilt(node):
+            return wrap({"label": node.label,
+                         "bundles": [[rebuilt(c) for c in b] for b in node.bundles]})
+
+        items = [rebuilt(t) for t in forms]
+        assert bj.seq_to_ary_tree(items) == tree
+        assert bj._node_groups(tuple(items)) == oracles.node_groups_by_two_passes(tuple(items))
+    mixed = (forms[0], forms[0].to_json_dict())
+    assert _outcome(bj._node_groups, mixed) == _outcome(
+        oracles.node_groups_by_two_passes, mixed) == (
+        trees.InvalidTreeError, "expected a JSON object with 'label', 'bundles'")

@@ -356,6 +356,44 @@ def test_out_of_range_argument_is_one_error_line(capsys, argv, named):
     assert named in err
 
 
+_HUGE_LABEL = "labels must be at most the word length 2, got 99999999999"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("decode", "--bijection", "ary", "1,99999999999"), _HUGE_LABEL),
+        (("decode", "--bijection", "bundled", "1,99999999999"), _HUGE_LABEL),
+        (("stats", "1,99999999999"), _HUGE_LABEL),
+        (("blocks", "1 99999999999"), _HUGE_LABEL),
+        (("decode", "--bijection", "ary", "1,+1"), "invalid literal for int() with base 10: '+1'"),
+        (("decode", "--bijection", "ary", "1,1_0"),
+         "invalid literal for int() with base 10: '1_0'"),
+        (("decode", "--bijection", "ary", "\u0661\u0661"),
+         "cannot parse permutation '\u0661\u0661'"),
+        (("stats", "\u0661\u0661"), "cannot parse permutation '\u0661\u0661'"),
+        (("count", "--multiplicities", "2,+1"),
+         "--multiplicities must be comma separated integers, got '2,+1'"),
+        (("count", "--multiplicities", "\u0662,1"),
+         "--multiplicities must be comma separated integers, got '\u0662,1'"),
+        (("covariance", "--which", "fixed", "--s", "1,1_0"),
+         "--s must be comma separated integers, got '1,1_0'"),
+    ],
+    ids=["decode-ary-huge-label", "decode-bundled-huge-label", "stats-huge-label",
+         "blocks-huge-label", "decode-plus-sign", "decode-underscore", "decode-arabic-indic",
+         "stats-arabic-indic", "count-plus-sign", "count-arabic-indic", "covariance-underscore"],
+)
+def test_word_and_integer_fields_read_plain_numbers_only(capsys, argv, message):
+    """A field is an optional "-" and ASCII digits, and a label above the
+    word length is refused before any table is built: one error line."""
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_integer_lists_keep_spaces_around_fields(capsys):
+    assert run_json(capsys, "count", "--multiplicities", "2, 1")["count"] == run_json(
+        capsys, "count", "--multiplicities", "2,1")["count"]
+
+
 def test_sample_word_does_not_depend_on_count(capsys):
     """Word r comes from its own stream, so a longer run only appends words."""
     for bundled in ((), ("--bundled",)):

@@ -116,6 +116,159 @@ def test_parse_converts_each_symbol_once(monkeypatch):
         assert converted == ["1", "2", "2", "1"]
 
 
+def _outcome(read, *args):
+    """What ``read`` makes of ``args``: its permutation's word and
+    multiset, or the type and message of the error it raises."""
+    try:
+        perm = read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return perm.word, perm.multiplicities
+
+
+def _word_outcome(word):
+    """The outcome of the one-pass reader on a word of int labels: that of
+    the two-pass oracle, except for a word with a label above its length
+    and none below 1, which gets the length error, where the oracle would
+    build a table as long as that label."""
+    if word and min(word) >= 1 and max(word) > len(word):
+        label = next(x for x in word if x > len(word))
+        return (perms.InvalidPermutationError,
+                f"labels must be at most the word length {len(word)}, got {label}")
+    return _outcome(oracles.perm_from_word_by_passes, word)
+
+
+def _fuzzed_word(word: list, rng) -> list:
+    """A copy of ``word`` with one to three random faults."""
+    word = list(word)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(word) + 1)
+        fault = rng.randrange(6)
+        if fault == 0 or not word:
+            word.insert(i, rng.randint(-1, len(word) + 1))
+        elif fault == 1:
+            word[i - 1] = rng.randint(-1, len(word) + 1)
+        elif fault == 2:
+            j = rng.randrange(len(word))
+            word[i - 1], word[j] = word[j], word[i - 1]
+        elif fault == 3:
+            word.pop(i - 1)
+        elif fault == 4:
+            word.insert(i, rng.choice(word))
+        else:
+            j = rng.randrange(len(word))
+            i, j = sorted((i - 1, j))
+            word[i:j + 1] = word[i:j + 1][::-1]
+    return word
+
+
+def test_word_reader_fails_like_the_two_pass_reader():
+    """Fuzzed words give the same permutation, or the same error type and
+    message, read in one pass as counted and then validated."""
+    rng = random.Random("word-fuzz")
+    failures = 0
+    for n in (1, 2, 3, 5, 8, 13):
+        for _ in range(80):
+            if rng.random() < 0.5:
+                word = perms.sample_k_stirling(n, rng.randint(1, 3), rng.randrange(2**31)).word
+            else:
+                word = perms.sample_bundled(n, rng.randint(1, 3), rng.randrange(2**31)).word
+            word = tuple(_fuzzed_word(word, rng)) if rng.random() < 0.9 else word
+            expected = _word_outcome(word)
+            assert _outcome(perms.GenStirlingPerm.from_word, word) == expected, word
+            if len(word) > 1:  # one label is read as a compact word
+                text = ",".join(map(str, word))
+                assert _outcome(perms.GenStirlingPerm.parse, text) == expected, text
+            failures += isinstance(expected[0], type)
+    assert failures >= 250
+
+
+@pytest.mark.parametrize(
+    "mult", [m for m in SMALL_MULTISETS if (len(m) + 4) ** (sum(m) + 1) <= 10**5]
+)
+def test_word_reader_matches_the_two_pass_reader_on_every_short_word(mult):
+    """Every word over the labels -1..n+2 of the multiset's length and one
+    letter either side."""
+    n = len(mult)
+    for length in range(max(sum(mult) - 1, 0), sum(mult) + 2):
+        for word in itertools.product(range(-1, n + 3), repeat=length):
+            assert _outcome(perms.GenStirlingPerm.from_word, word) == _word_outcome(word), word
+
+
+# text fields that int reads but that are not an optional "-" and ASCII digits
+_ODD_FIELDS = ("+1", "1_0", "\u0661", "\u0661\u0661", "\uff11", "+0", "-+1", "1_", "x")
+
+
+def test_parse_reads_only_plain_fields_like_the_two_pass_parser():
+    """Fuzzed comma and space texts: the parser gives the old parser's
+    outcome when every field is an optional "-" and ASCII digits, and
+    otherwise the error ``int`` gives a letter, for the first other field."""
+    rng = random.Random("text-fuzz")
+    for _ in range(600):
+        word = perms.sample_k_stirling(rng.randint(1, 6), rng.randint(1, 3),
+                                       rng.randrange(2**31)).word
+        fields = list(map(str, _fuzzed_word(word, rng) if rng.random() < 0.5 else word))
+        if len(fields) < 2:
+            continue  # a compact word
+        for _ in range(rng.randint(0, 2)):
+            fields[rng.randrange(len(fields))] = rng.choice(_ODD_FIELDS)
+        text = rng.choice([",", " ", ", "]).join(fields)
+        odd = [f for f in fields if not re.fullmatch(r"-?[0-9]+", f, flags=re.ASCII)]
+        if odd:
+            expected = (ValueError, f"invalid literal for int() with base 10: {odd[0]!r}")
+        else:
+            expected = _word_outcome(tuple(map(int, fields)))
+        assert _outcome(perms.GenStirlingPerm.parse, text) == expected, text
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [("1,+1", "invalid literal for int() with base 10: '+1'"),
+     ("1,1_0", "invalid literal for int() with base 10: '1_0'"),
+     ("2 \u0661 2", "invalid literal for int() with base 10: '\u0661'"),
+     ("1,x,+1", "invalid literal for int() with base 10: 'x'"),
+     ("1,+1,x", "invalid literal for int() with base 10: '+1'"),
+     ("\u0661\u0661", "cannot parse permutation '\u0661\u0661'"),
+     ("1\uff11", "cannot parse permutation '1\uff11'"),
+     ("1,99999999999", "labels must be at most the word length 2, got 99999999999"),
+     ("1,3,0,9", "labels must be 1..n, got 0"),
+     ("2", "labels must be at most the word length 1, got 2"),
+     ("1,5,6,1", "labels must be at most the word length 4, got 5")],
+    ids=["plus-sign", "underscore", "arabic-indic-digit", "letter-first", "plus-first",
+         "compact-arabic-indic", "compact-fullwidth", "huge-label", "zero-before-large",
+         "lone-large-label", "large-labels"],
+)
+def test_parse_refuses_odd_numbers_and_labels_above_the_length(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        perms.GenStirlingPerm.parse(text)
+
+
+def test_a_huge_label_builds_no_table():
+    tracemalloc.start()
+    try:
+        for label in (10**8, 10**11, 10**100):
+            with pytest.raises(perms.InvalidPermutationError, match="word length 2, got"):
+                perms.GenStirlingPerm.parse(f"1,{label}")
+            with pytest.raises(perms.InvalidPermutationError, match="word length 2, got"):
+                perms.GenStirlingPerm.from_word((label, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+@pytest.mark.parametrize(
+    "word",
+    [perms.sample_k_stirling(20000, 2, 7).word, perms.sample_bundled(20000, 1, 8).word,
+     tuple(range(1, 10**5 + 1)) + tuple(range(10**5, 0, -1)),
+     (1,) + tuple(x for v in range(2, 10**5 + 1) for x in (v, v, v)) + (1, 1)],
+    ids=["kstirling-20000", "bundled-20000", "chain-100000", "star-100000"],
+)
+def test_word_reader_matches_the_two_pass_reader_at_size(word):
+    text = ",".join(map(str, word))
+    assert perms.GenStirlingPerm.parse(text) == oracles.parse_by_passes(text)
+
+
 @pytest.mark.parametrize(
     "call",
     [perms.bundled_multiplicities, perms.sample_bundled, perms.enumerate_bundled],

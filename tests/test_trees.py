@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -200,6 +201,115 @@ def test_ary_tree_validation():
 def test_ary_tree_validation_messages(cls, args, message):
     with pytest.raises(trees.InvalidTreeError, match=f"^{re.escape(message)}$"):
         cls(*args)
+
+
+def _slot_outcome(build, arity: int, root_slots: int, parent, slot):
+    """What ``build`` makes of the slot arrays: the tree's children index,
+    checked against the two-pass oracle's, or the type and message of the
+    error it raises."""
+    try:
+        tree = build(parent, slot)
+    except trees.InvalidTreeError as exc:
+        outcome = type(exc), str(exc)
+    else:
+        assert (tree.parent, tree.slot) == (tuple(parent), tuple(slot))
+        outcome = tree._kids
+    try:
+        expected = oracles.slot_index_by_two_passes(arity, root_slots, parent, slot)
+    except trees.InvalidTreeError as exc:
+        expected = type(exc), str(exc)
+    assert outcome == expected, (parent, slot)
+    return outcome
+
+
+def _fuzzed_arrays(parent: list, slot: list, arity: int, rng) -> tuple[list, list]:
+    """Copies of the slot arrays with one to three random faults."""
+    parent, slot = list(parent), list(slot)
+    for _ in range(rng.randint(1, 3)):
+        n = min(len(parent), len(slot))
+        if not n:
+            break
+        v = rng.randrange(n)
+        fault = rng.randrange(5)
+        if fault == 0:
+            parent[v] = rng.randint(-1, n + 1)
+        elif fault == 1:
+            slot[v] = rng.randint(-1, arity + 1)
+        elif fault == 2:  # a node into another node's slot
+            u = rng.randrange(n)
+            parent[v], slot[v] = parent[u], slot[u]
+        elif fault == 3:
+            u = rng.randrange(n)
+            parent[u], parent[v] = parent[v], parent[u]
+        else:
+            (parent if rng.random() < 0.5 else slot).pop(v)
+    return parent, slot
+
+
+@pytest.mark.parametrize("f_tree", [False, True], ids=["ary", "ftree"])
+def test_slot_tree_constructor_fails_like_the_two_pass_reader(f_tree):
+    """Fuzzed slot arrays give the same children index, or the same error
+    type and message, checked and seated in one pass as checked and then
+    indexed."""
+    rng = random.Random(f"slot-fuzz/{f_tree}")
+    failures = 0
+    for n in (1, 2, 3, 5, 8, 13):
+        for _ in range(80):
+            k = rng.randint(1, 3)
+            if f_tree:
+                tree = bj.f_tree_from_bundled(
+                    bj.decode_bundled_tree(perms.sample_bundled(n, k, rng.randrange(2**31))))
+                build = partial(bj.FIncreasingTree, k + 1)
+                arity, root_slots = k + 3, k + 1
+            else:
+                tree = bj.decode_ary_tree(perms.sample_k_stirling(n, k, rng.randrange(2**31)))
+                build = partial(trees.AryIncreasingTree, k + 1)
+                arity, root_slots = k + 1, k + 1
+            parent, slot = tree.parent, tree.slot
+            if rng.random() < 0.9:
+                parent, slot = _fuzzed_arrays(parent, slot, arity, rng)
+            outcome = _slot_outcome(build, arity, root_slots, parent, slot)
+            failures += isinstance(outcome, tuple)
+    assert failures >= 250
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_slot_tree_constructor_matches_the_two_pass_reader_on_every_small_array(arity):
+    """Every pair of arrays of up to three nodes with entries -1..n+1."""
+    for n in range(1, 4):
+        for parent in itertools.product(range(-1, n + 2), repeat=n):
+            for slot in itertools.product(range(-1, arity + 2), repeat=n):
+                _slot_outcome(partial(trees.AryIncreasingTree, arity), arity, arity,
+                              parent, slot)
+
+
+def _caterpillar(n: int) -> tuple[list, list]:
+    """A spine through the middle slot of ternary nodes, a leaf in slot 1
+    of each."""
+    parent = [0] + [(v - 1) if v % 2 == 0 else (v - 2) for v in range(2, n + 1)]
+    return parent, [0] + [1 if v % 2 == 0 else 2 for v in range(2, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "arity,root_slots,arrays",
+    [(3, 3, lambda: (lambda t: (t.parent, t.slot))(
+        bj.decode_ary_tree(perms.sample_k_stirling(20000, 2, 11)))),
+     (4, 4, lambda: (range(10**5), [0] + [1] * (10**5 - 1))),
+     (3, 3, lambda: _caterpillar(10**5)),
+     # the F-tree of a star: the sequence of its leaves is a chain through
+     # the last slot, below root slot 1
+     (3, 1, lambda: (lambda t: (t.parent, t.slot))(bj.f_tree_from_bundled(
+         trees.BundledIncreasingTree(1, [0] + [1] * (10**5 - 1), [0] + [1] * (10**5 - 1),
+                                     range(10**5)))))],
+    ids=["random-20000", "chain-100000", "caterpillar-100000", "f-tree-of-star-100000"],
+)
+def test_slot_tree_constructor_matches_the_two_pass_reader_at_size(arity, root_slots, arrays):
+    parent, slot = arrays()
+    if root_slots < arity:
+        build = partial(bj.FIncreasingTree, root_slots)
+    else:
+        build = partial(trees.AryIncreasingTree, arity)
+    assert not isinstance(_slot_outcome(build, arity, root_slots, parent, slot), tuple)
 
 
 @pytest.mark.parametrize(
